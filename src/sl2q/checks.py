@@ -29,7 +29,7 @@ from .classes import ClassLabel, class_table, classify, irreducible_traces
 from .field import Field
 from .matrices import _conj4, _mul4, enumerate_sl2, mat
 from .products import (
-    _generator_pairs,
+    _label_traces,
     class_product_labels,
     min_product_classes,
     product_report,
@@ -191,6 +191,16 @@ def _random_sl2(F: Field, rng: random.Random) -> tuple:
         return (0, b, neg[inv[b]], rng.randrange(q))
     b, c = rng.randrange(q), rng.randrange(q)
     return (a, b, c, mul[inv[a]][add[1][mul[b][c]]])
+
+
+def _generator_pairs(F: Field):
+    neg = F._neg
+    gens = []
+    for k in range(F.m):
+        x = F.p**k
+        gens.append(((1, x, 0, 1), (1, neg[x], 0, 1)))
+        gens.append(((1, 0, x, 1), (1, 0, neg[x], 1)))
+    return gens
 
 
 def _conjugators(F: Field, tag: str, seed: int, exhaustive_limit: int, samples: int = 400) -> list[tuple]:
@@ -586,6 +596,14 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     details = {"irreducible_classes": len(w_entries), "pairs": 0}
     full = frozenset(range(q))
     u4 = (1, 1, 0, 1)
+    noncentral_reps = [u_entry] + w_entries
+    products = {
+        (e1.label, e2.label): class_product_labels(F, e1.rep, e2.rep)
+        for i1, e1 in enumerate(noncentral_reps) for e2 in noncentral_reps[i1:]
+    }
+
+    def traces(e1, e2):
+        return _label_traces(F, products[(e1.label, e2.label)])
 
     fam = set()
     for i in range(q):
@@ -594,7 +612,7 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
             return _fail(name, q, details, part="upper_upper_family", i=i,
                          expected=mul[i][i], direct=tr)
         fam.add(tr)
-    if fam != full or product_trace_set(F, u_entry.rep, u_entry.rep) != full:
+    if fam != full or traces(u_entry, u_entry) != full:
         return _fail(name, q, details, part="upper_upper_traces", traces=sorted(fam))
 
     for ew in w_entries:
@@ -610,7 +628,7 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if len(fam) != q - 1:
             return _fail(name, q, details, part="upper_companion_family_size",
                          w=w, size=len(fam))
-        ts = product_trace_set(F, u_entry.rep, ew.rep)
+        ts = traces(u_entry, ew)
         if ts != full - {w}:
             return _fail(name, q, details, part="upper_companion_trace_exclusion",
                          w=w, traces=sorted(ts))
@@ -629,14 +647,13 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                     return _fail(name, q, details, part="companion_companion_family",
                                  w=w, v=v, i=i, direct=tr)
                 fam.add(tr)
-            if fam != full or product_trace_set(F, e1.rep, e2.rep) != full:
+            if fam != full or traces(e1, e2) != full:
                 return _fail(name, q, details, part="companion_companion_traces",
                              w=w, v=v, traces=sorted(fam))
 
-    noncentral_reps = [u_entry] + w_entries
     for i1, e1 in enumerate(noncentral_reps):
         for e2 in noncentral_reps[i1:]:
-            n = len(class_product_labels(F, e1.rep, e2.rep))
+            n = len(products[(e1.label, e2.label)])
             if n < q - 1:
                 return _fail(name, q, details, pair=[str(e1.label), str(e2.label)],
                              classes=n, expected_at_least=q - 1)
@@ -699,7 +716,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                              pair=[str(e1.label), str(e2.label)],
                              witnesses=sorted(str(l) for l in wit_labels),
                              found=sorted(str(l) for l in labels))
-            ts = product_trace_set(F, e1.rep, e2.rep)
+            ts = _label_traces(F, labels)
             fam = {sub[add[rt][rt]][mul[mul[u][w]][mul[i][i]]] for i in range(q)}
             if len(ts) < (q + 1) // 2 or not fam <= ts:
                 return _fail(name, q, details, part="upper_upper_traces",
@@ -723,7 +740,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         for e2 in w_entries[i1:]:
             w, v = e1.label.x, e2.label.x
             labels = class_product_labels(F, e1.rep, e2.rep)
-            ts = product_trace_set(F, e1.rep, e2.rep)
+            ts = _label_traces(F, labels)
             fam = {add[sub[mul[i][sub[v][w]]][mul[i][i]]][sub[w][two]] for i in range(q)}
             if not fam <= ts:
                 return _fail(name, q, details, part="companion_companion_traces",

@@ -73,7 +73,10 @@ class ClassTable:
     entries: tuple[ClassEntry, ...]
 
     def __post_init__(self):
-        assert sum(e.size for e in self.entries) == sl2_order(self.q)
+        total = sum(e.size for e in self.entries)
+        if total != sl2_order(self.q):
+            raise ValueError(f"class sizes sum to {total}, not the group order "
+                             f"{sl2_order(self.q)} of SL(2, {self.q})")
 
     @cached_property
     def _by_label(self) -> dict[ClassLabel, ClassEntry]:

@@ -4,6 +4,7 @@ and the full verification suite with a per-(q, check) JSON result cache."""
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -79,8 +80,19 @@ def _atomic_write(path: Path, text: str) -> None:
 
 # -- result cache -----------------------------------------------------------
 
+@functools.cache
+def _source_hash() -> str:
+    """SHA-256 over the package's ``*.py`` sources, sorted by name: a cached
+    verdict is reused only by the code that produced it."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 def _cache_key(F: Field, check: str, seed: int) -> dict:
-    return {"version": __version__, "p": F.p, "m": F.m, "check": check, "seed": seed}
+    return {"version": __version__, "source": _source_hash(), "p": F.p, "m": F.m,
+            "check": check, "seed": seed}
 
 
 def _cache_path(cache_dir: Path, q: int, check: str) -> Path:
@@ -233,7 +245,7 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
 @click.option("--cache-dir", "cache_dir", type=click.Path(file_okay=False), default=None,
               help=f"Result cache directory (default ${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR}).")
 @click.option("--no-cache", is_flag=True, help="Recompute everything, ignore and skip the cache.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel worker processes across (q, check) items.")
 @click.pass_context
 def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,

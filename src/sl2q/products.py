@@ -5,14 +5,21 @@ union of whole classes.  These helpers compute which classes appear, how
 many, and the group-wide minimum of that count over noncentral pairs.
 
 Fixing the second factor is enough: conjugating both factors only
-conjugates the product, so the class set of {X*B : X in A's orbit} equals
+conjugates the product, so the class set of {X*B : X in A's class} equals
 that of the full double product (the tests verify this against double
-enumeration for small q).
+enumeration for small q).  Every product is computed from the class labels
+with both factors at their canonical representatives, as it is
+class-invariant.
 
-Orbits come from a breadth-first closure under conjugation by the
-transvection generators [[1,x],[0,1]] and [[1,0],[x,1]], x running over a
-GF(p)-basis; that is O(orbit size) instead of O(group order) per class.
-The conjugate-by-every-element construction stays available as an oracle.
+The first factor's class is enumerated directly from its label: a + d = t
+and ad - bc = 1, with the square-class filter for U classes.  Conjugating
+by the centralizer of B fixes B, so one member per orbit of that
+centralizer suffices.  For B = diag(r, 1/r) the split torus leaves O(1)
+members per diagonal, for B = [[s,u],[0,s]] the upper unipotent group does
+the same, and a central factor needs a single member: O(q) members per pair
+instead of the whole O(q^2) class.  A W factor has no such cut, so a non-W
+partner is moved into the second slot (class products commute); W x W
+pairs enumerate the whole class.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classes import ClassLabel, _trace_kinds, class_table, label_sort_key
+from .classes import ClassLabel, _trace_kinds, class_table, classify, label_sort_key
 from .field import Field
-from .matrices import Mat2, _conj4, _mul4, _same_field, det, enumerate_sl2
+from .matrices import Mat2, _same_field, det
 
 CSV_HEADER = "q,p,m,a,b,eta,n_traces,elapsed_ms"
 
@@ -73,72 +80,71 @@ class ProductReport:
         )
 
 
-def _generator_pairs(F: Field):
-    neg = F._neg
-    gens = []
-    for k in range(F.m):
-        x = F.p**k
-        gens.append(((1, x, 0, 1), (1, neg[x], 0, 1)))
-        gens.append(((1, 0, x, 1), (1, 0, neg[x], 1)))
-    return gens
+def _class_members(F: Field, label: ClassLabel, cut: str | None = None) -> list[tuple]:
+    """Members (a, b, c, d) of the labelled class, read off its label.
 
+    They are the solutions of a + d = t and ad - bc = 1 for the class trace
+    t; a U class keeps those whose square class of -c (of b when c = 0)
+    matches its own.  ``cut`` names the kind of a second factor fixed at
+    its canonical representative and keeps only a subset that meets every
+    orbit of that factor's centralizer:
 
-def _orbit_bfs(F: Field, a4: tuple) -> list[tuple]:
-    cache = F._cache.setdefault("orbits", {})
-    orbit = cache.get(a4)
-    if orbit is None:
-        mul, add = F._mul, F._add
-        gens = _generator_pairs(F)
-        seen = {a4}
-        stack = [a4]
-        while stack:
-            cur = stack.pop()
-            for g, gi in gens:
-                y = _mul4(mul, add, _mul4(mul, add, gi, cur), g)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        orbit = list(seen)
-        cache[a4] = orbit
-    return orbit
-
-
-def _orbit_full(F: Field, a4: tuple) -> set[tuple]:
-    mul, add, neg = F._mul, F._add, F._neg
-    return {
-        _conj4(mul, add, neg, (C.a, C.b, C.c, C.d), a4)
-        for C in enumerate_sl2(F)
-    }
-
-
-def conjugacy_orbit(F: Field, A: Mat2, method: str = "generators") -> frozenset[Mat2]:
-    """The conjugation orbit of a determinant-one matrix.
-
-    ``generators`` is the BFS closure; ``full`` conjugates by every group
-    element and exists as the oracle the BFS is checked against.
+    * ``"D"`` (diag(r, 1/r)): b in {0, 1, nu}, or {0, 1} for even q, since
+      conjugating by diag(x, 1/x) scales b by a square;
+    * ``"U"`` ([[s,u],[0,s]]): c = 0, or a = 0 with c != 0, since
+      conjugating by [[1,x],[0,1]] fixes c and shifts a by x*c.
     """
+    if label.kind == "Z":
+        return [(label.x, 0, 0, label.x)]
+    q = F.q
+    mul, sub, neg, inv = F._mul, F._sub, F._neg, F._inv
+    nu = F.least_nonsquare
+    t = label_trace(F, label)
+    out: list[tuple] = []
+    for a in range(q):
+        d = sub[t][a]
+        k = sub[mul[a][d]][1]  # = bc
+        mk = mul[k]
+        if cut is None:
+            if k:
+                out += [(a, b, mk[inv[b]], d) for b in range(1, q)]
+            else:
+                out += [(a, 0, c, d) for c in range(q)]
+                out += [(a, b, 0, d) for b in range(1, q)]
+        elif cut == "D":
+            if not k:
+                out += [(a, 0, c, d) for c in range(q)]
+            out.append((a, 1, k, d))
+            if nu is not None:
+                out.append((a, nu, mk[inv[nu]], d))
+        elif not k:
+            out += [(a, b, 0, d) for b in range(q)]
+        elif a == 0:
+            out += [(0, mk[inv[c]], c, d) for c in range(1, q)]
+    if label.kind == "U":
+        sq, want = F._sq, label.square
+        out = [x for x in out if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
+    return out
+
+
+def conjugacy_orbit(F: Field, A: Mat2) -> frozenset[Mat2]:
+    """The conjugacy class of a determinant-one matrix, enumerated from its
+    label."""
     _same_field(F, A)
     if det(F, A) != 1:
         raise ValueError("orbits are computed for determinant-one matrices")
-    a4 = (A.a, A.b, A.c, A.d)
-    if method == "generators":
-        tuples = _orbit_bfs(F, a4)
-    elif method == "full":
-        tuples = _orbit_full(F, a4)
-    else:
-        raise ValueError(f"unknown orbit method {method!r}")
     q = F.q
-    return frozenset(Mat2(t[0], t[1], t[2], t[3], q) for t in tuples)
+    return frozenset(Mat2(t[0], t[1], t[2], t[3], q) for t in _class_members(F, classify(F, A)))
 
 
-def _label_tuples(F: Field, orbit: list[tuple], b4: tuple) -> set[tuple]:
+def _label_tuples(F: Field, members: list[tuple], b4: tuple) -> set[tuple]:
     # label every X*B without building Mat2 objects; see classify() for the
     # branch logic (scalars only ever land in the repeated-root bucket)
     mul, add, neg, sq = F._mul, F._add, F._neg, F._sq
     kinds = _trace_kinds(F)
     ba, bb, bc, bd = b4
     out: set[tuple] = set()
-    for xa, xb, xc, xd in orbit:
+    for xa, xb, xc, xd in members:
         pa = add[mul[xa][ba]][mul[xb][bc]]
         pb = add[mul[xa][bb]][mul[xb][bd]]
         pc = add[mul[xc][ba]][mul[xd][bc]]
@@ -159,28 +165,36 @@ def _label_tuples(F: Field, orbit: list[tuple], b4: tuple) -> set[tuple]:
     return out
 
 
+def _product_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
+    # the second factor stays at its canonical representative and the first
+    # runs over a centralizer-orbit transversal of its class; a W second
+    # factor has no cut, so a non-W partner takes its place (class
+    # products commute)
+    if lb.kind == "W" and la.kind != "W":
+        la, lb = lb, la
+    table = class_table(F)
+    if la.kind == "Z" or lb.kind == "Z":
+        ra = table.rep(la)
+        members = [(ra.a, ra.b, ra.c, ra.d)]
+    else:
+        members = _class_members(F, la, None if lb.kind == "W" else lb.kind)
+    rb = table.rep(lb)
+    return frozenset(ClassLabel(*t) for t in _label_tuples(F, members, (rb.a, rb.b, rb.c, rb.d)))
+
+
 def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
     """Labels of every conjugacy class appearing in the product of A's and
     B's classes."""
     _same_field(F, A, B)
     if det(F, A) != 1 or det(F, B) != 1:
         raise ValueError("class products are defined for determinant-one matrices")
-    orbit = _orbit_bfs(F, (A.a, A.b, A.c, A.d))
-    return frozenset(ClassLabel(*t) for t in _label_tuples(F, orbit, (B.a, B.b, B.c, B.d)))
+    return _product_labels(F, classify(F, A), classify(F, B))
 
 
 def product_trace_set(F: Field, A: Mat2, B: Mat2) -> frozenset[int]:
     """Traces occurring in the product of the two classes; never more values
     than there are classes in it."""
-    _same_field(F, A, B)
-    if det(F, A) != 1 or det(F, B) != 1:
-        raise ValueError("class products are defined for determinant-one matrices")
-    mul, add = F._mul, F._add
-    ba, bb, bc, bd = B.a, B.b, B.c, B.d
-    out = set()
-    for xa, xb, xc, xd in _orbit_bfs(F, (A.a, A.b, A.c, A.d)):
-        out.add(add[add[mul[xa][ba]][mul[xb][bc]]][add[mul[xc][bb]][mul[xd][bd]]])
-    return frozenset(out)
+    return _label_traces(F, class_product_labels(F, A, B))
 
 
 def label_trace(F: Field, label: ClassLabel) -> int:
@@ -192,17 +206,22 @@ def label_trace(F: Field, label: ClassLabel) -> int:
     return label.x
 
 
+def _label_traces(F: Field, labels) -> frozenset[int]:
+    return frozenset(label_trace(F, l) for l in labels)
+
+
 def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> ProductReport:
     """Compute the class decomposition of the product of two labelled
     classes, using the canonical representatives (the result is
     class-invariant)."""
     table = class_table(F)
-    rep_a, rep_b = table.rep(label_a), table.rep(label_b)
+    for label in (label_a, label_b):
+        table.entry(label)  # raises for a label with no class over GF(q)
     t0 = time.perf_counter()
-    labels = class_product_labels(F, rep_a, rep_b)
+    labels = _product_labels(F, label_a, label_b)
     elapsed = (time.perf_counter() - t0) * 1000.0
     ordered = tuple(sorted(labels, key=label_sort_key))
-    traces = tuple(sorted({label_trace(F, l) for l in ordered}))
+    traces = tuple(sorted(_label_traces(F, ordered)))
     return ProductReport(
         F.q, F.p, F.m, F.modulus, label_a, label_b,
         len(ordered), ordered, traces, elapsed,
@@ -220,11 +239,8 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     best_n: int | None = None
     best_pair: tuple[ClassLabel, ClassLabel] | None = None
     for i, la in enumerate(labels):
-        ra = table.rep(la)
-        orbit = _orbit_bfs(F, (ra.a, ra.b, ra.c, ra.d))
         for lb in labels[i:]:
-            rb = table.rep(lb)
-            n = len(_label_tuples(F, orbit, (rb.a, rb.b, rb.c, rb.d)))
+            n = len(_product_labels(F, la, lb))
             if best_n is None or n < best_n:
                 best_n, best_pair = n, (la, lb)
     assert best_n is not None and best_pair is not None

@@ -1,16 +1,19 @@
 """Independent brute-force oracles the tests freeze expected values from.
 
 Kept deliberately naive: polynomial factor search by exhaustive products,
-orbits by conjugating with every group element, class products by double
-enumeration.  None of them share logic with the code paths they check.
+orbits by conjugating with every group element or by closure under
+transvections, class products by double enumeration or by labelling every
+product with a fixed second factor.  None of them share logic with the code
+paths they check.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from sl2q.classes import ClassLabel
 from sl2q.field import Field, make_field, prime_factors
-from sl2q.matrices import Mat2, _conj4, enumerate_sl2
+from sl2q.matrices import Mat2, _conj4, _mul4, enumerate_sl2
 
 
 def field_for(q: int) -> Field:
@@ -85,10 +88,63 @@ def orbit_partition(F: Field) -> list[frozenset[tuple]]:
     return parts
 
 
+def bfs_orbit(F: Field, M: Mat2) -> set[tuple]:
+    """Conjugation orbit by closing {M} under conjugation with the
+    transvections [[1,x],[0,1]] and [[1,0],[x,1]], x running over a
+    GF(p)-basis; these generate the group."""
+    mul, add, neg = F._mul, F._add, F._neg
+    gens = []
+    for k in range(F.m):
+        x = F.p**k
+        gens.append(((1, x, 0, 1), (1, neg[x], 0, 1)))
+        gens.append(((1, 0, x, 1), (1, 0, neg[x], 1)))
+    start = (M.a, M.b, M.c, M.d)
+    seen = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for g, gi in gens:
+            y = _mul4(mul, add, _mul4(mul, add, gi, cur), g)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def fixed_factor_product(F: Field, orbit, B: Mat2) -> tuple[set[ClassLabel], set[int]]:
+    """Class labels and traces of every product X*B, X over ``orbit``.
+
+    Conjugating both factors only conjugates the product, so with ``orbit``
+    the whole class of A this is the product of A's and B's classes.  Each
+    product is labelled from the roots of its characteristic polynomial,
+    found by trying every field element.
+    """
+    q = F.q
+    mul, add, sub = F._mul, F._add, F._sub
+    roots = {
+        t: [x for x in range(q) if add[sub[mul[x][x]][mul[t][x]]][1] == 0]
+        for t in range(q)
+    }
+    b4 = (B.a, B.b, B.c, B.d)
+    labels, traces = set(), set()
+    for x4 in orbit:
+        a, b, c, d = _mul4(mul, add, x4, b4)
+        t = add[a][d]
+        traces.add(t)
+        rs = roots[t]
+        if b == 0 and c == 0 and a == d:
+            labels.add(ClassLabel("Z", a))
+        elif len(rs) == 2:
+            labels.add(ClassLabel("D", min(rs)))
+        elif rs:
+            labels.add(ClassLabel("U", rs[0], F.is_square(F.neg(c) if c else b)))
+        else:
+            labels.add(ClassLabel("W", t))
+    return labels, traces
+
+
 def double_product_tuples(F: Field, A: Mat2, B: Mat2) -> set[tuple]:
     """The full product set {X*Y : X in A's orbit, Y in B's orbit}."""
-    from sl2q.matrices import _mul4
-
     mul, add = F._mul, F._add
     orb_a = full_orbit(F, A)
     orb_b = full_orbit(F, B)

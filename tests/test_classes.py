@@ -6,7 +6,15 @@ import random
 import pytest
 
 import oracles
-from sl2q.classes import ClassLabel, are_conjugate, class_table, classify, irreducible_traces
+from sl2q.classes import (
+    ClassEntry,
+    ClassLabel,
+    ClassTable,
+    are_conjugate,
+    class_table,
+    classify,
+    irreducible_traces,
+)
 from sl2q.field import make_field
 from sl2q.matrices import conjugate, enumerate_sl2, mat, sl2_order
 
@@ -19,6 +27,14 @@ def test_class_count_and_size_sum(q):
     table = class_table(F)
     assert len(table) == (q + 4 if q % 2 else q + 1)
     assert sum(e.size for e in table.entries) == sl2_order(q)
+
+
+def test_table_rejects_wrong_size_sum():
+    F = make_field(3, 1)
+    good = class_table(F).entries
+    with pytest.raises(ValueError, match="class sizes sum to 23"):
+        ClassTable(3, good[:-1] + (ClassEntry(good[-1].label, good[-1].rep, 5),))
+    assert len(ClassTable(3, good)) == len(good)
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

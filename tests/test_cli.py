@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import sl2q.cli as cli
 from sl2q.cli import main
 from sl2q.products import ProductReport
 
@@ -134,6 +135,33 @@ def test_verify_recovers_from_corrupt_cache(runner):
         m1 = json.loads(Path("v1/manifest.json").read_text())
         m2 = json.loads(Path("v2/manifest.json").read_text())
         assert m1["checksums"] == m2["checksums"]
+
+
+def test_verify_cache_keyed_on_source(runner, monkeypatch):
+    # an entry stored by different code is recomputed, not reused
+    with runner.isolated_filesystem():
+        real = cli._source_hash()
+        monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
+        assert runner.invoke(main, ["verify", "--qmax", "3", "--out", "v1"]).exit_code == 0
+        monkeypatch.setattr(cli, "_source_hash", lambda: real)
+        r2 = runner.invoke(main, ["verify", "--qmax", "3", "--out", "v2"])
+        assert r2.exit_code == 0
+        assert "(cached)" not in r2.output
+        r3 = runner.invoke(main, ["verify", "--qmax", "3", "--out", "v3"])
+        assert "(cached)" in r3.output
+
+
+def test_verify_rejects_nonpositive_jobs(runner, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with runner.isolated_filesystem():
+        for jobs in ("0", "-3"):
+            res = runner.invoke(main, ["verify", "--qmax", "3", "--out", "v", "--jobs", jobs])
+            assert res.exit_code == 2
+            assert "Invalid value for '--jobs'" in res.output
+            assert not Path("v").exists()
 
 
 def test_verify_cache_dir_env(runner, monkeypatch):

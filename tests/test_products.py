@@ -1,5 +1,6 @@
-"""Class products: orbit methods against each other, the fixed-factor
-product against double enumeration, and the headline minimum values."""
+"""Class products: the directly enumerated class against the orbit oracles,
+every pair against the fixed-factor oracle, the fixed-factor product
+against double enumeration, and the headline minimum values."""
 
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 from sl2q.classes import ClassLabel, class_table, classify
-from sl2q.field import make_field
+from sl2q.field import make_field, prime_factors
 from sl2q.matrices import conjugate, enumerate_sl2, identity, mat, trace
 from sl2q.products import (
     ProductReport,
@@ -20,23 +21,39 @@ from sl2q.products import (
 )
 
 ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
+GATE_QS = [q for q in range(2, 26) if len(prime_factors(q)) == 1]
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_generator_orbits_match_full_enumeration(q):
+    # conjugacy_orbit enumerates the class from its label; both orbit
+    # oracles must agree with it
     F = oracles.field_for(q)
     for e in class_table(F).entries:
-        fast = conjugacy_orbit(F, e.rep)
-        assert fast == conjugacy_orbit(F, e.rep, method="full")
-        assert len(fast) == e.size
+        members = {(M.a, M.b, M.c, M.d) for M in conjugacy_orbit(F, e.rep)}
+        assert members == oracles.full_orbit(F, e.rep)
+        assert members == oracles.bfs_orbit(F, e.rep)
+        assert len(members) == e.size
 
 
 def test_orbit_rejects_bad_input():
     F = make_field(5, 1)
     with pytest.raises(ValueError, match="determinant"):
         conjugacy_orbit(F, mat(F, 2, 0, 0, 1))
-    with pytest.raises(ValueError, match="unknown orbit method"):
-        conjugacy_orbit(F, identity(F), method="magic")
+
+
+@pytest.mark.parametrize("q", GATE_QS)
+def test_products_match_fixed_factor_oracle(q):
+    # every ordered pair, central classes included: the centralizer cuts
+    # must lose no class and no trace of the actual products
+    F = oracles.field_for(q)
+    table = class_table(F)
+    for ea in table.entries:
+        orbit = oracles.bfs_orbit(F, ea.rep)
+        for eb in table.entries:
+            labels, traces = oracles.fixed_factor_product(F, orbit, eb.rep)
+            assert class_product_labels(F, ea.rep, eb.rep) == labels, (ea.label, eb.label)
+            assert product_trace_set(F, ea.rep, eb.rep) == traces, (ea.label, eb.label)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -142,6 +159,15 @@ def test_min_product_classes(q, expected):
     assert value == expected
     assert la.kind != "Z" and lb.kind != "Z"
     assert product_report(F, la, lb).num_classes == value
+
+
+def test_products_cache_no_members():
+    # classes are enumerated per call: the field keeps only its tables
+    F = oracles.field_for(16)
+    w = class_table(F).noncentral_labels()[-1]
+    min_product_classes(F)
+    product_report(F, w, w)
+    assert set(F._cache) == {"trace_kinds", "class_table"}
 
 
 def test_split_class_covers_all_traces():
