@@ -16,10 +16,10 @@ and ad - bc = 1, with the square-class filter for U classes.  Conjugating
 by the centralizer of B fixes B, so one member per orbit of that
 centralizer suffices.  For B = diag(r, 1/r) the split torus leaves O(1)
 members per diagonal, for B = [[s,u],[0,s]] the upper unipotent group does
-the same, and a central factor needs a single member: O(q) members per pair
-instead of the whole O(q^2) class.  A W factor has no such cut, so a non-W
-partner is moved into the second slot (class products commute); W x W
-pairs enumerate the whole class.  Nothing is cached between calls.
+the same, for B = [[0,1],[-1,w]] the non-split torus leaves at most two
+members per element of trace t in the field {xI + yB}, and a central
+factor needs a single member: O(q) members per pair instead of the whole O(q^2) class.
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -80,26 +80,41 @@ class ProductReport:
         )
 
 
-def _class_members(F: Field, label: ClassLabel, cut: str | None = None) -> list[tuple]:
+def _class_members(F: Field, label: ClassLabel, against: ClassLabel | None = None) -> list[tuple]:
     """Members (a, b, c, d) of the labelled class, read off its label.
 
     They are the solutions of a + d = t and ad - bc = 1 for the class trace
     t; a U class keeps those whose square class of -c (of b when c = 0)
-    matches its own.  ``cut`` names the kind of a second factor fixed at
-    its canonical representative and keeps only a subset that meets every
-    orbit of that factor's centralizer:
+    matches its own.  ``against`` labels a noncentral second factor fixed
+    at its canonical representative; then only a subset that meets every
+    orbit of that factor's centralizer is kept:
 
-    * ``"D"`` (diag(r, 1/r)): b in {0, 1, nu}, or {0, 1} for even q, since
+    * D (diag(r, 1/r)): b in {0, 1, nu}, or {0, 1} for even q, since
       conjugating by diag(x, 1/x) scales b by a square;
-    * ``"U"`` ([[s,u],[0,s]]): c = 0, or a = 0 with c != 0, since
-      conjugating by [[1,x],[0,1]] fixes c and shifts a by x*c.
+    * U ([[s,u],[0,s]]): c = 0, or a = 0 with c != 0, since conjugating
+      by [[1,x],[0,1]] fixes c and shifts a by x*c;
+    * W ([[0,1],[-1,w]]): see :func:`_torus_cut`.
     """
     if label.kind == "Z":
         return [(label.x, 0, 0, label.x)]
-    q = F.q
-    mul, sub, neg, inv = F._mul, F._sub, F._neg, F._inv
-    nu = F.least_nonsquare
     t = label_trace(F, label)
+    cut = None if against is None else against.kind
+    if cut == "W":
+        out = _torus_cut(F, t, against.x)
+    else:
+        out = _trace_members(F, t, cut)
+    if label.kind == "U":
+        sq, neg, want = F._sq, F._neg, label.square
+        out = [x for x in out if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
+    return out
+
+
+def _trace_members(F: Field, t: int, cut: str | None) -> list[tuple]:
+    # determinant-one matrices of trace t, cut against a D or U factor as
+    # described in _class_members
+    q = F.q
+    mul, sub, inv = F._mul, F._sub, F._inv
+    nu = F.least_nonsquare
     out: list[tuple] = []
     for a in range(q):
         d = sub[t][a]
@@ -121,9 +136,74 @@ def _class_members(F: Field, label: ClassLabel, cut: str | None = None) -> list[
             out += [(a, b, 0, d) for b in range(q)]
         elif a == 0:
             out += [(0, mk[inv[c]], c, d) for c in range(1, q)]
-    if label.kind == "U":
-        sq, want = F._sq, label.square
-        out = [x for x in out if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
+    return out
+
+
+def _torus_cut(F: Field, t: int, w: int) -> list[tuple]:
+    """Determinant-one matrices of trace t, at least one in every orbit of
+    the centralizer of B = [[0,1],[-1,w]] (x**2 - w*x + 1 irreducible).
+
+    K = {xI + yB} is a field of order q**2 whose norm is the determinant,
+    N(x + yB) = x**2 + w*x*y + y**2, and s = [[1,0],[w,-1]] inverts B by
+    conjugation.  Every matrix is X = M + V*s with M, V in K uniquely, and
+    tr X = tr M, det X = N(M) - N(V).  The centralizer of B is the norm-one
+    group of K; conjugating by h in it fixes M and maps V to h**2 * V.  So
+    for each M of trace t one V per coset of the squared norm-one group on
+    the circle of norm N(M) - 1 suffices: V = 0 when N(M) = 1, else one V
+    for even q (every element of the odd-order norm-one group is a square)
+    and two for odd q, the second being the first times g / conj(g) =
+    g**2 / N(g) for some g of non-square norm.  That is at most 2q members
+    for odd q and q for even q, against a class of order q**2.
+    """
+    q = F.q
+    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
+    mw = mul[w]
+    w2m1 = sub[mw[w]][1]
+
+    def norm(x: int, y: int) -> int:
+        return add[add[mul[x][x]][mw[mul[x][y]]]][mul[y][y]]
+
+    def kmul(x: tuple, y: tuple) -> tuple:
+        return (sub[mul[x[0]][y[0]]][mul[x[1]][y[1]]],
+                add[add[mul[x[0]][y[1]]][mul[x[1]][y[0]]]][mw[mul[x[1]][y[1]]]])
+
+    def coeffs(e: tuple) -> tuple:
+        # V = x*e adds x*(e0 + w*e1) to a, -x*e1 to b, x*(w*e0 + (w^2-1)*e1) to c
+        return add[e[0]][mw[e[1]]], e[1], add[mw[e[0]]][mul[w2m1][e[1]]]
+
+    root = [0] * q
+    for x in range(q):
+        root[mul[x][x]] = x
+    if q % 2:
+        # N(x + B) takes (q + 1)/2 distinct nonzero values, more than there
+        # are nonzero squares, so the search always stops
+        g = next((x, 1) for x in range(q) if not sq[norm(x, 1)])
+        ign = inv[norm(*g)]
+        gg = kmul(g, g)
+        omega = (mul[gg[0]][ign], mul[gg[1]][ign])
+        # norm n = x^2 is met by x and x*omega, n = x^2 * N(g) by x*g and x*g*omega
+        on_squares = [coeffs((1, 0)), coeffs(omega)]
+        off_squares = [coeffs(g), coeffs(kmul(g, omega))]
+        half = inv[add[1][1]]
+        mus = [(mul[sub[t][mw[m1]]][half], m1) for m1 in range(q)]
+    else:
+        on_squares, ign, off_squares = [coeffs((1, 0))], 0, []
+        m1 = mul[t][inv[w]]
+        mus = [(m0, m1) for m0 in range(q)]
+    out: list[tuple] = []
+    for m0, m1 in mus:
+        d0 = add[m0][mw[m1]]
+        n = sub[add[add[mul[m0][m0]][mw[mul[m0][m1]]]][mul[m1][m1]]][1]  # N(M) - 1
+        if not n:
+            out.append((m0, m1, neg[m1], d0))
+            continue
+        if sq[n]:
+            x, es = root[n], on_squares
+        else:
+            x, es = root[mul[n][ign]], off_squares
+        for ea, eb, ec in es:
+            xa = mul[ea][x]
+            out.append((add[m0][xa], sub[m1][mul[eb][x]], sub[mul[ec][x]][m1], sub[d0][xa]))
     return out
 
 
@@ -167,17 +247,13 @@ def _label_tuples(F: Field, members: list[tuple], b4: tuple) -> set[tuple]:
 
 def _product_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
     # the second factor stays at its canonical representative and the first
-    # runs over a centralizer-orbit transversal of its class; a W second
-    # factor has no cut, so a non-W partner takes its place (class
-    # products commute)
-    if lb.kind == "W" and la.kind != "W":
-        la, lb = lb, la
+    # runs over a centralizer-orbit transversal of its class
     table = class_table(F)
     if la.kind == "Z" or lb.kind == "Z":
         ra = table.rep(la)
         members = [(ra.a, ra.b, ra.c, ra.d)]
     else:
-        members = _class_members(F, la, None if lb.kind == "W" else lb.kind)
+        members = _class_members(F, la, lb)
     rb = table.rep(lb)
     return frozenset(ClassLabel(*t) for t in _label_tuples(F, members, (rb.a, rb.b, rb.c, rb.d)))
 

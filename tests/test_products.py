@@ -9,9 +9,10 @@ import pytest
 import oracles
 from sl2q.classes import ClassLabel, class_table, classify
 from sl2q.field import make_field, prime_factors
-from sl2q.matrices import conjugate, enumerate_sl2, identity, mat, trace
+from sl2q.matrices import _conj4, conjugate, enumerate_sl2, identity, mat, trace
 from sl2q.products import (
     ProductReport,
+    _class_members,
     class_product_labels,
     conjugacy_orbit,
     label_trace,
@@ -34,6 +35,28 @@ def test_generator_orbits_match_full_enumeration(q):
         assert members == oracles.full_orbit(F, e.rep)
         assert members == oracles.bfs_orbit(F, e.rep)
         assert len(members) == e.size
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_class_cuts_meet_every_centralizer_orbit(q):
+    # against each noncentral second factor B, the cut of every noncentral
+    # class lies in that class and its conjugates under the centralizer of
+    # B fill the class: the D, U and non-split torus cuts alike
+    F = oracles.field_for(q)
+    mul, add, neg = F._mul, F._add, F._neg
+    table = class_table(F)
+    group = [(C.a, C.b, C.c, C.d) for C in enumerate_sl2(F)]
+    for lb in table.noncentral_labels():
+        rb = table.rep(lb)
+        b4 = (rb.a, rb.b, rb.c, rb.d)
+        centralizer = [c4 for c4 in group if _conj4(mul, add, neg, c4, b4) == b4]
+        for la in table.noncentral_labels():
+            members = _class_members(F, la, lb)
+            whole = oracles.full_orbit(F, table.rep(la))
+            assert set(members) <= whole, (la, lb)
+            moved = {_conj4(mul, add, neg, c4, x) for x in members for c4 in centralizer}
+            assert moved == whole, (la, lb)
+            assert len(members) <= 4 * q, (la, lb)
 
 
 def test_orbit_rejects_bad_input():
