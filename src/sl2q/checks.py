@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
-from .classes import ClassLabel, class_table, classify, irreducible_traces
+from .classes import ClassLabel, _roots_of_one, class_table, classify, irreducible_traces
 from .field import Field
 from .matrices import _conj4, _mul4, enumerate_sl2, mat
 from .products import (
@@ -224,10 +224,6 @@ def _trace_of_conj_product(F: Field, C: tuple, A: tuple, B: tuple) -> int:
     mul, add, neg = F._mul, F._add, F._neg
     t = _mul4(mul, add, _conj4(mul, add, neg, C, A), B)
     return add[t[0]][t[3]]
-
-
-def _roots_of_one(F: Field) -> list[int]:
-    return [1] if F.q % 2 == 0 else sorted({1, F._neg[1]})
 
 
 def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:

@@ -141,6 +141,45 @@ def _trace_kinds(F: Field) -> list[tuple]:
     return kinds
 
 
+def _label_tuples(F: Field, members: list[tuple], b4: tuple) -> set[tuple]:
+    """Label tuples (kind, x, square) of every X*B, X over ``members``,
+    without building Mat2 objects; the one home of the labelling branch.
+
+    A repeated-root trace splits on the off-diagonal entries: scalars are
+    the center, and otherwise the square class is read from -m21, or from
+    m12 when m21 == 0.  Every conjugate of [[s,u],[0,s]] has m12 = u*d*d
+    and m21 = -u*c*c, so both entries carry u's square class.
+    """
+    mul, add, neg, sq = F._mul, F._add, F._neg, F._sq
+    kinds = _trace_kinds(F)
+    ba, bb, bc, bd = b4
+    out: set[tuple] = set()
+    for xa, xb, xc, xd in members:
+        pa = add[mul[xa][ba]][mul[xb][bc]]
+        pb = add[mul[xa][bb]][mul[xb][bd]]
+        pc = add[mul[xc][ba]][mul[xd][bc]]
+        pd = add[mul[xc][bb]][mul[xd][bd]]
+        info = kinds[add[pa][pd]]
+        k = info[0]
+        if k == "U":
+            if pc:
+                out.add(("U", info[1], sq[neg[pc]]))
+            elif pb:
+                out.add(("U", info[1], sq[pb]))
+            else:
+                out.add(("Z", pa, True))
+        elif k == "D":
+            out.add(("D", info[1], True))
+        else:
+            out.add(("W", add[pa][pd], True))
+    return out
+
+
+def _roots_of_one(F: Field) -> list[int]:
+    """Ascending r with r*r == 1: just 1 for even q, else 1 and -1."""
+    return [1] if F.q % 2 == 0 else sorted({1, F._neg[1]})
+
+
 def irreducible_traces(F: Field) -> list[int]:
     """Ascending w with x**2 - w*x + 1 irreducible over GF(q).
 
@@ -162,9 +201,8 @@ def class_table(F: Field) -> ClassTable:
         return got
     q = F.q
     neg1 = F._neg[1]
-    roots_of_one = [1] if q % 2 == 0 else sorted({1, neg1})
     entries = []
-    for r in roots_of_one:
+    for r in _roots_of_one(F):
         entries.append(ClassEntry(ClassLabel("Z", r), mat(F, r, 0, 0, r), 1))
     for r in range(2, q):
         ri = F._inv[r]
@@ -172,7 +210,7 @@ def class_table(F: Field) -> ClassTable:
             entries.append(ClassEntry(ClassLabel("D", r), mat(F, r, 0, 0, ri), q * (q + 1)))
     u_size = q * q - 1 if q % 2 == 0 else (q * q - 1) // 2
     u_params = (1,) if q % 2 == 0 else (1, F.least_nonsquare)
-    for s in roots_of_one:
+    for s in _roots_of_one(F):
         for u in u_params:
             entries.append(ClassEntry(ClassLabel("U", s, u == 1), mat(F, s, u, 0, s), u_size))
     for w in irreducible_traces(F):
@@ -185,24 +223,13 @@ def class_table(F: Field) -> ClassTable:
 def classify(F: Field, M: Mat2) -> ClassLabel:
     """Canonical label of M's conjugacy class; requires det(M) == 1.
 
-    For the repeated-eigenvalue non-scalar case the off-diagonal square
-    class is read from m12 when m21 == 0 and from -m21 otherwise: every
-    conjugate of [[s,u],[0,s]] has m12 = u*d*d and m21 = -u*c*c, so both
-    entries carry u's square class.
+    The branch on trace kind is :func:`_label_tuples`, applied to M times
+    the identity.
     """
     if det(F, M) != 1:
         raise ValueError("classify requires determinant 1")
-    if M.b == 0 and M.c == 0 and M.a == M.d:
-        return ClassLabel("Z", M.a)
-    kinds = _trace_kinds(F)
-    t = F._add[M.a][M.d]
-    info = kinds[t]
-    if info[0] == "D":
-        return ClassLabel("D", info[1])
-    if info[0] == "W":
-        return ClassLabel("W", t)
-    u = F._neg[M.c] if M.c else M.b
-    return ClassLabel("U", info[1], F._sq[u])
+    (label,) = _label_tuples(F, [(M.a, M.b, M.c, M.d)], (1, 0, 0, 1))
+    return ClassLabel(*label)
 
 
 def are_conjugate(F: Field, M: Mat2, N: Mat2) -> bool:

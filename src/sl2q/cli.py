@@ -4,6 +4,7 @@ and the full verification suite with a per-(q, check) JSON result cache."""
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import hashlib
 import json
@@ -17,7 +18,7 @@ import click
 from . import __version__
 from .checks import ALL_CHECKS, CheckResult, applicable_checks, run_checks
 from .classes import ClassLabel, class_table, classify
-from .field import Field, make_field, prime_factors
+from .field import Field, field_for, make_field, prime_powers_up_to
 from .matrices import det, from_literal
 from .products import CSV_HEADER, min_product_classes, product_report
 
@@ -28,27 +29,9 @@ DEFAULT_CACHE_DIR = ".sl2q-cache"
 VOLATILE_KEYS = {"timestamp", "elapsed_ms"}
 
 
-def prime_powers_up_to(n: int) -> list[int]:
-    out = []
-    for q in range(2, n + 1):
-        p = prime_factors(q)
-        if len(p) == 1:
-            out.append(q)
-    return out
-
-
-def field_for(q: int) -> Field:
-    ps = prime_factors(q)
-    if len(ps) != 1:
-        raise click.UsageError(f"{q} is not a prime power")
-    p = ps[0]
-    m = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        m += 1
+def _field(q: int) -> Field:
     try:
-        return make_field(p, m)
+        return field_for(q)
     except ValueError as e:
         raise click.UsageError(str(e)) from None
 
@@ -104,6 +87,8 @@ def _cache_load(path: Path, key: dict) -> CheckResult | None:
         return None
     try:
         data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, found {type(data).__name__}")
         if data.get("key") != key:
             return None
         return CheckResult.from_json(data["result"])
@@ -118,7 +103,9 @@ def _cache_store(path: Path, key: dict, result: CheckResult) -> None:
 
 
 def _check_job(args: tuple) -> dict:
-    # process-pool worker: rebuild the field locally, run one check
+    # one (q, check) item, in process or in a pool worker: rebuild the field
+    # locally; run_checks is looked up here at call time, so a wrapper set
+    # on this module sees every check
     p, m, name, seed = args
     F = make_field(p, m)
     return run_checks(F, [name], seed=seed)[0].to_json()
@@ -137,7 +124,7 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def cmd_table(q: int, fmt: str):
     """List the conjugacy classes: label, representative, size."""
-    F = field_for(q)
+    F = _field(q)
     table = class_table(F)
     if fmt == "json":
         click.echo(json.dumps(table.to_json(F), indent=1, sort_keys=True))
@@ -178,7 +165,7 @@ def _parse_operand(F: Field, text: str) -> ClassLabel:
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def cmd_eta(q: int, a_text: str, b_text: str, fmt: str):
     """Class decomposition of the product of two conjugacy classes."""
-    F = field_for(q)
+    F = _field(q)
     la, lb = _parse_operand(F, a_text), _parse_operand(F, b_text)
     report = product_report(F, la, lb)
     if fmt == "json":
@@ -198,7 +185,7 @@ def cmd_eta(q: int, a_text: str, b_text: str, fmt: str):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def cmd_min(q: int, fmt: str):
     """Minimum product class count over noncentral class pairs."""
-    F = field_for(q)
+    F = _field(q)
     value, (la, lb) = min_product_classes(F)
     if fmt == "json":
         click.echo(json.dumps({"q": q, "min": value, "witness": [str(la), str(lb)]}, sort_keys=True))
@@ -207,17 +194,15 @@ def cmd_min(q: int, fmt: str):
 
 
 @main.command("sweep")
-@click.option("--qmax", type=int, required=True)
+@click.option("--qmax", type=click.IntRange(min=2), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write to a file instead of stdout.")
 def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
     """Product reports for every noncentral class pair, all q <= qmax."""
-    if qmax < 2:
-        raise click.UsageError("--qmax must be at least 2")
     reports = []
     for q in prime_powers_up_to(qmax):
-        F = field_for(q)
+        F = _field(q)
         labels = class_table(F).noncentral_labels()
         for i, la in enumerate(labels):
             for lb in labels[i:]:
@@ -235,7 +220,7 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
 
 
 @main.command("verify")
-@click.option("--qmax", type=int, required=True)
+@click.option("--qmax", type=click.IntRange(min=2), required=True)
 @click.option("--checks", "check_names", default=None,
               help="Comma-separated subset of checks (default: all applicable).")
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -254,8 +239,6 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
 
     Exits nonzero if any executed check fails.
     """
-    if qmax < 2:
-        raise click.UsageError("--qmax must be at least 2")
     selected = None
     if check_names:
         selected = [s.strip() for s in check_names.split(",") if s.strip()]
@@ -267,7 +250,7 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
 
     work: list[tuple[int, Field, str]] = []
     for q in prime_powers_up_to(qmax):
-        F = field_for(q)
+        F = _field(q)
         names = applicable_checks(q)
         if selected is not None:
             names = [n for n in names if n in selected]
@@ -285,15 +268,16 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
         else:
             todo.append((q, F, n))
 
-    if jobs > 1 and todo:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (q, F, n), payload in zip(
-                todo, pool.map(_check_job, [(F.p, F.m, n, seed) for _, F, n in todo])
-            ):
-                results[(q, n)] = CheckResult.from_json(payload)
-    else:
-        for q, F, n in todo:
-            results[(q, n)] = run_checks(F, [n], seed=seed)[0]
+    # ProcessPoolExecutor forks all its workers up front, so never ask for
+    # more than there are items or cores
+    jobs = min(jobs, len(todo), os.cpu_count() or 1)
+    items = [(F.p, F.m, n, seed) for _, F, n in todo]
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs)).map
+        for (q, F, n), payload in zip(todo, mapper(_check_job, items)):
+            results[(q, n)] = CheckResult.from_json(payload)
 
     if not no_cache:
         for q, F, n in todo:
@@ -332,7 +316,7 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
     manifest = {
         "version": __version__,
         "command": command,
-        "fields": [field_for(q).to_json() | {"q": q} for q in prime_powers_up_to(qmax)],
+        "fields": [_field(q).to_json() | {"q": q} for q in prime_powers_up_to(qmax)],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "checksums": {
             "report.json": canonical_checksum(report),

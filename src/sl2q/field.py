@@ -128,8 +128,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "q", "modulus", "primitive_elem", "least_nonsquare",
-        "_add", "_sub", "_mul", "_neg", "_inv", "_sq", "_exp", "_log",
-        "_cache",
+        "_add", "_sub", "_mul", "_neg", "_inv", "_sq", "_cache",
     )
 
     def __init__(self, p: int, m: int):
@@ -175,7 +174,6 @@ class Field:
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log = exp, log
 
         elems = list(range(q))  # shared int objects keep the tables lean
         if p == 2:
@@ -292,3 +290,21 @@ def make_field(p: int, m: int) -> Field:
             f"GF({p}^{m}) has {p**m} elements, past the supported bound {MAX_FIELD_SIZE}"
         )
     return Field(p, m)
+
+
+def prime_powers_up_to(n: int) -> list[int]:
+    """Ascending prime powers q with 2 <= q <= n."""
+    return [q for q in range(2, n + 1) if len(prime_factors(q)) == 1]
+
+
+def field_for(q: int) -> Field:
+    """GF(q) for a prime power q, through :func:`make_field`."""
+    ps = prime_factors(q)
+    if len(ps) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = ps[0]
+    m = 0
+    while q > 1:
+        q //= p
+        m += 1
+    return make_field(p, m)

@@ -129,7 +129,7 @@ def enumerate_sl2(F: Field) -> Iterator[Mat2]:
 
 
 def pack(M: Mat2) -> int:
-    """The four entry codes packed into one integer (orbit-set hash key)."""
+    """The four entry codes packed into one integer (a set or dict key)."""
     q = M.q
     return ((M.a * q + M.b) * q + M.c) * q + M.d
 

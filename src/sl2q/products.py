@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classes import ClassLabel, _trace_kinds, class_table, classify, label_sort_key
+from .classes import ClassLabel, _label_tuples, class_table, classify, label_sort_key
 from .field import Field
 from .matrices import Mat2, _same_field, det
 
@@ -215,34 +215,6 @@ def conjugacy_orbit(F: Field, A: Mat2) -> frozenset[Mat2]:
         raise ValueError("orbits are computed for determinant-one matrices")
     q = F.q
     return frozenset(Mat2(t[0], t[1], t[2], t[3], q) for t in _class_members(F, classify(F, A)))
-
-
-def _label_tuples(F: Field, members: list[tuple], b4: tuple) -> set[tuple]:
-    # label every X*B without building Mat2 objects; see classify() for the
-    # branch logic (scalars only ever land in the repeated-root bucket)
-    mul, add, neg, sq = F._mul, F._add, F._neg, F._sq
-    kinds = _trace_kinds(F)
-    ba, bb, bc, bd = b4
-    out: set[tuple] = set()
-    for xa, xb, xc, xd in members:
-        pa = add[mul[xa][ba]][mul[xb][bc]]
-        pb = add[mul[xa][bb]][mul[xb][bd]]
-        pc = add[mul[xc][ba]][mul[xd][bc]]
-        pd = add[mul[xc][bb]][mul[xd][bd]]
-        info = kinds[add[pa][pd]]
-        k = info[0]
-        if k == "U":
-            if pc:
-                out.add(("U", info[1], sq[neg[pc]]))
-            elif pb:
-                out.add(("U", info[1], sq[pb]))
-            else:
-                out.add(("Z", pa, True))
-        elif k == "D":
-            out.add(("D", info[1], True))
-        else:
-            out.add(("W", add[pa][pd], True))
-    return out
 
 
 def _product_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:

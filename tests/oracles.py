@@ -4,7 +4,9 @@ Kept deliberately naive: polynomial factor search by exhaustive products,
 orbits by conjugating with every group element or by closure under
 transvections, class products by double enumeration or by labelling every
 product with a fixed second factor.  None of them share logic with the code
-paths they check.
+paths they check.  ``field_for`` is the library's own field lookup,
+re-exported so every test reaches a field by q the same way; test_field.py
+checks it against literal values.
 """
 
 from __future__ import annotations
@@ -12,17 +14,8 @@ from __future__ import annotations
 import itertools
 
 from sl2q.classes import ClassLabel
-from sl2q.field import Field, make_field, prime_factors
+from sl2q.field import Field, field_for  # noqa: F401  (re-exported for the tests)
 from sl2q.matrices import Mat2, _conj4, _mul4, enumerate_sl2
-
-
-def field_for(q: int) -> Field:
-    p = prime_factors(q)[0]
-    m = 0
-    while q > 1:
-        q //= p
-        m += 1
-    return make_field(p, m)
 
 
 def poly_product(p: int, f: list[int], g: list[int]) -> list[int]:

@@ -125,16 +125,18 @@ def test_verify_cache_reuse_and_determinism(runner):
 
 
 def test_verify_recovers_from_corrupt_cache(runner):
+    # unparsable JSON, and valid JSON that is not an object
     with runner.isolated_filesystem():
         assert runner.invoke(main, ["verify", "--qmax", "3", "--out", "v1"]).exit_code == 0
-        victim = next(Path(".sl2q-cache").glob("q0003_*.json"))
-        victim.write_text("{not json")
-        r = runner.invoke(main, ["verify", "--qmax", "3", "--out", "v2"])
-        assert r.exit_code == 0
-        assert "discarding corrupt cache entry" in r.output
         m1 = json.loads(Path("v1/manifest.json").read_text())
-        m2 = json.loads(Path("v2/manifest.json").read_text())
-        assert m1["checksums"] == m2["checksums"]
+        victim = next(Path(".sl2q-cache").glob("q0003_*.json"))
+        for garbage in ("{not json", "[]"):
+            victim.write_text(garbage)
+            r = runner.invoke(main, ["verify", "--qmax", "3", "--out", "v2"])
+            assert r.exit_code == 0, (garbage, r.output)
+            assert "discarding corrupt cache entry" in r.output
+            m2 = json.loads(Path("v2/manifest.json").read_text())
+            assert m1["checksums"] == m2["checksums"]
 
 
 def test_verify_cache_keyed_on_source(runner, monkeypatch):
@@ -162,6 +164,48 @@ def test_verify_rejects_nonpositive_jobs(runner, monkeypatch):
             assert res.exit_code == 2
             assert "Invalid value for '--jobs'" in res.output
             assert not Path("v").exists()
+
+
+def test_verify_jobs_capped_by_items_and_cores(runner, monkeypatch):
+    # a fake pool records the worker count; no process is started
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    with runner.isolated_filesystem():
+        args = ["verify", "--qmax", "3", "--no-cache", "--jobs", "5000"]
+        assert runner.invoke(main, args + ["--out", "v1"]).exit_code == 0
+        res = runner.invoke(main, args + ["--out", "v2", "--checks", "min_class_bounds"])
+        assert res.exit_code == 0
+        assert started == [4, 2]  # 4 cores; 2 items (q = 2, 3)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert runner.invoke(main, args + ["--out", "v3"]).exit_code == 0
+        assert started == [4, 2]  # one core: run in process
+        m1 = json.loads(Path("v1/manifest.json").read_text())
+        m3 = json.loads(Path("v3/manifest.json").read_text())
+        assert m1["checksums"] == m3["checksums"]
+
+
+@pytest.mark.parametrize("cmd", ["sweep", "verify"])
+def test_qmax_below_two_rejected(runner, cmd):
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, [cmd, "--qmax", "1", "--out", "out"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--qmax'" in res.output
+        assert list(Path().iterdir()) == []
 
 
 def test_verify_cache_dir_env(runner, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from sl2q.checks import check_min_class_bounds, run_checks
-from sl2q.cli import prime_powers_up_to
+from sl2q.field import prime_powers_up_to
 
 pytestmark = pytest.mark.slow
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sl2q.field import MAX_FIELD_SIZE, make_field
+from sl2q.field import MAX_FIELD_SIZE, field_for, make_field, prime_powers_up_to
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -46,6 +46,31 @@ def test_make_field_rejections():
     with pytest.raises(ValueError, match="bound"):
         make_field(2, 11)
     assert 2**10 <= MAX_FIELD_SIZE  # q = 1024 itself is allowed
+
+
+PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                   37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+def test_prime_powers_up_to():
+    assert prime_powers_up_to(64) == PRIME_POWERS_64
+    assert prime_powers_up_to(32) == PRIME_POWERS_32
+    assert prime_powers_up_to(1) == []
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_64)
+def test_field_for_prime_powers(q):
+    F = field_for(q)
+    assert F.p**F.m == F.q == q
+    assert F is make_field(F.p, F.m)
+
+
+def test_field_for_rejections():
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            field_for(q)
+    with pytest.raises(ValueError, match="bound"):
+        field_for(2048)
 
 
 def test_add_examples():
