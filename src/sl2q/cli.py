@@ -18,7 +18,8 @@ import click
 from . import __version__
 from .checks import ALL_CHECKS, CheckResult, applicable_checks, run_checks
 from .classes import ClassLabel, class_table, classify
-from .field import Field, field_for, make_field, prime_powers_up_to
+from .field import (MAX_FIELD_SIZE, Field, field_for, find_modulus, make_field, prime_power,
+                    prime_powers_up_to)
 from .matrices import det, from_literal
 from .products import CSV_HEADER, min_product_classes, product_report
 
@@ -73,8 +74,8 @@ def _source_hash() -> str:
     return h.hexdigest()
 
 
-def _cache_key(F: Field, check: str, seed: int) -> dict:
-    return {"version": __version__, "source": _source_hash(), "p": F.p, "m": F.m,
+def _cache_key(p: int, m: int, check: str, seed: int) -> dict:
+    return {"version": __version__, "source": _source_hash(), "p": p, "m": m,
             "check": check, "seed": seed}
 
 
@@ -103,9 +104,9 @@ def _cache_store(path: Path, key: dict, result: CheckResult) -> None:
 
 
 def _check_job(args: tuple) -> dict:
-    # one (q, check) item, in process or in a pool worker: rebuild the field
-    # locally; run_checks is looked up here at call time, so a wrapper set
-    # on this module sees every check
+    # one (q, check) item, in process or in a pool worker, and the only place
+    # verify builds a field; run_checks is looked up here at call time, so a
+    # wrapper set on this module sees every check
     p, m, name, seed = args
     F = make_field(p, m)
     return run_checks(F, [name], seed=seed)[0].to_json()
@@ -194,7 +195,7 @@ def cmd_min(q: int, fmt: str):
 
 
 @main.command("sweep")
-@click.option("--qmax", type=click.IntRange(min=2), required=True)
+@click.option("--qmax", type=click.IntRange(min=2, max=MAX_FIELD_SIZE), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write to a file instead of stdout.")
@@ -220,7 +221,7 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
 
 
 @main.command("verify")
-@click.option("--qmax", type=click.IntRange(min=2), required=True)
+@click.option("--qmax", type=click.IntRange(min=2, max=MAX_FIELD_SIZE), required=True)
 @click.option("--checks", "check_names", default=None,
               help="Comma-separated subset of checks (default: all applicable).")
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -248,43 +249,41 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
                                    f"known: {', '.join(ALL_CHECKS)}")
     cache = Path(cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
-    work: list[tuple[int, Field, str]] = []
+    work: list[tuple[int, int, int, str]] = []
     for q in prime_powers_up_to(qmax):
-        F = _field(q)
         names = applicable_checks(q)
         if selected is not None:
             names = [n for n in names if n in selected]
-        for n in names:
-            work.append((q, F, n))
+        work.extend((q, *prime_power(q), n) for n in names)
 
     results: dict[tuple[int, str], CheckResult] = {}
     cached: set[tuple[int, str]] = set()
-    todo: list[tuple[int, Field, str]] = []
-    for q, F, n in work:
-        hit = None if no_cache else _cache_load(_cache_path(cache, q, n), _cache_key(F, n, seed))
+    todo: list[tuple[int, int, int, str]] = []
+    for q, p, m, n in work:
+        hit = None if no_cache else _cache_load(_cache_path(cache, q, n), _cache_key(p, m, n, seed))
         if hit is not None:
             results[(q, n)] = hit
             cached.add((q, n))
         else:
-            todo.append((q, F, n))
+            todo.append((q, p, m, n))
 
     # ProcessPoolExecutor forks all its workers up front, so never ask for
     # more than there are items or cores
     jobs = min(jobs, len(todo), os.cpu_count() or 1)
-    items = [(F.p, F.m, n, seed) for _, F, n in todo]
+    items = [(p, m, n, seed) for _, p, m, n in todo]
     with contextlib.ExitStack() as stack:
         mapper = map
         if jobs > 1:
             mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs)).map
-        for (q, F, n), payload in zip(todo, mapper(_check_job, items)):
+        for (q, _, _, n), payload in zip(todo, mapper(_check_job, items)):
             results[(q, n)] = CheckResult.from_json(payload)
 
     if not no_cache:
-        for q, F, n in todo:
-            _cache_store(_cache_path(cache, q, n), _cache_key(F, n, seed), results[(q, n)])
+        for q, p, m, n in todo:
+            _cache_store(_cache_path(cache, q, n), _cache_key(p, m, n, seed), results[(q, n)])
 
-    ordered = [results[(q, n)] for q, F, n in work]
-    for q, F, n in work:
+    ordered = [results[(q, n)] for q, *_, n in work]
+    for q, *_, n in work:
         r = results[(q, n)]
         mark = "PASS" if r.passed else "FAIL"
         extra = "  (cached)" if (q, n) in cached else ""
@@ -316,7 +315,8 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
     manifest = {
         "version": __version__,
         "command": command,
-        "fields": [_field(q).to_json() | {"q": q} for q in prime_powers_up_to(qmax)],
+        "fields": [{"p": p, "m": m, "modulus": list(find_modulus(p, m)), "q": q}
+                   for q in prime_powers_up_to(qmax) for p, m in [prime_power(q)]],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "checksums": {
             "report.json": canonical_checksum(report),

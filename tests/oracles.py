@@ -1,7 +1,7 @@
 """Independent brute-force oracles the tests freeze expected values from.
 
-Kept deliberately naive: polynomial factor search by exhaustive products,
-orbits by conjugating with every group element or by closure under
+Kept deliberately naive: field tables filled entry by entry, polynomial
+factor search by exhaustive products, orbits by conjugating with every group element or by closure under
 transvections, class products by double enumeration or by labelling every
 product with a fixed second factor.  None of them share logic with the code
 paths they check.  ``field_for`` is the library's own field lookup,
@@ -14,16 +14,65 @@ from __future__ import annotations
 import itertools
 
 from sl2q.classes import ClassLabel
-from sl2q.field import Field, field_for  # noqa: F401  (re-exported for the tests)
+from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
 from sl2q.matrices import Mat2, _conj4, _mul4, enumerate_sl2
 
 
 def poly_product(p: int, f: list[int], g: list[int]) -> list[int]:
     out = [0] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
+        if not fi:
+            continue
         for j, gj in enumerate(g):
             out[i + j] = (out[i + j] + fi * gj) % p
     return out
+
+
+def naive_field_tables(p: int, m: int) -> dict:
+    """Every table of GF(p**m), keyed by its ``Field`` attribute name, filled
+    one entry at a time: sums and differences digit by digit, products by
+    ``poly_product`` reduced by the modulus, inverses, squares and the
+    primitive element read off the product table.
+
+    The modulus is the library's ``find_modulus``, which
+    test_modulus_matches_independent_scan checks against
+    ``least_monic_irreducible``.
+    """
+    q = p**m
+    mod = find_modulus(p, m)
+    elems = list(range(q))  # shared int objects keep the tables lean
+    digits = [[x // p**k % p for k in range(m)] for x in elems]
+    code_of = {tuple(ds): x for x, ds in zip(elems, digits)}
+
+    def reduce(poly: list[int]) -> int:
+        for k in range(len(poly) - 1, m - 1, -1):
+            c = poly[k]
+            if c:
+                for i in range(m + 1):
+                    poly[k - m + i] = (poly[k - m + i] - c * mod[i]) % p
+        return code_of[tuple(poly[:m])]
+
+    add = [[code_of[tuple([(a + b) % p for a, b in zip(dx, dy)])] for dy in digits]
+           for dx in digits]
+    sub = [[code_of[tuple([(a - b) % p for a, b in zip(dx, dy)])] for dy in digits]
+           for dx in digits]
+    neg = [code_of[tuple([-a % p for a in dx])] for dx in digits]
+    mul = [[reduce(poly_product(p, dx, dy)) for dy in digits] for dx in digits]
+
+    def order(g: int) -> int:
+        x, n = g, 1
+        while x != 1:
+            x, n = mul[x][g], n + 1
+        return n
+
+    squares = {mul[x][x] for x in elems}
+    return {
+        "_add": add, "_sub": sub, "_neg": neg, "_mul": mul,
+        "_inv": [0] + [mul[x].index(1) for x in elems[1:]],
+        "_sq": [x in squares for x in elems],
+        "primitive_elem": next(g for g in elems[1:] if order(g) == q - 1),
+        "least_nonsquare": next((x for x in elems if x not in squares), None),
+    }
 
 
 def least_monic_irreducible(p: int, m: int) -> tuple[int, ...]:

@@ -9,12 +9,28 @@ from click.testing import CliRunner
 
 import sl2q.cli as cli
 from sl2q.cli import main
+from sl2q.field import Field, make_field
 from sl2q.products import ProductReport
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def record_field_builds(monkeypatch) -> list:
+    """(p, m) of every Field constructed from now on; make_field's cache is
+    emptied first, so a field built earlier counts again."""
+    built = []
+    init = Field.__init__
+
+    def recording_init(self, p, m):
+        built.append((p, m))
+        init(self, p, m)
+
+    make_field.cache_clear()
+    monkeypatch.setattr(Field, "__init__", recording_init)
+    return built
 
 
 def test_table_text(runner):
@@ -206,6 +222,33 @@ def test_qmax_below_two_rejected(runner, cmd):
         assert res.exit_code == 2
         assert "Invalid value for '--qmax'" in res.output
         assert list(Path().iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["sweep", "verify"])
+def test_qmax_past_field_bound_rejected_before_any_field(runner, monkeypatch, cmd):
+    field_builds = record_field_builds(monkeypatch)
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, [cmd, "--qmax", "1030", "--out", "out"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--qmax'" in res.output and "1024" in res.output
+        assert field_builds == []
+        assert list(Path().iterdir()) == []
+
+
+def test_cached_verify_builds_no_field(runner, monkeypatch):
+    args = ["verify", "--qmax", "32", "--checks", "min_class_bounds,split_trace_coverage"]
+    with runner.isolated_filesystem():
+        assert runner.invoke(main, args + ["--out", "v1"]).exit_code == 0
+        builds = record_field_builds(monkeypatch)
+        r2 = runner.invoke(main, args + ["--out", "v2"])
+        assert r2.exit_code == 0, r2.output
+        assert r2.output.count("(cached)") == 2 * 18  # 18 prime powers q <= 32
+        assert builds == []
+        m1 = json.loads(Path("v1/manifest.json").read_text())
+        m2 = json.loads(Path("v2/manifest.json").read_text())
+        assert m1["checksums"] == m2["checksums"]
+        assert m1["fields"] == m2["fields"]
+        assert m2["fields"][2] == {"p": 2, "m": 2, "modulus": [1, 1, 1], "q": 4}
 
 
 def test_verify_cache_dir_env(runner, monkeypatch):

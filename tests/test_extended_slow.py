@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from sl2q.checks import check_min_class_bounds, run_checks
-from sl2q.field import prime_powers_up_to
+from sl2q.field import Field, prime_power, prime_powers_up_to
 
 pytestmark = pytest.mark.slow
 
@@ -26,3 +26,11 @@ def test_minimum_bounds_to_64():
         assert r.passed, (q, r.counterexample)
         expected = q - 1 if q % 2 == 0 else (2 if q == 3 else (q + 3) // 2)
         assert r.details["min_classes"] == expected
+
+
+@pytest.mark.parametrize("q", [343, 512, 625, 729, 961, 1024, 521, 701, 853, 1019])
+def test_tables_match_naive_oracle_large(q):
+    p, m = prime_power(q)
+    F = Field(p, m)
+    for name, table in oracles.naive_field_tables(p, m).items():
+        assert getattr(F, name) == table, (q, name)

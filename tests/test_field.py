@@ -1,11 +1,14 @@
 """Field construction and arithmetic, exhaustive at small sizes."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sl2q.field import MAX_FIELD_SIZE, field_for, make_field, prime_powers_up_to
+from sl2q.field import (MAX_FIELD_SIZE, Field, field_for, make_field, prime_power,
+                        prime_powers_up_to)
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -63,14 +66,40 @@ def test_field_for_prime_powers(q):
     F = field_for(q)
     assert F.p**F.m == F.q == q
     assert F is make_field(F.p, F.m)
+    assert prime_power(q) == (F.p, F.m)
 
 
 def test_field_for_rejections():
     for q in (0, 1, 6, 12):
         with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
             field_for(q)
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            prime_power(q)
     with pytest.raises(ValueError, match="bound"):
         field_for(2048)
+
+
+@pytest.mark.parametrize("q", prime_powers_up_to(256))
+def test_tables_match_naive_oracle(q):
+    # a fresh Field, so the test holds no table in make_field's cache
+    p, m = prime_power(q)
+    F = Field(p, m)
+    for name, table in oracles.naive_field_tables(p, m).items():
+        assert getattr(F, name) == table, (q, name)
+
+
+@pytest.mark.parametrize("p, m", [(1019, 1), (31, 2), (2, 10)])
+def test_table_rows_exact_size_and_shared_entries(p, m):
+    F = Field(p, m)
+    q = F.q
+    exact = sys.getsizeof([0] * q)
+    for name in ("_add", "_sub", "_mul"):
+        table = getattr(F, name)
+        assert len(table) == q
+        assert all(sys.getsizeof(row) == exact for row in table), name
+    # every entry of every table is one of q shared int objects
+    rows = F._add + F._sub + F._mul + [F._neg, F._inv]
+    assert len({id(v) for row in rows for v in row}) == q
 
 
 def test_add_examples():
