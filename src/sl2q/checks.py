@@ -30,10 +30,10 @@ from .field import Field
 from .matrices import _conj4, _mul4, enumerate_sl2, mat
 from .products import (
     _label_traces,
-    class_product_labels,
+    _scan_labels,
+    _semisimple_labels,
     min_product_classes,
     product_report,
-    product_trace_set,
 )
 
 
@@ -532,7 +532,7 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
 
     for ea in splits:
         for eb in noncentral:
-            ts = product_trace_set(F, ea.rep, eb.rep)
+            ts = _label_traces(F, _scan_labels(F, ea.label, eb.label))
             if ts != full:
                 return _fail(name, q, details, pair=[str(ea.label), str(eb.label)],
                              missing=sorted(full - ts))
@@ -594,7 +594,7 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     u4 = (1, 1, 0, 1)
     noncentral_reps = [u_entry] + w_entries
     products = {
-        (e1.label, e2.label): class_product_labels(F, e1.rep, e2.rep)
+        (e1.label, e2.label): _scan_labels(F, e1.label, e2.label)
         for i1, e1 in enumerate(noncentral_reps) for e2 in noncentral_reps[i1:]
     }
 
@@ -706,7 +706,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                 details["witness_sets_without_nonsquare"] += 1
             rt = mul[r][t]
             wit_labels = {classify(F, mat(F, rt, e, 0, rt)) for e in wit}
-            labels = class_product_labels(F, e1.rep, e2.rep)
+            labels = _scan_labels(F, e1.label, e2.label)
             if len(wit_labels) < 2 or not wit_labels <= labels:
                 return _fail(name, q, details, part="upper_upper_witnesses",
                              pair=[str(e1.label), str(e2.label)],
@@ -724,7 +724,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
 
     for e1 in u_entries:
         for e2 in w_entries:
-            n = len(class_product_labels(F, e1.rep, e2.rep))
+            n = len(_scan_labels(F, e1.label, e2.label))
             if n < q - 1:
                 return _fail(name, q, details, part="upper_companion_bound",
                              pair=[str(e1.label), str(e2.label)], classes=n)
@@ -735,7 +735,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     for i1, e1 in enumerate(w_entries):
         for e2 in w_entries[i1:]:
             w, v = e1.label.x, e2.label.x
-            labels = class_product_labels(F, e1.rep, e2.rep)
+            labels = _scan_labels(F, e1.label, e2.label)
             ts = _label_traces(F, labels)
             fam = {add[sub[mul[i][sub[v][w]]][mul[i][i]]][sub[w][two]] for i in range(q)}
             if not fam <= ts:
@@ -770,6 +770,10 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     (q+3)/2 for odd q > 3, attained by the two square classes of
     eigenvalue-1 upper triangulars when q = 1 mod 4 and by the square one
     against itself otherwise; and exactly 2 for q = 3.
+
+    The minimum takes pairs of D and W classes from a closed form
+    (products._semisimple_labels); every such pair is also scanned, and a
+    difference fails the part ``semisimple_formula``.
     """
     name = "min_class_bounds"
     q = F.q
@@ -780,10 +784,22 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if ze.label.kind != "Z":
             continue
         for e in table.entries:
-            labels = class_product_labels(F, ze.rep, e.rep)
+            labels = _scan_labels(F, ze.label, e.label)
             if len(labels) != 1:
                 return _fail(name, q, details, part="central_pair",
                              pair=[str(ze.label), str(e.label)], classes=len(labels))
+
+    # min_product_classes counts D and W pairs by the closed form; the scan
+    # recomputes every such pair
+    semisimple = [l for l in table.noncentral_labels() if l.kind in ("D", "W")]
+    for i, la in enumerate(semisimple):
+        for lb in semisimple[i:]:
+            formula, scan = _semisimple_labels(F, la, lb), _scan_labels(F, la, lb)
+            if formula != scan:
+                return _fail(name, q, details, part="semisimple_formula",
+                             pair=[str(la), str(lb)],
+                             formula_only=sorted(str(l) for l in formula - scan),
+                             scan_only=sorted(str(l) for l in scan - formula))
 
     min_val, witness = min_product_classes(F)
     details["min_classes"] = min_val

@@ -155,7 +155,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "q", "modulus", "primitive_elem", "least_nonsquare",
-        "_add", "_sub", "_mul", "_neg", "_inv", "_sq", "_cache",
+        "_add", "_sub", "_mul", "_neg", "_inv", "_sq", "_cache", "__weakref__",
     )
 
     def __init__(self, p: int, m: int):
@@ -272,13 +272,15 @@ class Field:
         return f"GF({self.p}^{self.m})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def make_field(p: int, m: int) -> Field:
     """Build (and cache) GF(p**m) with the canonical modulus.
 
     Rejects non-prime p, non-positive m, and sizes past the table-driven
     design bound.  Fields are immutable, so the cache hands the same object
-    to every caller.
+    to every caller.  It keeps only the last field: callers that go through
+    q in order, like a serial ``verify``, hold one field's tables at a
+    time, and a caller that needs several keeps its own references.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -129,7 +129,8 @@ def enumerate_sl2(F: Field) -> Iterator[Mat2]:
 
 
 def pack(M: Mat2) -> int:
-    """The four entry codes packed into one integer (a set or dict key)."""
+    """The four entry codes packed into one integer, base q: distinct
+    matrices over one field get distinct integers."""
     q = M.q
     return ((M.a * q + M.b) * q + M.c) * q + M.d
 

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from sl2q import checks
+from sl2q.classes import ClassLabel
 from sl2q.checks import (
     ALL_CHECKS,
     CheckResult,
@@ -196,3 +197,23 @@ def test_sign_flip_fault_injection(monkeypatch):
     monkeypatch.setattr(checks, "trace_form_upper_companion", flipped)
     r = checks.check_trace_formulas(oracles.field_for(5))
     assert not r.passed and r.counterexample["form"] == "upper_companion"
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_semisimple_formula_fault_injection(q, monkeypatch):
+    # U(1,+) put back into the product of a W class with itself: the scan
+    # inside min_class_bounds must catch the closed form the minimum uses
+    real = checks._semisimple_labels
+
+    def evil(F, la, lb):
+        return real(F, la, lb) | {ClassLabel("U", 1, True)}
+
+    monkeypatch.setattr(checks, "_semisimple_labels", evil)
+    F = oracles.field_for(q)
+    w = str(next(l for l in checks.class_table(F).labels() if l.kind == "W"))
+    r = check_min_class_bounds(F)
+    assert not r.passed
+    assert r.counterexample["part"] == "semisimple_formula"
+    assert r.counterexample["pair"] == [w, w]
+    assert r.counterexample["formula_only"] == ["U(1,+)"]
+    assert r.counterexample["scan_only"] == []

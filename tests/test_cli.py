@@ -2,6 +2,7 @@
 cache (reuse never changes reported numbers)."""
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 
 import sl2q.cli as cli
 from sl2q.cli import main
-from sl2q.field import Field, make_field
+from sl2q.field import Field, make_field, prime_power, prime_powers_up_to
 from sl2q.products import ProductReport
 
 
@@ -249,6 +250,36 @@ def test_cached_verify_builds_no_field(runner, monkeypatch):
         assert m1["checksums"] == m2["checksums"]
         assert m1["fields"] == m2["fields"]
         assert m2["fields"][2] == {"p": 2, "m": 2, "modulus": [1, 1, 1], "q": 4}
+
+
+def test_serial_verify_holds_one_field_at_a_time(runner, monkeypatch):
+    # make_field keeps only the last field: while each check of a serial
+    # verify runs, exactly one Field is alive, and each field is built once
+    builds = record_field_builds(monkeypatch)
+    live = weakref.WeakSet()
+    recording_init = Field.__init__
+
+    def tracking_init(self, p, m):
+        recording_init(self, p, m)
+        live.add(self)
+
+    alive = []
+    run_checks = cli.run_checks
+
+    def counting_run_checks(F, names=None, *, seed=0):
+        alive.append(len(live))
+        return run_checks(F, names, seed=seed)
+
+    monkeypatch.setattr(Field, "__init__", tracking_init)
+    monkeypatch.setattr(cli, "run_checks", counting_run_checks)
+    checks = "even_char_bounds,odd_char_bounds,min_class_bounds"
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["verify", "--qmax", "64", "--no-cache", "--checks", checks,
+                                   "--out", "v"])
+    assert res.exit_code == 0, res.output
+    qs = prime_powers_up_to(64)
+    assert builds == [prime_power(q) for q in qs]
+    assert alive == [1] * (2 * len(qs) - 1)  # q = 3 has no parity check
 
 
 def test_verify_cache_dir_env(runner, monkeypatch):

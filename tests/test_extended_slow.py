@@ -6,8 +6,13 @@ import pytest
 import oracles
 from sl2q.checks import check_min_class_bounds, run_checks
 from sl2q.field import Field, prime_power, prime_powers_up_to
+from sl2q.products import min_product_classes
 
 pytestmark = pytest.mark.slow
+
+
+def expected_minimum(q: int) -> int:
+    return q - 1 if q % 2 == 0 else (2 if q == 3 else (q + 3) // 2)
 
 
 def test_full_suite_to_49():
@@ -24,8 +29,16 @@ def test_minimum_bounds_to_64():
     for q in prime_powers_up_to(64):
         r = check_min_class_bounds(oracles.field_for(q))
         assert r.passed, (q, r.counterexample)
-        expected = q - 1 if q % 2 == 0 else (2 if q == 3 else (q + 3) // 2)
-        assert r.details["min_classes"] == expected
+        assert r.details["min_classes"] == expected_minimum(q)
+
+
+@pytest.mark.parametrize("q", [1019, 1024])
+def test_minimum_at_largest_fields(q):
+    # D and W pairs are counted by the closed form and only the pairs with
+    # a U factor are scanned, so even the largest fields take under a minute
+    value, (la, lb) = min_product_classes(oracles.field_for(q))
+    assert value == expected_minimum(q)
+    assert "U" in (la.kind, lb.kind)
 
 
 @pytest.mark.parametrize("q", [343, 512, 625, 729, 961, 1024, 521, 701, 853, 1019])

@@ -1,18 +1,23 @@
 """Class products: the directly enumerated class against the orbit oracles,
 every pair against the fixed-factor oracle, the fixed-factor product
-against double enumeration, and the headline minimum values."""
+against double enumeration, the closed form for D and W pairs against the
+scan, and the headline minimum values."""
 
 import random
 
 import pytest
 
 import oracles
+from sl2q import products
 from sl2q.classes import ClassLabel, class_table, classify
-from sl2q.field import make_field, prime_factors
+from sl2q.field import make_field, prime_factors, prime_powers_up_to
 from sl2q.matrices import _conj4, conjugate, enumerate_sl2, identity, mat, trace
 from sl2q.products import (
     ProductReport,
     _class_members,
+    _scan_labels,
+    _semisimple_labels,
+    _semisimple_pm2_labels,
     class_product_labels,
     conjugacy_orbit,
     label_trace,
@@ -68,7 +73,9 @@ def test_orbit_rejects_bad_input():
 @pytest.mark.parametrize("q", GATE_QS)
 def test_products_match_fixed_factor_oracle(q):
     # every ordered pair, central classes included: the centralizer cuts
-    # must lose no class and no trace of the actual products
+    # must lose no class and no trace of the actual products, both through
+    # the library (closed form for D and W pairs) and through the scan that
+    # the checks use for every pair
     F = oracles.field_for(q)
     table = class_table(F)
     for ea in table.entries:
@@ -76,7 +83,77 @@ def test_products_match_fixed_factor_oracle(q):
         for eb in table.entries:
             labels, traces = oracles.fixed_factor_product(F, orbit, eb.rep)
             assert class_product_labels(F, ea.rep, eb.rep) == labels, (ea.label, eb.label)
+            assert _scan_labels(F, ea.label, eb.label) == labels, (ea.label, eb.label)
             assert product_trace_set(F, ea.rep, eb.rep) == traces, (ea.label, eb.label)
+
+
+def assert_semisimple_formula_matches_scan(F, pairs):
+    # the label set, and the count min_product_classes takes from it
+    n_semisimple = sum(l.kind in "DW" for l in class_table(F).noncentral_labels())
+    for la, lb in pairs:
+        scan = _scan_labels(F, la, lb)
+        assert _semisimple_labels(F, la, lb) == scan, (F.q, la, lb)
+        assert n_semisimple + len(_semisimple_pm2_labels(F, la, lb)) == len(scan), (F.q, la, lb)
+
+
+def semisimple_pairs(F):
+    labels = [l for l in class_table(F).noncentral_labels() if l.kind in "DW"]
+    return [(la, lb) for i, la in enumerate(labels) for lb in labels[i:]]
+
+
+@pytest.mark.parametrize("q", prime_powers_up_to(49))
+def test_semisimple_formula_matches_scan(q):
+    F = oracles.field_for(q)
+    assert_semisimple_formula_matches_scan(F, semisimple_pairs(F))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [q for q in prime_powers_up_to(128) if q > 49])
+def test_semisimple_formula_matches_scan_to_128(q):
+    F = oracles.field_for(q)
+    assert_semisimple_formula_matches_scan(F, semisimple_pairs(F))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [509, 512, 1019, 1024])
+def test_semisimple_formula_matches_scan_sampled(q):
+    # 2,000 seeded pairs: three quarters drawn at random, a quarter with
+    # t_b = r*t_a, where the Z(r) and U(r, +-) rules turn
+    F = oracles.field_for(q)
+    labels = [l for l in class_table(F).noncentral_labels() if l.kind in "DW"]
+    by_trace = {products.label_trace(F, l): l for l in labels}
+    roots = [r for r in range(1, q) if F._mul[r][r] == 1]
+    rng = random.Random(q)
+    pairs = []
+    for k in range(2000):
+        la = rng.choice(labels)
+        if k % 4:
+            lb = rng.choice(labels)
+        else:
+            lb = by_trace[F._mul[rng.choice(roots)][products.label_trace(F, la)]]
+        pairs.append((la, lb))
+    assert_semisimple_formula_matches_scan(F, pairs)
+
+
+@pytest.mark.parametrize("q", [16, 25])
+def test_min_scans_only_pairs_with_a_unipotent_factor(q, monkeypatch):
+    # D and W pairs are counted by the closed form: the minimum scans the
+    # O(q) pairs with a U factor and no other
+    scanned = []
+    scan = products._scan_labels
+
+    def recording_scan(F, la, lb):
+        scanned.append((la, lb))
+        return scan(F, la, lb)
+
+    monkeypatch.setattr(products, "_scan_labels", recording_scan)
+    F = oracles.field_for(q)
+    labels = class_table(F).noncentral_labels()
+    with_u = [(la, lb) for i, la in enumerate(labels) for lb in labels[i:]
+              if "U" in (la.kind, lb.kind)]
+    min_product_classes(F)
+    assert scanned == with_u
+    assert len(with_u) == (4 if q % 2 else 1) * len(labels) - (6 if q % 2 else 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -90,6 +167,7 @@ def test_products_match_double_enumeration(q):
                 for t in oracles.double_product_tuples(F, ea.rep, eb.rep)
             }
             assert class_product_labels(F, ea.rep, eb.rep) == oracle
+            assert _scan_labels(F, ea.label, eb.label) == oracle
 
 
 def test_central_factor_collapses():
