@@ -7,7 +7,6 @@ from .classes import (
     ClassEntry,
     ClassLabel,
     ClassTable,
-    are_conjugate,
     class_table,
     classify,
     irreducible_traces,
@@ -15,37 +14,19 @@ from .classes import (
 )
 from .checks import ALL_CHECKS, CheckResult, applicable_checks, run_checks
 from .field import Field, make_field
-from .matrices import (
-    Mat2,
-    conjugate,
-    det,
-    enumerate_sl2,
-    from_literal,
-    identity,
-    is_central,
-    mat,
-    mat_inv,
-    mat_mul,
-    pack,
-    sl2_order,
-    trace,
-)
+from .matrices import Mat2, det, enumerate_sl2, from_literal, mat, sl2_order
 from .products import (
     ProductReport,
     class_product_labels,
-    conjugacy_orbit,
     label_trace,
     min_product_classes,
     product_report,
-    product_trace_set,
 )
 
 __all__ = [
     "ALL_CHECKS", "CheckResult", "ClassEntry", "ClassLabel", "ClassTable",
-    "Field", "Mat2", "ProductReport", "applicable_checks", "are_conjugate",
-    "class_product_labels", "class_table", "classify", "conjugacy_orbit",
-    "conjugate", "det", "enumerate_sl2", "from_literal", "identity",
-    "irreducible_traces", "is_central", "label_sort_key", "label_trace",
-    "make_field", "mat", "mat_inv", "mat_mul", "min_product_classes", "pack",
-    "product_report", "product_trace_set", "run_checks", "sl2_order", "trace",
+    "Field", "Mat2", "ProductReport", "applicable_checks", "class_product_labels",
+    "class_table", "classify", "det", "enumerate_sl2", "from_literal",
+    "irreducible_traces", "label_sort_key", "label_trace", "make_field", "mat",
+    "min_product_classes", "product_report", "run_checks", "sl2_order",
 ]

@@ -408,8 +408,8 @@ def check_value_set_counts(F: Field, *, seed: int = 0, exhaustive_limit: int = 1
     only for odd q >= 7.  At q = 5 it fails exactly when a and b are both
     non-squares ({2x^2 + 2y^2 : x,y != 0} = {0,1,4} is all squares), so
     this check reports a failure for GF(5).  The source does not settle
-    whether 0 counts as a square; the code counts it as one, as
-    ``Field.is_square`` does.  If only nonzero values are classified,
+    whether 0 counts as a square; the code counts it as one, as the
+    field's square table ``_sq`` does.  If only nonzero values are classified,
     q = 5 has 8 exceptional pairs instead of 4, and q >= 7 still has none.
     """
     name = "value_set_counts"

@@ -230,7 +230,3 @@ def classify(F: Field, M: Mat2) -> ClassLabel:
         raise ValueError("classify requires determinant 1")
     (label,) = _label_tuples(F, [(M.a, M.b, M.c, M.d)], (1, 0, 0, 1))
     return ClassLabel(*label)
-
-
-def are_conjugate(F: Field, M: Mat2, N: Mat2) -> bool:
-    return classify(F, M) == classify(F, N)

@@ -93,7 +93,7 @@ def _cache_load(path: Path, key: dict) -> CheckResult | None:
         if data.get("key") != key:
             return None
         return CheckResult.from_json(data["result"])
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError) as e:  # ValueError covers bad JSON and bad UTF-8
         click.echo(f"warning: discarding corrupt cache entry {path}: {e}", err=True)
         return None
 
@@ -255,6 +255,9 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
         if selected is not None:
             names = [n for n in names if n in selected]
         work.extend((q, *prime_power(q), n) for n in names)
+    if not work:
+        raise click.UsageError(f"--checks {check_names!r} selects no check that applies to "
+                               f"any q <= {qmax}")
 
     results: dict[tuple[int, str], CheckResult] = {}
     cached: set[tuple[int, str]] = set()

@@ -25,18 +25,6 @@ import operator
 MAX_FIELD_SIZE = 1024
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; ample for the supported field sizes."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n in increasing order."""
     out: list[int] = []
@@ -149,8 +137,9 @@ class Field:
     every element is a square).
 
     Instances are immutable after construction and safe to share across
-    threads or processes; every operation is a pure table lookup.  Build
-    them through :func:`make_field`.
+    threads or processes.  Arithmetic is done by indexing the tables
+    (``_add[x][y]``, ``_mul[x][y]``, ``_inv[x]``, ``_sq[x]`` and so on).
+    Build them through :func:`make_field`.
     """
 
     __slots__ = (
@@ -215,56 +204,11 @@ class Field:
 
         self._cache: dict = {}
 
-    # -- element operations ------------------------------------------------
-
     def check(self, x: int) -> int:
         """Validate an element code, returning it unchanged."""
         if not isinstance(x, int) or not 0 <= x < self.q:
             raise ValueError(f"invalid element code {x!r} for GF({self.q})")
         return x
-
-    def add(self, x: int, y: int) -> int:
-        return self._add[self.check(x)][self.check(y)]
-
-    def sub(self, x: int, y: int) -> int:
-        return self._sub[self.check(x)][self.check(y)]
-
-    def neg(self, x: int) -> int:
-        return self._neg[self.check(x)]
-
-    def mul(self, x: int, y: int) -> int:
-        return self._mul[self.check(x)][self.check(y)]
-
-    def inv(self, x: int) -> int:
-        self.check(x)
-        if x == 0:
-            raise ZeroDivisionError(f"0 is not invertible in GF({self.q})")
-        return self._inv[x]
-
-    def pow(self, x: int, n: int) -> int:
-        self.check(x)
-        if n < 0:
-            x, n = self.inv(x), -n
-        mul = self._mul
-        r = 1
-        while n:
-            if n & 1:
-                r = mul[r][x]
-            x = mul[x][x]
-            n >>= 1
-        return r
-
-    def is_square(self, x: int) -> bool:
-        """True iff x == y*y for some y; 0 counts (0 == 0*0), and for even q
-        every element qualifies."""
-        return self._sq[self.check(x)]
-
-    def elements(self) -> range:
-        """All q element codes in increasing order."""
-        return range(self.q)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -282,14 +226,16 @@ def make_field(p: int, m: int) -> Field:
     q in order, like a serial ``verify``, hold one field's tables at a
     time, and a caller that needs several keeps its own references.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"extension degree must be a positive integer, got {m!r}")
-    if p**m > MAX_FIELD_SIZE:
-        raise ValueError(
-            f"GF({p}^{m}) has {p**m} elements, past the supported bound {MAX_FIELD_SIZE}"
-        )
+    if not isinstance(p, int):
+        raise ValueError(f"{p} is not prime")
+    # the size comes first, so no huge p is factored; 2**m already passes
+    # the bound once m reaches its bit length, so no huge p**m is formed
+    if m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE:
+        raise ValueError(f"GF({p}^{m}) is past the supported bound of {MAX_FIELD_SIZE} elements")
+    if prime_factors(p) != [p]:
+        raise ValueError(f"{p} is not prime")
     return Field(p, m)
 
 
@@ -307,5 +253,8 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 def field_for(q: int) -> Field:
-    """GF(q) for a prime power q, through :func:`make_field`."""
+    """GF(q) for a prime power q, through :func:`make_field`; a q past the
+    bound is refused before it is factored."""
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"q = {q} is past the supported bound of {MAX_FIELD_SIZE} elements")
     return make_field(*prime_power(q))

@@ -54,53 +54,9 @@ def mat(F: Field, a: int, b: int, c: int, d: int) -> Mat2:
     return Mat2(F.check(a), F.check(b), F.check(c), F.check(d), F.q)
 
 
-def identity(F: Field) -> Mat2:
-    return Mat2(1, 0, 0, 1, F.q)
-
-
 def det(F: Field, M: Mat2) -> int:
     _same_field(F, M)
     return F._sub[F._mul[M.a][M.d]][F._mul[M.b][M.c]]
-
-
-def trace(F: Field, M: Mat2) -> int:
-    _same_field(F, M)
-    return F._add[M.a][M.d]
-
-
-def mat_mul(F: Field, X: Mat2, Y: Mat2) -> Mat2:
-    _same_field(F, X, Y)
-    mul, add = F._mul, F._add
-    return Mat2(*_mul4(mul, add, (X.a, X.b, X.c, X.d), (Y.a, Y.b, Y.c, Y.d)), F.q)
-
-
-def mat_inv(F: Field, X: Mat2) -> Mat2:
-    """Inverse of a determinant-one matrix: [[d,-b],[-c,a]].
-
-    General inverses are out of scope; any other determinant is rejected.
-    """
-    if det(F, X) != 1:
-        raise ValueError("matrix inverse requires determinant 1")
-    neg = F._neg
-    return Mat2(X.d, neg[X.b], neg[X.c], X.a, F.q)
-
-
-def conjugate(F: Field, A: Mat2, C: Mat2) -> Mat2:
-    """C**-1 * A * C for a determinant-one conjugator C.
-
-    Trace and determinant are preserved.
-    """
-    _same_field(F, A, C)
-    if det(F, C) != 1:
-        raise ValueError("conjugator must have determinant 1")
-    a4 = _conj4(F._mul, F._add, F._neg, (C.a, C.b, C.c, C.d), (A.a, A.b, A.c, A.d))
-    return Mat2(*a4, F.q)
-
-
-def is_central(F: Field, M: Mat2) -> bool:
-    """Scalar r*I with r*r == 1 (so r is 1 or -1; only 1 when q is even)."""
-    _same_field(F, M)
-    return M.b == 0 and M.c == 0 and M.a == M.d and F._mul[M.a][M.a] == 1
 
 
 def sl2_order(q: int) -> int:
@@ -126,13 +82,6 @@ def enumerate_sl2(F: Field) -> Iterator[Mat2]:
             mb = mul[b]
             for c in range(q):
                 yield Mat2(a, b, c, mul[ia][add[1][mb[c]]], q)
-
-
-def pack(M: Mat2) -> int:
-    """The four entry codes packed into one integer, base q: distinct
-    matrices over one field get distinct integers."""
-    q = M.q
-    return ((M.a * q + M.b) * q + M.c) * q + M.d
 
 
 def from_literal(F: Field, text: str) -> Mat2:

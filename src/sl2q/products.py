@@ -75,15 +75,6 @@ class ProductReport:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "ProductReport":
-        return ProductReport(
-            d["q"], d["p"], d["m"], tuple(d["modulus"]),
-            ClassLabel.parse(d["a"]), ClassLabel.parse(d["b"]),
-            d["eta"], tuple(ClassLabel.parse(s) for s in d["labels"]),
-            tuple(d["traces"]), d["elapsed_ms"],
-        )
-
     def csv_row(self) -> str:
         return (
             f"{self.q},{self.p},{self.m},{self.label_a},{self.label_b},"
@@ -91,14 +82,14 @@ class ProductReport:
         )
 
 
-def _class_members(F: Field, label: ClassLabel, against: ClassLabel | None = None) -> list[tuple]:
-    """Members (a, b, c, d) of the labelled class, read off its label.
+def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tuple]:
+    """Members (a, b, c, d) of the noncentral labelled class, read off its
+    label, that meet every orbit of the centralizer of the noncentral
+    second factor ``against`` at its canonical representative.
 
-    They are the solutions of a + d = t and ad - bc = 1 for the class trace
-    t; a U class keeps those whose square class of -c (of b when c = 0)
-    matches its own.  ``against`` labels a noncentral second factor fixed
-    at its canonical representative; then only a subset that meets every
-    orbit of that factor's centralizer is kept:
+    They solve a + d = t and ad - bc = 1 for the class trace t; a U class
+    keeps those whose square class of -c (of b when c = 0) matches its own.
+    The cut depends on the second factor:
 
     * D (diag(r, 1/r)): b in {0, 1, nu}, or {0, 1} for even q, since
       conjugating by diag(x, 1/x) scales b by a square;
@@ -106,21 +97,18 @@ def _class_members(F: Field, label: ClassLabel, against: ClassLabel | None = Non
       by [[1,x],[0,1]] fixes c and shifts a by x*c;
     * W ([[0,1],[-1,w]]): see :func:`_torus_cut`.
     """
-    if label.kind == "Z":
-        return [(label.x, 0, 0, label.x)]
     t = label_trace(F, label)
-    cut = None if against is None else against.kind
-    if cut == "W":
+    if against.kind == "W":
         out = _torus_cut(F, t, against.x)
     else:
-        out = _trace_members(F, t, cut)
+        out = _trace_members(F, t, against.kind)
     if label.kind == "U":
         sq, neg, want = F._sq, F._neg, label.square
         out = [x for x in out if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
     return out
 
 
-def _trace_members(F: Field, t: int, cut: str | None) -> list[tuple]:
+def _trace_members(F: Field, t: int, cut: str) -> list[tuple]:
     # determinant-one matrices of trace t, cut against a D or U factor as
     # described in _class_members
     q = F.q
@@ -131,13 +119,7 @@ def _trace_members(F: Field, t: int, cut: str | None) -> list[tuple]:
         d = sub[t][a]
         k = sub[mul[a][d]][1]  # = bc
         mk = mul[k]
-        if cut is None:
-            if k:
-                out += [(a, b, mk[inv[b]], d) for b in range(1, q)]
-            else:
-                out += [(a, 0, c, d) for c in range(q)]
-                out += [(a, b, 0, d) for b in range(1, q)]
-        elif cut == "D":
+        if cut == "D":
             if not k:
                 out += [(a, 0, c, d) for c in range(q)]
             out.append((a, 1, k, d))
@@ -218,16 +200,6 @@ def _torus_cut(F: Field, t: int, w: int) -> list[tuple]:
     return out
 
 
-def conjugacy_orbit(F: Field, A: Mat2) -> frozenset[Mat2]:
-    """The conjugacy class of a determinant-one matrix, enumerated from its
-    label."""
-    _same_field(F, A)
-    if det(F, A) != 1:
-        raise ValueError("orbits are computed for determinant-one matrices")
-    q = F.q
-    return frozenset(Mat2(t[0], t[1], t[2], t[3], q) for t in _class_members(F, classify(F, A)))
-
-
 def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
     # the second factor stays at its canonical representative and the first
     # runs over a centralizer-orbit transversal of its class
@@ -304,12 +276,6 @@ def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
     if det(F, A) != 1 or det(F, B) != 1:
         raise ValueError("class products are defined for determinant-one matrices")
     return _product_labels(F, classify(F, A), classify(F, B))
-
-
-def product_trace_set(F: Field, A: Mat2, B: Mat2) -> frozenset[int]:
-    """Traces occurring in the product of the two classes; never more values
-    than there are classes in it."""
-    return _label_traces(F, class_product_labels(F, A, B))
 
 
 def label_trace(F: Field, label: ClassLabel) -> int:

@@ -179,7 +179,7 @@ def fixed_factor_product(F: Field, orbit, B: Mat2) -> tuple[set[ClassLabel], set
         elif len(rs) == 2:
             labels.add(ClassLabel("D", min(rs)))
         elif rs:
-            labels.add(ClassLabel("U", rs[0], F.is_square(F.neg(c) if c else b)))
+            labels.add(ClassLabel("U", rs[0], F._sq[F._neg[c] if c else b]))
         else:
             labels.add(ClassLabel("W", t))
     return labels, traces
@@ -197,7 +197,7 @@ def square_mix_exceptions(F: Field) -> list[tuple[int, int, list[int]]]:
     """Pairs of nonzero (a, b), in increasing code order, for which
     {a*x^2 + b*y^2 : x, y != 0} does not hold both a square and a
     non-square, each with that value set sorted.  0 counts as a square, as
-    in ``Field.is_square``.
+    in ``Field._sq``.
 
     For odd q and c != 0, with chi the quadratic character, the number of
     (x, y) with x, y != 0 and a*x^2 + b*y^2 = c is
@@ -207,13 +207,14 @@ def square_mix_exceptions(F: Field) -> list[tuple[int, int, list[int]]]:
     it is exactly the pairs with a and b both non-squares.
     """
     q = F.q
+    add, mul = F._add, F._mul
     out = []
     for a in range(1, q):
         for b in range(1, q):
             vals = sorted({
-                F.add(F.mul(a, F.mul(x, x)), F.mul(b, F.mul(y, y)))
+                add[mul[a][mul[x][x]]][mul[b][mul[y][y]]]
                 for x in range(1, q) for y in range(1, q)
             })
-            if {F.is_square(v) for v in vals} != {True, False}:
+            if {F._sq[v] for v in vals} != {True, False}:
                 out.append((a, b, vals))
     return out

@@ -22,7 +22,7 @@ from sl2q.checks import (
 )
 from sl2q.classes import ClassLabel, class_table, classify, irreducible_traces
 from sl2q.matrices import enumerate_sl2, mat, sl2_order
-from sl2q.products import class_product_labels, min_product_classes, product_trace_set
+from sl2q.products import class_product_labels, label_trace, min_product_classes
 
 ALL_TESTED_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
 
@@ -90,7 +90,7 @@ def test_criterion_5_counting_suite():
             exceptions = oracles.square_mix_exceptions(F)
             closed_form = [] if q >= 7 else [
                 (a, b) for a in range(1, q) for b in range(1, q)
-                if not F.is_square(a) and not F.is_square(b)
+                if not F._sq[a] and not F._sq[b]
             ]
             if [(a, b) for a, b, _ in exceptions] != closed_form:
                 failures.append((q, "oracle vs closed form", exceptions))
@@ -162,7 +162,8 @@ def test_criterion_8_trace_coverage_and_exclusion():
         table = class_table(F)
         upper = table.rep(ClassLabel("U", 1))
         for w in irreducible_traces(F):
-            traces = product_trace_set(F, upper, table.rep(ClassLabel("W", w)))
+            labels = class_product_labels(F, upper, table.rep(ClassLabel("W", w)))
+            traces = frozenset(label_trace(F, l) for l in labels)
             if w in traces or traces != frozenset(range(q)) - {w}:
                 failures.append((q, w, sorted(traces)))
     _report(8, "trace coverage and trace exclusion", failures)

@@ -10,13 +10,12 @@ from sl2q.classes import (
     ClassEntry,
     ClassLabel,
     ClassTable,
-    are_conjugate,
     class_table,
     classify,
     irreducible_traces,
 )
 from sl2q.field import make_field
-from sl2q.matrices import conjugate, enumerate_sl2, mat, sl2_order
+from sl2q.matrices import Mat2, _conj4, enumerate_sl2, mat, sl2_order
 
 ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -65,11 +64,12 @@ def test_classify_examples_gf5():
 
 
 def test_are_conjugate_examples():
+    # labels biject with classes, so equal labels mean conjugate matrices
     F5 = make_field(5, 1)
-    assert are_conjugate(F5, mat(F5, 1, 1, 0, 1), mat(F5, 1, 4, 0, 1))   # 4 = 1*2^2
-    assert not are_conjugate(F5, mat(F5, 1, 1, 0, 1), mat(F5, 1, 2, 0, 1))
+    assert classify(F5, mat(F5, 1, 1, 0, 1)) == classify(F5, mat(F5, 1, 4, 0, 1))  # 4 = 1*2^2
+    assert classify(F5, mat(F5, 1, 1, 0, 1)) != classify(F5, mat(F5, 1, 2, 0, 1))
     F8 = make_field(2, 3)
-    assert are_conjugate(F8, mat(F8, 1, 1, 0, 1), mat(F8, 0, 1, 1, 0))
+    assert classify(F8, mat(F8, 1, 1, 0, 1)) == classify(F8, mat(F8, 0, 1, 1, 0))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
@@ -78,15 +78,15 @@ def test_offdiagonal_similarity_criterion(q):
     F = oracles.field_for(q)
     for u in range(1, q):
         for v in range(1, q):
-            same = are_conjugate(F, mat(F, 1, u, 0, 1), mat(F, 1, v, 0, 1))
-            assert same == F.is_square(F.mul(v, F.inv(u)))
+            same = classify(F, mat(F, 1, u, 0, 1)) == classify(F, mat(F, 1, v, 0, 1))
+            assert same == F._sq[F._mul[v][F._inv[u]]]
 
 
 def test_unipotent_family_split():
     for q in (5, 7, 9):
         F = oracles.field_for(q)
         nu = F.least_nonsquare
-        for s in (1, F.neg(1)):
+        for s in (1, F._neg[1]):
             assert classify(F, mat(F, s, 1, 0, s)) != classify(F, mat(F, s, nu, 0, s))
     for q in (2, 4, 8):
         F = oracles.field_for(q)
@@ -133,4 +133,5 @@ def test_classify_invariant_under_conjugation():
     rng = random.Random(23)
     for _ in range(300):
         A, C = rng.choice(elems), rng.choice(elems)
-        assert classify(F, conjugate(F, A, C)) == classify(F, A)
+        AC = Mat2(*_conj4(F._mul, F._add, F._neg, C[:4], A[:4]), F.q)
+        assert classify(F, AC) == classify(F, A)

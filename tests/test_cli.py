@@ -9,9 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import sl2q.cli as cli
+from sl2q.classes import ClassLabel
 from sl2q.cli import main
 from sl2q.field import Field, make_field, prime_power, prime_powers_up_to
-from sl2q.products import ProductReport
+from sl2q.products import product_report
 
 
 @pytest.fixture
@@ -67,9 +68,11 @@ def test_eta_labels_json_round_trip(runner):
     res = runner.invoke(main, ["eta", "--q", "8", "--a", "U(1,+)", "--b", "W(1)",
                                "--format", "json"])
     assert res.exit_code == 0
-    report = ProductReport.from_json(json.loads(res.output))
-    assert report.num_classes == 7
-    assert report.q == 8 and 1 not in report.traces
+    data = json.loads(res.output)
+    assert data["eta"] == 7
+    assert data["q"] == 8 and 1 not in data["traces"]
+    report = product_report(make_field(2, 3), ClassLabel("U", 1), ClassLabel("W", 1))
+    assert tuple(ClassLabel.parse(s) for s in data["labels"]) == report.labels
 
 
 def test_eta_central_is_single_class(runner):
@@ -142,13 +145,14 @@ def test_verify_cache_reuse_and_determinism(runner):
 
 
 def test_verify_recovers_from_corrupt_cache(runner):
-    # unparsable JSON, and valid JSON that is not an object
+    # unparsable JSON, valid JSON that is not an object, and bytes that are
+    # not UTF-8
     with runner.isolated_filesystem():
         assert runner.invoke(main, ["verify", "--qmax", "3", "--out", "v1"]).exit_code == 0
         m1 = json.loads(Path("v1/manifest.json").read_text())
         victim = next(Path(".sl2q-cache").glob("q0003_*.json"))
-        for garbage in ("{not json", "[]"):
-            victim.write_text(garbage)
+        for garbage in (b"{not json", b"[]", b"\xff\xfe garbage"):
+            victim.write_bytes(garbage)
             r = runner.invoke(main, ["verify", "--qmax", "3", "--out", "v2"])
             assert r.exit_code == 0, (garbage, r.output)
             assert "discarding corrupt cache entry" in r.output
@@ -313,6 +317,16 @@ def test_verify_check_selection(runner):
         assert rows == ["q,min", "2,1", "3,2", "4,3", "5,4"]
     res = runner.invoke(main, ["verify", "--qmax", "3", "--checks", "bogus"])
     assert res.exit_code != 0 and "unknown checks" in res.output
+
+
+def test_verify_refuses_empty_selection(runner):
+    # no name at all, and a check that applies to no q <= qmax
+    with runner.isolated_filesystem():
+        for checks in (",", "odd_char_bounds"):
+            res = runner.invoke(main, ["verify", "--qmax", "3", "--checks", checks, "--out", "v"])
+            assert res.exit_code == 2, (checks, res.output)
+            assert "selects no check" in res.output and "q <= 3" in res.output
+            assert not Path("v/report.json").exists()
 
 
 def test_verify_parallel_jobs_match_serial(runner):

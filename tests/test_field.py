@@ -1,14 +1,19 @@
 """Field construction and arithmetic, exhaustive at small sizes."""
 
+import functools
 import sys
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sl2q import field
+from sl2q.cli import main
 from sl2q.field import (MAX_FIELD_SIZE, Field, field_for, make_field, prime_power,
                         prime_powers_up_to)
+from sl2q.matrices import mat
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -79,6 +84,31 @@ def test_field_for_rejections():
         field_for(2048)
 
 
+class Unpowered(int):
+    """An int that fails the test when raised to a power."""
+
+    def __pow__(self, m):
+        raise AssertionError(f"formed {int(self)}**{m}")
+
+
+def test_size_bound_checked_before_factoring(monkeypatch):
+    # an oversized q or p is refused without trial division, and a huge
+    # extension degree without forming p**m
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(field, "prime_factors", no_factoring)
+    with pytest.raises(ValueError, match="bound"):
+        field_for(10**18 + 3)
+    with pytest.raises(ValueError, match="bound"):
+        make_field(10**18 + 3, 1)
+    with pytest.raises(ValueError, match="bound"):
+        make_field(Unpowered(2), 10**8)
+    res = CliRunner().invoke(main, ["table", "--q", "1000000000000000003"])
+    assert res.exit_code == 2
+    assert "bound" in res.output
+
+
 @pytest.mark.parametrize("q", prime_powers_up_to(256))
 def test_tables_match_naive_oracle(q):
     # a fresh Field, so the test holds no table in make_field's cache
@@ -103,47 +133,38 @@ def test_table_rows_exact_size_and_shared_entries(p, m):
 
 
 def test_add_examples():
-    assert make_field(5, 1).add(2, 4) == 1
-    assert make_field(2, 2).add(2, 2) == 0
+    assert make_field(5, 1)._add[2][4] == 1
+    assert make_field(2, 2)._add[2][2] == 0
     F9 = make_field(3, 2)
-    for x in F9.elements():
-        assert F9.add(x, F9.neg(x)) == 0
+    for x in range(9):
+        assert F9._add[x][F9._neg[x]] == 0
 
 
 def test_mul_examples():
-    assert make_field(2, 2).mul(2, 2) == 3  # x*x = x+1 mod x^2+x+1
-    assert make_field(5, 1).mul(3, 4) == 2
+    assert make_field(2, 2)._mul[2][2] == 3  # x*x = x+1 mod x^2+x+1
+    assert make_field(5, 1)._mul[3][4] == 2
     for q in (4, 5, 9):
         F = oracles.field_for(q)
-        for x in F.elements():
-            assert F.mul(x, 1) == x
+        for x in range(q):
+            assert F._mul[x][1] == x
 
 
 def test_inv_examples():
-    assert make_field(5, 1).inv(2) == 3
-    assert make_field(2, 2).inv(2) == 3
+    assert make_field(5, 1)._inv[2] == 3
+    assert make_field(2, 2)._inv[2] == 3
     for q in (2, 5, 8, 9):
-        F = oracles.field_for(q)
-        assert F.inv(1) == 1
-        with pytest.raises(ZeroDivisionError):
-            F.inv(0)
+        assert oracles.field_for(q)._inv[1] == 1
 
 
 def test_is_square_examples():
     F5 = make_field(5, 1)
-    assert F5.is_square(4)
-    assert not F5.is_square(2)
-    assert {x for x in F5.elements() if F5.is_square(x)} == {0, 1, 4}
+    assert F5._sq[4]
+    assert not F5._sq[2]
+    assert {x for x in range(5) if F5._sq[x]} == {0, 1, 4}
     F8 = make_field(2, 3)
-    assert all(F8.is_square(x) for x in F8.elements())
+    assert all(F8._sq)
     for q in (5, 9):
-        assert oracles.field_for(q).is_square(0)
-
-
-def test_elements_enumeration():
-    assert list(make_field(2, 2).elements()) == [0, 1, 2, 3]
-    assert list(make_field(5, 1).elements()) == [0, 1, 2, 3, 4]
-    assert len(make_field(3, 2).elements()) == 9
+        assert oracles.field_for(q)._sq[0]
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_32)
@@ -168,16 +189,17 @@ def test_field_axioms_exhaustive(q):
 @pytest.mark.parametrize("q", PRIME_POWERS_32)
 def test_frobenius(q):
     F = oracles.field_for(q)
-    p = F.p
-    for x in F.elements():
-        for y in F.elements():
-            assert F.pow(F.add(x, y), p) == F.add(F.pow(x, p), F.pow(y, p))
+    add, mul = F._add, F._mul
+    frob = [functools.reduce(lambda acc, _: mul[acc][x], range(F.p), 1) for x in range(q)]
+    for x in range(q):
+        for y in range(q):
+            assert frob[add[x][y]] == add[frob[x]][frob[y]]
 
 
 @pytest.mark.parametrize("q", [q for q in PRIME_POWERS_32 if q % 2])
 def test_square_count_odd(q):
     F = oracles.field_for(q)
-    assert sum(F.is_square(x) for x in F.elements()) == (q + 1) // 2
+    assert sum(F._sq) == (q + 1) // 2
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_32)
@@ -185,7 +207,7 @@ def test_primitive_element_order(q):
     F = oracles.field_for(q)
     x, order = F.primitive_elem, 1
     while x != 1:
-        x = F.mul(x, F.primitive_elem)
+        x = F._mul[x][F.primitive_elem]
         order += 1
     assert order == q - 1
 
@@ -195,7 +217,7 @@ def test_least_nonsquare():
     for q, nu in expected.items():
         F = oracles.field_for(q)
         assert F.least_nonsquare == nu
-        assert all(F.is_square(x) for x in range(nu))
+        assert all(F._sq[:nu])
     for q in (2, 4, 8, 16, 32):
         assert oracles.field_for(q).least_nonsquare is None
 
@@ -204,16 +226,9 @@ def test_invalid_codes_rejected():
     F = make_field(5, 1)
     for bad in (-1, 5, 2.0, "3", None):
         with pytest.raises(ValueError):
-            F.add(bad, 0)
+            F.check(bad)
         with pytest.raises(ValueError):
-            F.mul(0, bad)
-        with pytest.raises(ValueError):
-            F.is_square(bad)
-
-
-def test_to_json():
-    F = make_field(3, 2)
-    assert F.to_json() == {"p": 3, "m": 2, "modulus": [1, 0, 1]}
+            mat(F, 1, 0, bad, 1)
 
 
 def test_make_field_is_cached():
@@ -223,17 +238,18 @@ def test_make_field_is_cached():
 @given(x=st.integers(0, 26), y=st.integers(0, 26), z=st.integers(0, 26))
 def test_random_identities_gf27(x, y, z):
     F = make_field(3, 3)
-    assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
-    assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
-    assert F.sub(F.add(x, y), y) == x
+    add, sub, mul, inv = F._add, F._sub, F._mul, F._inv
+    assert add[add[x][y]][z] == add[x][add[y][z]]
+    assert mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+    assert sub[add[x][y]][y] == x
     if x:
-        assert F.mul(F.inv(x), F.mul(x, y)) == y
+        assert mul[inv[x]][mul[x][y]] == y
 
 
 @settings(max_examples=60)
 @given(x=st.integers(0, 31), y=st.integers(0, 31))
 def test_random_identities_gf32(x, y):
     F = make_field(2, 5)
-    assert F.add(x, x) == 0
-    assert F.mul(x, y) == F.mul(y, x)
-    assert F.is_square(x)
+    assert F._add[x][x] == 0
+    assert F._mul[x][y] == F._mul[y][x]
+    assert F._sq[x]

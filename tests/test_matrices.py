@@ -6,21 +6,14 @@ import pytest
 
 import oracles
 from sl2q.field import make_field
-from sl2q.matrices import (
-    Mat2,
-    conjugate,
-    det,
-    enumerate_sl2,
-    from_literal,
-    identity,
-    is_central,
-    mat,
-    mat_inv,
-    mat_mul,
-    pack,
-    sl2_order,
-    trace,
-)
+from sl2q.classes import classify
+from sl2q.matrices import Mat2, _conj4, _mul4, det, enumerate_sl2, from_literal, mat, sl2_order
+
+I4 = (1, 0, 0, 1)
+
+
+def tuples(F):
+    return [(M.a, M.b, M.c, M.d) for M in enumerate_sl2(F)]
 
 
 def test_count_matches_filter_oracle():
@@ -48,9 +41,10 @@ def test_enumeration_is_lexicographic_and_distinct():
 
 def test_mat_mul_examples():
     F = make_field(5, 1)
-    X = mat(F, 1, 1, 0, 1)
-    assert mat_mul(F, X, identity(F)) == X
-    assert mat_mul(F, X, X) == mat(F, 1, 2, 0, 1)
+    mul, add = F._mul, F._add
+    X = (1, 1, 0, 1)
+    assert _mul4(mul, add, X, I4) == X
+    assert _mul4(mul, add, X, X) == (1, 2, 0, 1)
 
 
 def test_det_multiplicative():
@@ -59,117 +53,109 @@ def test_det_multiplicative():
     elems = list(enumerate_sl2(F))
     for _ in range(50):
         X, Y = rng.choice(elems), rng.choice(elems)
-        assert det(F, mat_mul(F, X, Y)) == F.mul(det(F, X), det(F, Y))
+        XY = Mat2(*_mul4(F._mul, F._add, X[:4], Y[:4]), F.q)
+        assert det(F, XY) == F._mul[det(F, X)][det(F, Y)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_inverse_formula_everywhere(q):
+    # [[d,-b],[-c,a]] inverts every determinant-one matrix; _conj4 relies on it
     F = oracles.field_for(q)
-    I = identity(F)
-    neg = F._neg
-    for X in enumerate_sl2(F):
-        inv = mat_inv(F, X)
-        assert inv == Mat2(X.d, neg[X.b], neg[X.c], X.a, q)
-        assert mat_mul(F, X, inv) == I
-
-
-def test_inverse_examples_and_rejection():
-    F = make_field(5, 1)
-    assert mat_inv(F, identity(F)) == identity(F)
-    assert mat_inv(F, mat(F, 1, 1, 0, 1)) == mat(F, 1, 4, 0, 1)
-    with pytest.raises(ValueError, match="determinant"):
-        mat_inv(F, mat(F, 2, 0, 0, 1))
+    mul, add, neg = F._mul, F._add, F._neg
+    for a, b, c, d in tuples(F):
+        inv = (d, neg[b], neg[c], a)
+        assert _mul4(mul, add, (a, b, c, d), inv) == I4
+        assert _mul4(mul, add, inv, (a, b, c, d)) == I4
 
 
 def test_conjugate_by_identity():
     F = make_field(7, 1)
-    A = mat(F, 3, 1, 2, 4)
-    assert conjugate(F, A, identity(F)) == A
+    A = (3, 1, 2, 4)
+    assert _conj4(F._mul, F._add, F._neg, I4, A) == A
 
 
 def test_conjugation_preserves_trace_exhaustive_q5():
     F = make_field(5, 1)
-    elems = list(enumerate_sl2(F))
+    mul, add, neg = F._mul, F._add, F._neg
+    elems = tuples(F)
     for A in elems:
-        tA = trace(F, A)
+        tA = add[A[0]][A[3]]
         for C in elems:
-            assert trace(F, conjugate(F, A, C)) == tA
+            a, _, _, d = _conj4(mul, add, neg, C, A)
+            assert add[a][d] == tA
 
 
 def test_conjugate_diagonal_closed_form():
     F = make_field(5, 1)
-    C = mat(F, 1, 2, 3, 2)  # det = 2 - 6 = 1
+    mul, sub, neg = F._mul, F._sub, F._neg
+    a, b, c, d = 1, 2, 3, 2  # det = 2 - 6 = 1
     r, s = 2, 3
-    got = conjugate(F, mat(F, r, 0, 0, s), C)
-    mul, sub, neg = F.mul, F.sub, F.neg
-    a, b, c, d = 1, 2, 3, 2
-    assert got == mat(
-        F,
-        sub(mul(mul(a, d), r), mul(mul(b, c), s)),
-        mul(mul(b, d), sub(r, s)),
-        neg(mul(mul(a, c), sub(r, s))),
-        sub(mul(mul(a, d), s), mul(mul(b, c), r)),
+    got = _conj4(F._mul, F._add, neg, (a, b, c, d), (r, 0, 0, s))
+    assert got == (
+        sub[mul[mul[a][d]][r]][mul[mul[b][c]][s]],
+        mul[mul[b][d]][sub[r][s]],
+        neg[mul[mul[a][c]][sub[r][s]]],
+        sub[mul[mul[a][d]][s]][mul[mul[b][c]][r]],
     )
 
 
 def test_conjugation_right_action():
     F3 = make_field(3, 1)
-    elems = list(enumerate_sl2(F3))
+    mul, add, neg = F3._mul, F3._add, F3._neg
+    elems = tuples(F3)
     for A in elems:
         for C1 in elems:
-            AC1 = conjugate(F3, A, C1)
+            AC1 = _conj4(mul, add, neg, C1, A)
             for C2 in elems:
-                assert conjugate(F3, A, mat_mul(F3, C1, C2)) == conjugate(F3, AC1, C2)
+                C1C2 = _mul4(mul, add, C1, C2)
+                assert _conj4(mul, add, neg, C1C2, A) == _conj4(mul, add, neg, C2, AC1)
     F9 = make_field(3, 2)
+    mul, add, neg = F9._mul, F9._add, F9._neg
     rng = random.Random(11)
-    elems9 = list(enumerate_sl2(F9))
+    elems9 = tuples(F9)
     for _ in range(200):
         A, C1, C2 = (rng.choice(elems9) for _ in range(3))
-        assert conjugate(F9, A, mat_mul(F9, C1, C2)) == conjugate(F9, conjugate(F9, A, C1), C2)
+        assert (_conj4(mul, add, neg, _mul4(mul, add, C1, C2), A)
+                == _conj4(mul, add, neg, C2, _conj4(mul, add, neg, C1, A)))
 
 
 @pytest.mark.parametrize("q,centrals", [(2, 1), (3, 2), (4, 1), (5, 2), (8, 1), (9, 2)])
 def test_center_size(q, centrals):
     F = oracles.field_for(q)
-    assert sum(is_central(F, M) for M in enumerate_sl2(F)) == centrals
+    assert sum(classify(F, M).kind == "Z" for M in enumerate_sl2(F)) == centrals
 
 
 def test_is_central_examples():
     F = make_field(5, 1)
-    assert is_central(F, identity(F))
-    assert is_central(F, mat(F, 4, 0, 0, 4))
-    assert not is_central(F, mat(F, 1, 1, 0, 1))
-    assert not is_central(F, mat(F, 2, 0, 0, 3))
+    assert classify(F, mat(F, 1, 0, 0, 1)).kind == "Z"
+    assert classify(F, mat(F, 4, 0, 0, 4)).kind == "Z"
+    assert classify(F, mat(F, 1, 1, 0, 1)).kind != "Z"
+    assert classify(F, mat(F, 2, 0, 0, 3)).kind != "Z"
 
 
 def test_closure():
     for q in (2, 3, 4):
         F = oracles.field_for(q)
-        elems = list(enumerate_sl2(F))
-        packed = {pack(M) for M in elems}
+        elems = tuples(F)
+        group = set(elems)
         for X in elems:
             for Y in elems:
-                assert pack(mat_mul(F, X, Y)) in packed
+                assert _mul4(F._mul, F._add, X, Y) in group
     F9 = make_field(3, 2)
-    elems9 = list(enumerate_sl2(F9))
-    packed9 = {pack(M) for M in elems9}
+    elems9 = tuples(F9)
+    group9 = set(elems9)
     rng = random.Random(3)
     for _ in range(300):
-        assert pack(mat_mul(F9, rng.choice(elems9), rng.choice(elems9))) in packed9
-
-
-def test_pack_is_injective():
-    F = make_field(3, 1)
-    assert len({pack(M) for M in enumerate_sl2(F)}) == 24
+        assert _mul4(F9._mul, F9._add, rng.choice(elems9), rng.choice(elems9)) in group9
 
 
 def test_field_mismatch_rejected():
     F5, F7 = make_field(5, 1), make_field(7, 1)
     X5 = mat(F5, 1, 1, 0, 1)
     with pytest.raises(ValueError, match="mismatch"):
-        mat_mul(F7, X5, identity(F7))
+        det(F7, X5)
     with pytest.raises(ValueError, match="mismatch"):
-        trace(F7, X5)
+        classify(F7, X5)
 
 
 def test_literal_round_trip():

@@ -3,27 +3,29 @@ every pair against the fixed-factor oracle, the fixed-factor product
 against double enumeration, the closed form for D and W pairs against the
 scan, and the headline minimum values."""
 
+import contextlib
+import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 import oracles
+import sl2q
 from sl2q import products
 from sl2q.classes import ClassLabel, class_table, classify
 from sl2q.field import make_field, prime_factors, prime_powers_up_to
-from sl2q.matrices import _conj4, conjugate, enumerate_sl2, identity, mat, trace
+from sl2q.matrices import Mat2, _conj4, enumerate_sl2, mat
 from sl2q.products import (
-    ProductReport,
     _class_members,
     _scan_labels,
     _semisimple_labels,
     _semisimple_pm2_labels,
     class_product_labels,
-    conjugacy_orbit,
     label_trace,
     min_product_classes,
     product_report,
-    product_trace_set,
 )
 
 ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
@@ -32,11 +34,15 @@ GATE_QS = [q for q in range(2, 26) if len(prime_factors(q)) == 1]
 
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_generator_orbits_match_full_enumeration(q):
-    # conjugacy_orbit enumerates the class from its label; both orbit
-    # oracles must agree with it
+    # the transvection closure, which the fixed-factor gate takes as each
+    # class, agrees with conjugation by every group element and with the
+    # matrices that classify gives the class's label
     F = oracles.field_for(q)
+    by_label: dict[ClassLabel, set] = {}
+    for M in enumerate_sl2(F):
+        by_label.setdefault(classify(F, M), set()).add((M.a, M.b, M.c, M.d))
     for e in class_table(F).entries:
-        members = {(M.a, M.b, M.c, M.d) for M in conjugacy_orbit(F, e.rep)}
+        members = by_label[e.label]
         assert members == oracles.full_orbit(F, e.rep)
         assert members == oracles.bfs_orbit(F, e.rep)
         assert len(members) == e.size
@@ -64,12 +70,6 @@ def test_class_cuts_meet_every_centralizer_orbit(q):
             assert len(members) <= 4 * q, (la, lb)
 
 
-def test_orbit_rejects_bad_input():
-    F = make_field(5, 1)
-    with pytest.raises(ValueError, match="determinant"):
-        conjugacy_orbit(F, mat(F, 2, 0, 0, 1))
-
-
 @pytest.mark.parametrize("q", GATE_QS)
 def test_products_match_fixed_factor_oracle(q):
     # every ordered pair, central classes included: the centralizer cuts
@@ -84,7 +84,8 @@ def test_products_match_fixed_factor_oracle(q):
             labels, traces = oracles.fixed_factor_product(F, orbit, eb.rep)
             assert class_product_labels(F, ea.rep, eb.rep) == labels, (ea.label, eb.label)
             assert _scan_labels(F, ea.label, eb.label) == labels, (ea.label, eb.label)
-            assert product_trace_set(F, ea.rep, eb.rep) == traces, (ea.label, eb.label)
+            report = product_report(F, ea.label, eb.label)
+            assert set(report.traces) == traces, (ea.label, eb.label)
 
 
 def assert_semisimple_formula_matches_scan(F, pairs):
@@ -185,8 +186,8 @@ def test_central_factor_collapses():
 def test_identity_factor_gives_other_class():
     F = make_field(5, 1)
     B = mat(F, 0, 1, 4, 1)
-    assert class_product_labels(F, identity(F), B) == {classify(F, B)}
-    assert product_trace_set(F, identity(F), B) == {trace(F, B)}
+    assert class_product_labels(F, mat(F, 1, 0, 0, 1), B) == {classify(F, B)}
+    assert product_report(F, ClassLabel("Z", 1), classify(F, B)).traces == (F._add[B.a][B.d],)
 
 
 def test_even_optimal_pair_gf4():
@@ -275,15 +276,15 @@ def test_split_class_covers_all_traces():
     F = make_field(5, 1)
     A = mat(F, 2, 0, 0, 3)
     B = mat(F, 1, 1, 0, 1)
-    assert product_trace_set(F, A, B) == frozenset(range(5))
+    assert product_report(F, classify(F, A), classify(F, B)).traces == tuple(range(5))
 
 
 def test_even_trace_exclusion_gf4():
     F = make_field(2, 2)
     t = class_table(F)
     for w in (2, 3):
-        ts = product_trace_set(F, t.rep(ClassLabel("U", 1)), t.rep(ClassLabel("W", w)))
-        assert ts == frozenset(range(4)) - {w}
+        ts = product_report(F, ClassLabel("U", 1), ClassLabel("W", w)).traces
+        assert set(ts) == set(range(4)) - {w}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
@@ -298,18 +299,16 @@ def test_trace_count_vs_class_count_bounds(q):
     slack_cap = 4 if q % 2 else 1
     for i, la in enumerate(nc):
         for lb in nc[i:]:
-            ra, rb = table.rep(la), table.rep(lb)
-            n_classes = len(class_product_labels(F, ra, rb))
-            n_traces = len(product_trace_set(F, ra, rb))
+            r = product_report(F, la, lb)
+            n_classes, n_traces = r.num_classes, len(r.traces)
             assert n_traces <= n_classes <= n_traces + slack_cap
 
 
 def test_slack_four_is_attained_at_q5():
     F = make_field(5, 1)
-    A = mat(F, 2, 0, 0, 3)
-    n_classes = len(class_product_labels(F, A, A))
-    n_traces = len(product_trace_set(F, A, A))
-    assert n_classes - n_traces == 4
+    la = classify(F, mat(F, 2, 0, 0, 3))
+    r = product_report(F, la, la)
+    assert r.num_classes - len(r.traces) == 4
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
@@ -327,13 +326,14 @@ def test_product_is_class_invariant(q):
     F = oracles.field_for(q)
     table = class_table(F)
     elems = list(enumerate_sl2(F))
+    mul, add, neg = F._mul, F._add, F._neg
     rng = random.Random(q)
     nc = table.noncentral_labels()
     for i, la in enumerate(nc):
         for lb in nc[i:]:
             expected = class_product_labels(F, table.rep(la), table.rep(lb))
-            A = conjugate(F, table.rep(la), rng.choice(elems))
-            B = conjugate(F, table.rep(lb), rng.choice(elems))
+            A, B = (Mat2(*_conj4(mul, add, neg, rng.choice(elems)[:4], table.rep(l)[:4]), q)
+                    for l in (la, lb))
             assert class_product_labels(F, A, B) == expected
 
 
@@ -345,7 +345,8 @@ def test_report_traces_match_member_traces():
         for i, la in enumerate(nc):
             for lb in nc[i:]:
                 r = product_report(F, la, lb)
-                assert set(r.traces) == set(product_trace_set(F, table.rep(la), table.rep(lb)))
+                orbit = oracles.bfs_orbit(F, table.rep(la))
+                assert set(r.traces) == oracles.fixed_factor_product(F, orbit, table.rep(lb))[1]
                 assert set(r.traces) == {label_trace(F, l) for l in r.labels}
 
 
@@ -354,7 +355,12 @@ def test_report_json_round_trip():
     table = class_table(F)
     nc = table.noncentral_labels()
     r = product_report(F, nc[0], nc[-1])
-    assert ProductReport.from_json(r.to_json()) == r
+    d = json.loads(json.dumps(r.to_json()))
+    assert (d["q"], d["p"], d["m"], tuple(d["modulus"])) == (r.q, r.p, r.m, r.modulus)
+    assert (ClassLabel.parse(d["a"]), ClassLabel.parse(d["b"])) == (r.label_a, r.label_b)
+    assert tuple(ClassLabel.parse(s) for s in d["labels"]) == r.labels
+    assert (d["eta"], tuple(d["traces"])) == (r.num_classes, r.traces)
+    assert d["elapsed_ms"] == r.elapsed_ms
     row = r.csv_row()
     assert row.startswith(f"9,3,2,{nc[0]},{nc[-1]},{r.num_classes},")
 
@@ -363,3 +369,16 @@ def test_unknown_label_rejected():
     F = make_field(5, 1)
     with pytest.raises(ValueError, match="no conjugacy class"):
         product_report(F, ClassLabel("W", 0), ClassLabel("U", 1, True))
+
+
+def test_readme_library_example():
+    # the Python block under README's "## Library" runs and prints what its
+    # comments say, and every name it calls public is there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == ["6", "6 U(1,+) U(1,-)"]
+    assert [name for name in sl2q.__all__ if not hasattr(sl2q, name)] == []
