@@ -6,6 +6,24 @@ small fields (per-check thresholds below) and seeded random sampling above
 them, so results are deterministic given (p, m, seed).  A failing check
 always carries a counterexample payload.
 
+The formula checks sample their parameters with ``_take``: a partial
+Fisher-Yates shuffle fed by ``getrandbits`` with rejection of draws that
+are too large, 10 values per family and conjugator.  For pools of at most
+85 values it makes the draws CPython 3.11's ``Random.sample`` makes, so
+the sampled (conjugator, parameters) tuples of every q <= 83 are those of
+that sampler.  Above that the draws stay uniform, and at every size they
+depend on ``getrandbits`` alone, not on how a Python version implements
+``sample()``.
+
+Each ``trace_form_*`` takes its innermost parameter as a list (for
+``trace_form_diag_diag``, the (u, v) pairs) and returns the list of
+traces, with the terms in C and the outer parameters computed once per
+call; ``trace_formulas`` computes the direct traces over the same list
+from the rows of the conjugated matrix, and reports the first index where
+the two differ.  So a q = 25 run makes its 445,500 comparisons in about
+44,500 batches.  The ``conj_form_*`` stay scalar: their parameters are
+drawn once per family, not once per conjugator.
+
 Two closed forms each have a competing sign variant; the checks settle
 them against direct computation and record the outcome instead of silently
 picking one:
@@ -63,7 +81,8 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# closed forms (module-level so the fault-injection tests can patch them)
+# closed forms (module-level so the fault-injection tests can patch them);
+# each trace form maps a list of its last parameter to the list of traces
 # ---------------------------------------------------------------------------
 
 def conj_form_general(F: Field, C: tuple, A: tuple) -> tuple:
@@ -119,59 +138,67 @@ def conj_form_companion(F: Field, C: tuple, w: int) -> tuple:
     )
 
 
-def trace_form_diag_diag(F: Field, C: tuple, r: int, s: int, u: int, v: int) -> int:
+def trace_form_diag_diag(F: Field, C: tuple, r: int, s: int, uvs: list) -> list:
     """trace(diag(r,s)^C * diag(u,v)) = ad(r-s)(u-v) + (us + vr)."""
     mul, add, sub = F._mul, F._add, F._sub
     a, b, c, d = C
-    return add[mul[mul[mul[a][d]][sub[r][s]]][sub[u][v]]][add[mul[u][s]][mul[v][r]]]
+    k = mul[mul[mul[a][d]][sub[r][s]]]
+    ms, mr = mul[s], mul[r]
+    return [add[k[sub[u][v]]][add[ms[u]][mr[v]]] for u, v in uvs]
 
 
-def trace_form_diag_upper(F: Field, C: tuple, r: int, s: int, t: int, u: int) -> int:
+def trace_form_diag_upper(F: Field, C: tuple, r: int, s: int, t: int, us: list) -> list:
     """trace(diag(r,s)^C * [[t,u],[0,t]]) = t(r+s) - ac(r-s)u."""
     mul, add, sub = F._mul, F._add, F._sub
     a, b, c, d = C
-    return sub[mul[t][add[r][s]]][mul[mul[mul[a][c]][sub[r][s]]][u]]
+    base, k = sub[mul[t][add[r][s]]], mul[mul[mul[a][c]][sub[r][s]]]
+    return [base[k[u]] for u in us]
 
 
-def trace_form_diag_upper_difference_variant(F: Field, C: tuple, r: int, s: int, t: int, u: int) -> int:
+def trace_form_diag_upper_difference_variant(F: Field, C: tuple, r: int, s: int, t: int, us: list) -> list:
     """Same with t(r-s): recorded for the record, correct only in char 2."""
     mul, sub = F._mul, F._sub
     a, b, c, d = C
-    return sub[mul[t][sub[r][s]]][mul[mul[mul[a][c]][sub[r][s]]][u]]
+    base, k = sub[mul[t][sub[r][s]]], mul[mul[mul[a][c]][sub[r][s]]]
+    return [base[k[u]] for u in us]
 
 
-def trace_form_diag_companion(F: Field, C: tuple, r: int, s: int, w: int) -> int:
+def trace_form_diag_companion(F: Field, C: tuple, r: int, s: int, ws: list) -> list:
     """trace(diag(r,s)^C * [[0,1],[-1,w]]) = (ac + bd)(s-r) + w(ads - bcr)."""
     mul, add, sub = F._mul, F._add, F._sub
     a, b, c, d = C
-    part = mul[add[mul[a][c]][mul[b][d]]][sub[s][r]]
-    return add[part][mul[w][sub[mul[mul[a][d]][s]][mul[mul[b][c]][r]]]]
+    part = add[mul[add[mul[a][c]][mul[b][d]]][sub[s][r]]]
+    k = mul[sub[mul[mul[a][d]][s]][mul[mul[b][c]][r]]]
+    return [part[k[w]] for w in ws]
 
 
-def trace_form_upper_upper(F: Field, C: tuple, r: int, u: int, t: int, w: int) -> int:
+def trace_form_upper_upper(F: Field, C: tuple, r: int, u: int, t: int, ws: list) -> list:
     """trace([[r,u],[0,r]]^C * [[t,w],[0,t]]) = 2rt - uwc^2."""
     mul, add, sub = F._mul, F._add, F._sub
     c = C[2]
     rt = mul[r][t]
-    return sub[add[rt][rt]][mul[mul[u][w]][mul[c][c]]]
+    base, k = sub[add[rt][rt]], mul[mul[u][mul[c][c]]]
+    return [base[k[w]] for w in ws]
 
 
-def trace_form_upper_companion(F: Field, C: tuple, r: int, u: int, s: int) -> int:
+def trace_form_upper_companion(F: Field, C: tuple, r: int, u: int, ss: list) -> list:
     """trace([[r,u],[0,r]]^C * [[0,1],[-1,s]]) = -ud^2 - uc^2 + s(r - ucd)."""
     mul, add, sub, neg = F._mul, F._add, F._sub, F._neg
     a, b, c, d = C
     t1 = add[mul[u][mul[d][d]]][mul[u][mul[c][c]]]
-    return add[neg[t1]][mul[s][sub[r][mul[u][mul[c][d]]]]]
+    base, k = add[neg[t1]], mul[sub[r][mul[u][mul[c][d]]]]
+    return [base[k[s]] for s in ss]
 
 
-def trace_form_companion_companion(F: Field, C: tuple, w: int, v: int) -> int:
+def trace_form_companion_companion(F: Field, C: tuple, w: int, vs: list) -> list:
     """trace([[0,1],[-1,w]]^C * [[0,1],[-1,v]])
     = -(a^2+b^2+c^2+d^2) + bdw + acw + v(-ab + d(aw - c))."""
     mul, add, sub, neg = F._mul, F._add, F._sub, F._neg
     a, b, c, d = C
     sq_sum = add[add[mul[a][a]][mul[b][b]]][add[mul[c][c]][mul[d][d]]]
     t = add[neg[sq_sum]][add[mul[mul[b][d]][w]][mul[mul[a][c]][w]]]
-    return add[t][mul[v][add[neg[mul[a][b]]][mul[d][sub[mul[a][w]][c]]]]]
+    base, k = add[t], mul[add[neg[mul[a][b]]][mul[d][sub[mul[a][w]][c]]]]
+    return [base[k[v]] for v in vs]
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +240,38 @@ def _conjugators(F: Field, tag: str, seed: int, exhaustive_limit: int, samples: 
 
 
 def _take(rng: random.Random | None, values, cap: int = 10) -> list:
-    # param-axis sampling for the non-exhaustive regime
+    """`cap` distinct members of `values`, or all of them in order when
+    there are at most `cap` or `rng` is None (the exhaustive regime).
+
+    A partial Fisher-Yates shuffle: each index is drawn below the n values
+    still in the pool from rng.getrandbits(n.bit_length()), rejecting draws
+    of n or more, and the last pool member fills the drawn slot.  For pools
+    of at most 85 values these are the draws CPython 3.11's
+    ``Random.sample(values, 10)`` makes; unlike sample(), the draws depend
+    on no interpreter version's choice of algorithm.
+    """
     vals = list(values)
-    if rng is None or len(vals) <= cap:
+    n = len(vals)
+    if rng is None or n <= cap:
         return vals
-    return rng.sample(vals, cap)
+    getrandbits = rng.getrandbits
+    out = []
+    for n in range(n, n - cap, -1):
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        out.append(vals[j])
+        vals[j] = vals[n - 1]
+    return out
+
+
+def _agreeing(got: list, want: list) -> int:
+    """Length of the longest prefix on which `got` and `want` agree."""
+    if got == want:
+        return len(want)
+    return next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                min(len(got), len(want)))
 
 
 def _trace_of_conj_product(F: Field, C: tuple, A: tuple, B: tuple) -> int:
@@ -316,73 +370,86 @@ def check_trace_formulas(F: Field, *, seed: int = 0, exhaustive_limit: int = 9) 
     details = {"conjugators": len(Cs), "exhaustive": exhaustive, "comparisons": 0}
     roots1 = _roots_of_one(F)
     neg1 = neg[1]
+    units, elems = list(range(1, q)), list(range(q))
+    unit_pairs = [(u, inv[u]) for u in units]
     difference_variant_ok = True
 
-    def fail(form, C, params, got, want):
+    def failure(form, C, params, keys, vals, got, want) -> CheckResult | None:
+        # counts the batch's comparisons up to its first mismatch, if any
+        n = _agreeing(got, want)
+        if n == len(vals):
+            details["comparisons"] += n
+            return None
+        details["comparisons"] += n + 1
+        v = vals[n]
+        params.update(zip(keys, v if isinstance(v, tuple) else (v,)))
         details["diag_upper_difference_form_holds"] = difference_variant_ok
         return _fail(name, q, details, form=form, C=list(C), params=params,
-                     closed_form=got, direct=want)
+                     closed_form=got[n], direct=want[n])
 
-    for r in _take(prng, range(1, q)):
+    # the direct side: trace(T * B) for T = A^C, over one family of B
+    def upper_traces(T, t, xs):  # B = [[t,x],[0,t]]
+        at, mtc, tdt = add[mul[T[0]][t]], mul[T[2]], mul[T[3]][t]
+        return [at[add[mtc[x]][tdt]] for x in xs]
+
+    def companion_traces(T, xs):  # B = [[0,1],[-1,x]]
+        anb, atc, mtd = add[neg[T[1]]], add[T[2]], mul[T[3]]
+        return [anb[atc[mtd[x]]] for x in xs]
+
+    for r in _take(prng, units):
         s = inv[r]
         a4 = (r, 0, 0, s)
         for C in Cs:
             T = _conj4(mul, add, neg, C, a4)
-            ta, tb, tc, td = T
-            for u in _take(prng, range(1, q)):
-                v = inv[u]
-                want = add[mul[ta][u]][mul[td][v]]
-                got = trace_form_diag_diag(F, C, r, s, u, v)
-                details["comparisons"] += 1
-                if got != want:
-                    return fail("diag_diag", C, {"r": r, "s": s, "u": u, "v": v}, got, want)
+            uvs = _take(prng, unit_pairs)
+            mta, mtd = mul[T[0]], mul[T[3]]
+            want = [add[mta[u]][mtd[v]] for u, v in uvs]
+            got = trace_form_diag_diag(F, C, r, s, uvs)
+            if (bad := failure("diag_diag", C, {"r": r, "s": s}, "uv", uvs, got, want)) is not None:
+                return bad
             for t in roots1:
-                for u in _take(prng, range(1, q)):
-                    want = add[mul[ta][t]][add[mul[tc][u]][mul[td][t]]]
-                    got = trace_form_diag_upper(F, C, r, s, t, u)
-                    details["comparisons"] += 1
-                    if got != want:
-                        return fail("diag_upper", C, {"r": r, "s": s, "t": t, "u": u}, got, want)
-                    if trace_form_diag_upper_difference_variant(F, C, r, s, t, u) != want:
-                        difference_variant_ok = False
-            for w in _take(prng, range(q)):
-                want = add[neg[tb]][add[tc][mul[td][w]]]
-                got = trace_form_diag_companion(F, C, r, s, w)
-                details["comparisons"] += 1
-                if got != want:
-                    return fail("diag_companion", C, {"r": r, "s": s, "w": w}, got, want)
+                us = _take(prng, units)
+                want = upper_traces(T, t, us)
+                got = trace_form_diag_upper(F, C, r, s, t, us)
+                if difference_variant_ok:
+                    n = _agreeing(got, want)
+                    variant = trace_form_diag_upper_difference_variant(F, C, r, s, t, us)
+                    difference_variant_ok = variant[:n] == want[:n]
+                if (bad := failure("diag_upper", C, {"r": r, "s": s, "t": t}, "u", us, got,
+                                   want)) is not None:
+                    return bad
+            ws = _take(prng, elems)
+            got = trace_form_diag_companion(F, C, r, s, ws)
+            if (bad := failure("diag_companion", C, {"r": r, "s": s}, "w", ws, got,
+                               companion_traces(T, ws))) is not None:
+                return bad
 
     for r in roots1:
-        for u in _take(prng, range(1, q)):
+        for u in _take(prng, units):
             a4 = (r, u, 0, r)
             for C in Cs:
                 T = _conj4(mul, add, neg, C, a4)
-                ta, tb, tc, td = T
                 for t in roots1:
-                    for w in _take(prng, range(1, q)):
-                        want = add[mul[ta][t]][add[mul[tc][w]][mul[td][t]]]
-                        got = trace_form_upper_upper(F, C, r, u, t, w)
-                        details["comparisons"] += 1
-                        if got != want:
-                            return fail("upper_upper", C, {"r": r, "u": u, "t": t, "w": w}, got, want)
-                for s in _take(prng, range(q)):
-                    want = add[neg[tb]][add[tc][mul[td][s]]]
-                    got = trace_form_upper_companion(F, C, r, u, s)
-                    details["comparisons"] += 1
-                    if got != want:
-                        return fail("upper_companion", C, {"r": r, "u": u, "s": s}, got, want)
+                    ws = _take(prng, units)
+                    got = trace_form_upper_upper(F, C, r, u, t, ws)
+                    if (bad := failure("upper_upper", C, {"r": r, "u": u, "t": t}, "w", ws, got,
+                                       upper_traces(T, t, ws))) is not None:
+                        return bad
+                ss = _take(prng, elems)
+                got = trace_form_upper_companion(F, C, r, u, ss)
+                if (bad := failure("upper_companion", C, {"r": r, "u": u}, "s", ss, got,
+                                   companion_traces(T, ss))) is not None:
+                    return bad
 
-    for w in _take(prng, range(q)):
+    for w in _take(prng, elems):
         a4 = (0, 1, neg1, w)
         for C in Cs:
             T = _conj4(mul, add, neg, C, a4)
-            ta, tb, tc, td = T
-            for v in _take(prng, range(q)):
-                want = add[neg[tb]][add[tc][mul[td][v]]]
-                got = trace_form_companion_companion(F, C, w, v)
-                details["comparisons"] += 1
-                if got != want:
-                    return fail("companion_companion", C, {"w": w, "v": v}, got, want)
+            vs = _take(prng, elems)
+            got = trace_form_companion_companion(F, C, w, vs)
+            if (bad := failure("companion_companion", C, {"w": w}, "v", vs, got,
+                               companion_traces(T, vs))) is not None:
+                return bad
 
     details["diag_upper_sum_form_holds"] = True
     details["diag_upper_difference_form_holds"] = difference_variant_ok

@@ -12,12 +12,14 @@ a sub row is an add row read through neg; a mul row is the exp table of a
 primitive element rotated by log x and read through log (index tables, as
 in Lidl-Niederreiter, Finite Fields).  Rows have exactly q slots.  GF(1019)
 builds in 0.09 s and GF(1024) in 0.13 s (medians, one core, Python 3.11),
-against 1.2 s and 0.25 s entry by entry.
+against 1.2 s and 0.25 s entry by entry.  The cyclic garbage collector is
+paused while the tables are built.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import operator
 
@@ -148,6 +150,18 @@ class Field:
     )
 
     def __init__(self, p: int, m: int):
+        # the tables are about 3q lists of q ints and hold no reference
+        # cycles, yet the cyclic collector walks them on every pass while
+        # they grow, so it is paused for the build
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._build(p, m)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _build(self, p: int, m: int) -> None:
         q = p**m
         self.p, self.m, self.q = p, m, q
         self.modulus = find_modulus(p, m)
@@ -216,6 +230,12 @@ class Field:
         return f"GF({self.p}^{self.m})"
 
 
+def _int_text(n: int) -> str:
+    """n in decimal, or by its bit length when it is too long to print:
+    past sys.get_int_max_str_digits() digits str(n) itself raises."""
+    return str(n) if n.bit_length() <= 64 else f"<{n.bit_length()}-bit integer>"
+
+
 @functools.lru_cache(maxsize=1)
 def make_field(p: int, m: int) -> Field:
     """Build (and cache) GF(p**m) with the canonical modulus.
@@ -233,7 +253,8 @@ def make_field(p: int, m: int) -> Field:
     # the size comes first, so no huge p is factored; 2**m already passes
     # the bound once m reaches its bit length, so no huge p**m is formed
     if m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE:
-        raise ValueError(f"GF({p}^{m}) is past the supported bound of {MAX_FIELD_SIZE} elements")
+        raise ValueError(f"GF({_int_text(p)}^{_int_text(m)}) is past the supported bound "
+                         f"of {MAX_FIELD_SIZE} elements")
     if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     return Field(p, m)
@@ -256,5 +277,6 @@ def field_for(q: int) -> Field:
     """GF(q) for a prime power q, through :func:`make_field`; a q past the
     bound is refused before it is factored."""
     if q > MAX_FIELD_SIZE:
-        raise ValueError(f"q = {q} is past the supported bound of {MAX_FIELD_SIZE} elements")
+        raise ValueError(f"q = {_int_text(q)} is past the supported bound "
+                         f"of {MAX_FIELD_SIZE} elements")
     return make_field(*prime_power(q))

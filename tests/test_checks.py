@@ -2,6 +2,8 @@
 resolutions, determinism, and fault injection (a perturbed closed form must
 flip the corresponding check with a counterexample)."""
 
+import random
+
 import pytest
 
 import oracles
@@ -122,10 +124,60 @@ def test_sampled_regime_runs():
     # above the exhaustive threshold the formula checks fall back to seeded
     # sampling and stay deterministic
     F = oracles.field_for(16)
-    r1 = check_trace_formulas(F, exhaustive_limit=8)
-    r2 = check_trace_formulas(F, exhaustive_limit=8)
-    assert r1.passed and not r1.details["exhaustive"]
-    assert r1.details["comparisons"] == r2.details["comparisons"]
+    r1 = check_trace_formulas(F, exhaustive_limit=8).to_json()
+    r2 = check_trace_formulas(F, exhaustive_limit=8).to_json()
+    assert r1["passed"] and not r1["details"]["exhaustive"]
+    r1.pop("elapsed_ms")
+    r2.pop("elapsed_ms")
+    assert r1 == r2
+
+
+# comparison counts in the sampled regime: a batch that drops or repeats a
+# comparison changes them
+@pytest.mark.parametrize("q,trace_comparisons,conj_comparisons",
+                         [(11, 443300, 40300), (16, 245400, 36810), (25, 445500, 40500)])
+def test_sampled_comparison_counts(q, trace_comparisons, conj_comparisons):
+    F = oracles.field_for(q)
+    assert check_trace_formulas(F).details["comparisons"] == trace_comparisons
+    assert checks.check_conjugation_formulas(F).details["comparisons"] == conj_comparisons
+
+
+def test_take_same_draws_for_same_seed():
+    draws = [checks._take(random.Random(7), range(40)) for _ in range(2)]
+    assert draws[0] == draws[1]
+    assert draws[0] != checks._take(random.Random(8), range(40))
+
+
+@pytest.mark.parametrize("n", [11, 24, 85, 86, 300])
+def test_take_distinct_members_when_more_than_cap(n):
+    values = [3 * v + 1 for v in range(n)]
+    got = checks._take(random.Random(n), values)
+    assert len(got) == len(set(got)) == 10
+    assert set(got) <= set(values)
+    assert values == [3 * v + 1 for v in range(n)]  # the population is left alone
+    assert len(checks._take(random.Random(n), values, cap=n - 1)) == n - 1
+
+
+def test_take_everything_in_order_at_cap_or_without_rng():
+    assert checks._take(random.Random(1), range(10)) == list(range(10))
+    assert checks._take(random.Random(1), range(4), cap=4) == [0, 1, 2, 3]
+    assert checks._take(None, range(50)) == list(range(50))
+
+
+def test_take_matches_sample_on_small_pools():
+    # for cap 10 and pools of at most 85 values, CPython 3.11's
+    # Random.sample runs the same partial Fisher-Yates shuffle
+    for n in range(11, 86):
+        assert checks._take(random.Random(n), range(n)) == random.Random(n).sample(range(n), 10), n
+
+
+def test_trace_formulas_need_no_random_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random.Random.sample called")
+
+    monkeypatch.setattr(random.Random, "sample", refuse)
+    r = check_trace_formulas(oracles.field_for(11))
+    assert r.passed and not r.details["exhaustive"]
 
 
 def test_check_result_json_round_trip():
@@ -154,7 +206,7 @@ CONJ_FORMS = [
 
 def _shift_scalar(orig):
     def evil(F, C, *args):
-        return F._add[orig(F, C, *args)][1]
+        return [F._add[t][1] for t in orig(F, C, *args)]
     return evil
 
 
@@ -165,8 +217,9 @@ def _shift_matrix(orig):
     return evil
 
 
+# q = 4, 5 are exhaustive; 11 and 16 (odd and even) sample conjugators and parameters
 @pytest.mark.parametrize("name", TRACE_FORMS)
-@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("q", [4, 5, 11, 16])
 def test_trace_formula_fault_injection(name, q, monkeypatch):
     monkeypatch.setattr(checks, name, _shift_scalar(getattr(checks, name)))
     r = checks.check_trace_formulas(oracles.field_for(q))
@@ -176,7 +229,7 @@ def test_trace_formula_fault_injection(name, q, monkeypatch):
 
 
 @pytest.mark.parametrize("name", CONJ_FORMS)
-@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("q", [4, 5, 11, 16])
 def test_conjugation_formula_fault_injection(name, q, monkeypatch):
     monkeypatch.setattr(checks, name, _shift_matrix(getattr(checks, name)))
     r = checks.check_conjugation_formulas(oracles.field_for(q))
@@ -188,11 +241,11 @@ def test_conjugation_formula_fault_injection(name, q, monkeypatch):
 def test_sign_flip_fault_injection(monkeypatch):
     # a genuine coefficient perturbation rather than a constant shift:
     # s*(r - ucd) -> s*(r + ucd)
-    def flipped(F, C, r, u, s):
+    def flipped(F, C, r, u, ss):
         mul, add, neg = F._mul, F._add, F._neg
         a, b, c, d = C
         t1 = add[mul[u][mul[d][d]]][mul[u][mul[c][c]]]
-        return add[neg[t1]][mul[s][add[r][mul[u][mul[c][d]]]]]
+        return [add[neg[t1]][mul[s][add[r][mul[u][mul[c][d]]]]] for s in ss]
 
     monkeypatch.setattr(checks, "trace_form_upper_companion", flipped)
     r = checks.check_trace_formulas(oracles.field_for(5))

@@ -1,10 +1,15 @@
 """Extended sweeps past the default ranges (deselected by default; run with
 `pytest -m slow`)."""
 
+import json
+from pathlib import Path
+
 import pytest
+from click.testing import CliRunner
 
 import oracles
 from sl2q.checks import check_min_class_bounds, run_checks
+from sl2q.cli import main
 from sl2q.field import Field, prime_power, prime_powers_up_to
 from sl2q.products import min_product_classes
 
@@ -23,6 +28,22 @@ def test_full_suite_to_49():
             if not r.passed:
                 failures.append((q, r.check))
     assert failures == [(5, "value_set_counts")]
+
+
+def test_verify_to_32_report_unchanged():
+    # the checks' samples, comparisons and verdicts to q = 32 are pinned by
+    # the checksums of the report (time-derived keys excluded) and the CSV
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["verify", "--qmax", "32", "--no-cache", "--out", "v"])
+        assert res.exit_code == 1, res.output
+        report = json.loads(Path("v/report.json").read_text())
+        assert [(r["q"], r["check"]) for r in report["results"] if not r["passed"]] == [
+            (5, "value_set_counts")]
+        assert json.loads(Path("v/manifest.json").read_text())["checksums"] == {
+            "report.json": "7ffc2b776aa065890cc6481099c9268385b3fd071cd708b3fd6811176e0d3207",
+            "min_classes.csv": "9248f5a2674414ece07420a45c1ffbbeef53f76904e96fd1ee52979b34a7dda3",
+        }
 
 
 def test_minimum_bounds_to_64():

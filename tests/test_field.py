@@ -1,6 +1,7 @@
 """Field construction and arithmetic, exhaustive at small sizes."""
 
 import functools
+import gc
 import sys
 
 import pytest
@@ -104,6 +105,11 @@ def test_size_bound_checked_before_factoring(monkeypatch):
         make_field(10**18 + 3, 1)
     with pytest.raises(ValueError, match="bound"):
         make_field(Unpowered(2), 10**8)
+    # too many digits for str(): the refusal names the size by bit length
+    with pytest.raises(ValueError, match="bound"):
+        field_for(10**5000)
+    with pytest.raises(ValueError, match="bound"):
+        make_field(10**5000, 1)
     res = CliRunner().invoke(main, ["table", "--q", "1000000000000000003"])
     assert res.exit_code == 2
     assert "bound" in res.output
@@ -116,6 +122,42 @@ def test_tables_match_naive_oracle(q):
     F = Field(p, m)
     for name, table in oracles.naive_field_tables(p, m).items():
         assert getattr(F, name) == table, (q, name)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_during_build_and_restored(enabled, monkeypatch):
+    seen = []
+    real = field._digit_add_table
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(field, "_digit_add_table", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        Field(7, 1)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_restored_when_build_raises(enabled, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("table build failed")
+
+    monkeypatch.setattr(field, "_digit_add_table", broken)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="table build failed"):
+            Field(7, 1)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("p, m", [(1019, 1), (31, 2), (2, 10)])
