@@ -38,6 +38,7 @@ picking one:
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -47,9 +48,12 @@ from .classes import ClassLabel, _roots_of_one, class_table, classify, irreducib
 from .field import Field
 from .matrices import _conj4, _mul4, enumerate_sl2, mat
 from .products import (
+    _closed_form_count,
     _label_traces,
     _scan_labels,
     _semisimple_labels,
+    _unipotent_labels,
+    label_trace,
     min_product_classes,
     product_report,
 )
@@ -838,9 +842,13 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     eigenvalue-1 upper triangulars when q = 1 mod 4 and by the square one
     against itself otherwise; and exactly 2 for q = 3.
 
-    The minimum takes pairs of D and W classes from a closed form
-    (products._semisimple_labels); every such pair is also scanned, and a
-    difference fails the part ``semisimple_formula``.
+    The minimum counts every pair with a D or W factor by closed forms
+    (products._semisimple_labels for two D or W classes,
+    products._unipotent_labels for a U class against one, and the counts
+    products._closed_form_count takes from them).  Every such pair is also
+    scanned, the U ones in both operand orders, and a difference in the
+    labels or the count fails the part ``semisimple_formula`` or
+    ``unipotent_formula``.
     """
     name = "min_class_bounds"
     q = F.q
@@ -856,17 +864,23 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                 return _fail(name, q, details, part="central_pair",
                              pair=[str(ze.label), str(e.label)], classes=len(labels))
 
-    # min_product_classes counts D and W pairs by the closed form; the scan
-    # recomputes every such pair
+    # min_product_classes counts every pair with a D or W factor by the
+    # closed forms; the scan recomputes each such pair
     semisimple = [l for l in table.noncentral_labels() if l.kind in ("D", "W")]
-    for i, la in enumerate(semisimple):
-        for lb in semisimple[i:]:
-            formula, scan = _semisimple_labels(F, la, lb), _scan_labels(F, la, lb)
-            if formula != scan:
-                return _fail(name, q, details, part="semisimple_formula",
-                             pair=[str(la), str(lb)],
-                             formula_only=sorted(str(l) for l in formula - scan),
-                             scan_only=sorted(str(l) for l in scan - formula))
+    unipotent = [l for l in table.noncentral_labels() if l.kind == "U"]
+    formula_pairs = itertools.chain(
+        (("semisimple_formula", _semisimple_labels, la, lb)
+         for i, la in enumerate(semisimple) for lb in semisimple[i:]),
+        (("unipotent_formula", _unipotent_labels, la, lb)
+         for u in unipotent for s in semisimple for la, lb in ((u, s), (s, u))))
+    for part, kernel, la, lb in formula_pairs:
+        formula, scan = kernel(F, la, lb), _scan_labels(F, la, lb)
+        count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
+        if formula != scan or count != len(scan):
+            return _fail(name, q, details, part=part, pair=[str(la), str(lb)],
+                         formula_only=sorted(str(l) for l in formula - scan),
+                         scan_only=sorted(str(l) for l in scan - formula),
+                         count=count, classes=len(scan))
 
     min_val, witness = min_product_classes(F)
     details["min_classes"] = min_val

@@ -21,15 +21,18 @@ members per element of trace t in the field {xI + yB}, and a central
 factor needs a single member: O(q) members per pair instead of the whole O(q^2) class.
 Nothing is cached between calls.
 
-Pairs of D and W classes need no enumeration at all: their product is read
-off the two traces (:func:`_semisimple_labels`, with its proof), as a set
-in O(q) and as a count in O(1).  Only the O(q) pairs with a central or U
-factor are scanned, so the minimum over all pairs costs O(q^2): 0.005 s
-at q = 32, 0.02 s at q = 64, 0.26 s at q = 256, 22 s at q = 1019 and 6 s
-at q = 1024 (one core, Python 3.11), against 0.04 s, 0.31 s, 20 s and,
-extrapolated, 35 min when every pair was scanned.  The checks in
-checks.py scan every pair on purpose, so that they recompute the closed
-form rather than trust it.
+A pair with a D or W factor and no central one needs no enumeration: its
+product is read off the traces and labels, as a set in O(q) and as a count
+in O(1) (:func:`_semisimple_labels` for two D or W classes,
+:func:`_unipotent_labels` for a U class against one, each with its proof,
+and :func:`_closed_form_count`).  Only the pairs with a central factor (one
+member each) and the U x U pairs, at most 10 per field, are scanned.  So
+the minimum over all pairs costs O(q^2) constant-time counts: 0.001 s at
+q = 64, 0.02 s at q = 256, 0.24 s at q = 1019 and 0.18 s at q = 1024 (one
+core, Python 3.11), against 0.02 s, 0.26 s, 15 s and 5.5 s when the pairs
+with a U factor were scanned, and, extrapolated, 35 min at q = 1019 when
+every pair was.  The checks in checks.py scan every pair on purpose, so
+that they recompute the closed forms rather than trust them.
 """
 
 from __future__ import annotations
@@ -213,21 +216,6 @@ def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLab
     return frozenset(ClassLabel(*t) for t in _label_tuples(F, members, (rb.a, rb.b, rb.c, rb.d)))
 
 
-def _semisimple_pm2_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> list[ClassLabel]:
-    """The classes of trace 2r, r*r == 1, in the product of two noncentral
-    D or W classes, in O(1); :func:`_semisimple_labels` gives the proof."""
-    ta, tb = label_trace(F, la), label_trace(F, lb)
-    squares = (True,) if F.q % 2 == 0 else (True, False)
-    out = []
-    for r in _roots_of_one(F):
-        inverse = tb == F._mul[r][ta]  # C_b = r*C_a**-1
-        if inverse:
-            out.append(ClassLabel("Z", r))
-        if not (inverse and la.kind == "W"):
-            out += [ClassLabel("U", r, s) for s in squares]
-    return out
-
-
 def _semisimple_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
     """Labels of the product of two noncentral D or W classes, read off
     their traces in O(q): every D and W class, Z(r) exactly when
@@ -259,14 +247,99 @@ def _semisimple_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[Cl
     The scan in :func:`_scan_labels` recomputes this for every pair in the
     min_class_bounds check and the tests.
     """
-    semisimple = [l for l in class_table(F).labels() if l.kind in _SEMISIMPLE]
-    return frozenset(semisimple + _semisimple_pm2_labels(F, la, lb))
+    ta, tb = label_trace(F, la), label_trace(F, lb)
+    out = [l for l in class_table(F).labels() if l.kind in _SEMISIMPLE]
+    squares = (True,) if F.q % 2 == 0 else (True, False)
+    for r in _roots_of_one(F):
+        inverse = tb == F._mul[r][ta]  # C_b = r*C_a**-1
+        if inverse:
+            out.append(ClassLabel("Z", r))
+        if not (inverse and la.kind == "W"):
+            out += [ClassLabel("U", r, s) for s in squares]
+    return frozenset(out)
+
+
+def _unipotent_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
+    """Labels of the product of a U class U(r, sigma) and a noncentral D or
+    W class of trace t_b, in either operand order, read off the labels in
+    O(q): every D and W class except W(r*t_b) when the other class is of
+    kind W; no Z class; and for each s with s*s == 1 the one class
+    U(s, sigma) if t_b - 2*r*s is a square, else U(s, -sigma) (always
+    U(1, +) for even q, where every element is a square).  With k roots of
+    one (1 for even q, 2 for odd) there are q - k D and W classes, so the
+    product has q classes against a D class and q - 1 against a W class.
+
+    The order does not matter: X*Y = Y*(Y**-1*X*Y), so each of C_a*C_b and
+    C_b*C_a lies in the other.  Every nonzero nilpotent matrix is
+    N = e*[[-a*c, a*a], [-c*c, a*c]] for some e != 0 and v = (a, c) != 0,
+    and scaling v by x scales N by x*x.  So U(r, sigma) is the set of
+    X = r*(I + N) with e in one square class: v = (1, 0) gives
+    [[r, r*e], [0, r]], so sigma is the square class of r*e.  Fix Y in C_b
+    and take X over C_a, which gives every class of the product.
+
+    * D and W: tr(X*Y) = r*(t_b + e*Q(a, c)) with
+      Q(a, c) = tr(N*Y)/e = det[v | Y*v] = y21*a*a + (y22 - y11)*a*c - y12*c*c,
+      a binary quadratic form of discriminant t_b**2 - 4.  It vanishes at
+      v exactly when v is an eigenvector of Y.  A D matrix has one over
+      GF(q), so Q is isotropic and, being nondegenerate, takes every
+      value: tr(X*Y) takes every value.  A W matrix has none, so Q is
+      anisotropic, a multiple of the norm form of GF(q**2), and takes
+      every value but 0: tr(X*Y) takes every value but r*t_b, an
+      irreducible trace since r*C_b is a W class.  A trace other than +-2
+      fixes its class, so these are the D and W classes listed.
+    * Z(s): s*I = X*Y needs Y = s*X**-1 in a U class, and C_b is not one.
+    * U(s, .): s*u' with u' = [[1, f], [0, 1]], f != 0, lies in C_a*C_b iff
+      C_b meets C_a**-1 * s*u', that is (t_b is not +-2, so it fixes C_b)
+      iff tr(X**-1 * s*u') = t_b for some X in C_a.  With X**-1 =
+      r*(I - N) and N' = u' - I, tr((I - N)(I + N')) = 2 - tr(N*N') =
+      2 + e*f*c*c, so those traces are r*s*(2 + z) with z = 0 or z in
+      e*f times the nonzero squares.  As t_b != 2*r*s, t_b = r*s*(2 + z)
+      needs z = r*s*t_b - 2 = r*s*(t_b - 2*r*s) != 0, so s*u' appears iff
+      f lies in the square class of e*r*s*(t_b - 2*r*s).  The label of
+      s*u' = [[s, s*f], [0, s]] is the square class of s*f, which is then
+      that of r*e*(t_b - 2*r*s): sigma when t_b - 2*r*s is a square, and
+      -sigma otherwise.
+
+    The scan in :func:`_scan_labels` recomputes this for every pair in the
+    min_class_bounds check and the tests.
+    """
+    if la.kind != "U":
+        la, lb = lb, la
+    r, tb = la.x, label_trace(F, lb)
+    mul, sub, sq, two = F._mul, F._sub, F._sq, F._add[1][1]
+    dropped = mul[r][tb] if lb.kind == "W" else None
+    out = [l for l in class_table(F).labels()
+           if l.kind == "D" or (l.kind == "W" and l.x != dropped)]
+    for s in _roots_of_one(F):
+        out.append(ClassLabel("U", s, la.square == sq[sub[tb][mul[two][mul[r][s]]]]))
+    return frozenset(out)
+
+
+def _closed_form_count(F: Field, la: ClassLabel, lb: ClassLabel, ta: int, tb: int) -> int:
+    """len(_product_labels(F, la, lb)) for noncentral classes of traces ta
+    and tb, not both of kind U, in O(1).
+
+    With k roots of one (1 for even q, 2 for odd), a U class gives q
+    classes against a D class and q - 1 against a W class
+    (:func:`_unipotent_labels`).  Two D or W classes give their q - k
+    classes, k*k U classes, and for each r with t_b = r*t_a a Z(r), less
+    the k U(r, .) when they are of kind W (:func:`_semisimple_labels`).
+    """
+    q = F.q
+    if la.kind == "U" or lb.kind == "U":
+        return q - (la.kind == "W" or lb.kind == "W")
+    k = 2 if q % 2 else 1
+    inverse = (tb == ta) + (k == 2 and tb == F._neg[ta])
+    return q - k + k * k + inverse * (1 if la.kind == "D" else 1 - k)
 
 
 def _product_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    if la.kind in _SEMISIMPLE and lb.kind in _SEMISIMPLE:
-        return _semisimple_labels(F, la, lb)
-    return _scan_labels(F, la, lb)
+    kinds = {la.kind, lb.kind}
+    if "Z" in kinds or kinds == {"U"}:
+        return _scan_labels(F, la, lb)
+    if "U" in kinds:
+        return _unipotent_labels(F, la, lb)
+    return _semisimple_labels(F, la, lb)
 
 
 def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
@@ -314,20 +387,20 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     pairs, with the first witness pair in table order.
 
     Products are symmetric in their operands, so unordered pairs suffice.
-    Pairs of D and W classes are counted by the closed form, the others
-    scanned.
+    Pairs with a D or W factor are counted by the closed forms
+    (:func:`_closed_form_count`), from traces computed once; only the U x U
+    pairs, at most 10, are scanned.
     """
-    table = class_table(F)
-    labels = table.noncentral_labels()
-    n_semisimple = sum(l.kind in _SEMISIMPLE for l in labels)
+    labels = class_table(F).noncentral_labels()
+    traces = [label_trace(F, l) for l in labels]
     best_n: int | None = None
     best_pair: tuple[ClassLabel, ClassLabel] | None = None
-    for i, la in enumerate(labels):
-        for lb in labels[i:]:
-            if la.kind in _SEMISIMPLE and lb.kind in _SEMISIMPLE:
-                n = n_semisimple + len(_semisimple_pm2_labels(F, la, lb))
-            else:
+    for i, (la, ta) in enumerate(zip(labels, traces)):
+        for lb, tb in zip(labels[i:], traces[i:]):
+            if la.kind == "U" and lb.kind == "U":
                 n = len(_scan_labels(F, la, lb))
+            else:
+                n = _closed_form_count(F, la, lb, ta, tb)
             if best_n is None or n < best_n:
                 best_n, best_pair = n, (la, lb)
     assert best_n is not None and best_pair is not None

@@ -270,3 +270,23 @@ def test_semisimple_formula_fault_injection(q, monkeypatch):
     assert r.counterexample["pair"] == [w, w]
     assert r.counterexample["formula_only"] == ["U(1,+)"]
     assert r.counterexample["scan_only"] == []
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_unipotent_formula_fault_injection(q, monkeypatch):
+    # W(r*t_b) put back into U(r) x W: the scan inside min_class_bounds must
+    # catch the closed form, here at U(1,+) against the first W class
+    real = checks._unipotent_labels
+
+    def evil(F, la, lb):
+        return real(F, la, lb) | {l for l in checks.class_table(F).labels() if l.kind == "W"}
+
+    monkeypatch.setattr(checks, "_unipotent_labels", evil)
+    F = oracles.field_for(q)
+    w = str(next(l for l in checks.class_table(F).labels() if l.kind == "W"))
+    r = check_min_class_bounds(F)
+    assert not r.passed
+    assert r.counterexample["part"] == "unipotent_formula"
+    assert r.counterexample["pair"] == ["U(1,+)", w]
+    assert r.counterexample["formula_only"] == [w]
+    assert r.counterexample["scan_only"] == []

@@ -113,6 +113,17 @@ def test_min_command(runner):
     assert json.loads(res.output)["min"] == 7
 
 
+@pytest.mark.parametrize("q,expected", [
+    (1019, {"q": 1019, "min": 511, "witness": ["U(1,+)", "U(1,+)"]}),
+    (1024, {"q": 1024, "min": 1023, "witness": ["U(1,+)", "W(3)"]}),
+])
+def test_min_command_at_largest_fields(runner, q, expected):
+    # the values and first witnesses of a full scan of every pair
+    res = runner.invoke(main, ["min", "--q", str(q), "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == expected
+
+
 def test_sweep_csv(runner):
     res = runner.invoke(main, ["sweep", "--qmax", "4"])
     assert res.exit_code == 0

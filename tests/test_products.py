@@ -1,7 +1,7 @@
 """Class products: the directly enumerated class against the orbit oracles,
 every pair against the fixed-factor oracle, the fixed-factor product
-against double enumeration, the closed form for D and W pairs against the
-scan, and the headline minimum values."""
+against double enumeration, the closed forms for pairs with a D or W
+factor against the scan, and the headline minimum values."""
 
 import contextlib
 import io
@@ -19,9 +19,10 @@ from sl2q.field import make_field, prime_factors, prime_powers_up_to
 from sl2q.matrices import Mat2, _conj4, enumerate_sl2, mat
 from sl2q.products import (
     _class_members,
+    _closed_form_count,
     _scan_labels,
     _semisimple_labels,
-    _semisimple_pm2_labels,
+    _unipotent_labels,
     class_product_labels,
     label_trace,
     min_product_classes,
@@ -88,13 +89,13 @@ def test_products_match_fixed_factor_oracle(q):
             assert set(report.traces) == traces, (ea.label, eb.label)
 
 
-def assert_semisimple_formula_matches_scan(F, pairs):
-    # the label set, and the count min_product_classes takes from it
-    n_semisimple = sum(l.kind in "DW" for l in class_table(F).noncentral_labels())
+def assert_formula_matches_scan(F, kernel, pairs):
+    # the label set, and the count min_product_classes takes in O(1)
     for la, lb in pairs:
         scan = _scan_labels(F, la, lb)
-        assert _semisimple_labels(F, la, lb) == scan, (F.q, la, lb)
-        assert n_semisimple + len(_semisimple_pm2_labels(F, la, lb)) == len(scan), (F.q, la, lb)
+        assert kernel(F, la, lb) == scan, (F.q, la, lb)
+        count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
+        assert count == len(scan), (F.q, la, lb)
 
 
 def semisimple_pairs(F):
@@ -102,17 +103,23 @@ def semisimple_pairs(F):
     return [(la, lb) for i, la in enumerate(labels) for lb in labels[i:]]
 
 
+def unipotent_pairs(F, both_orders=True):
+    labels = class_table(F).noncentral_labels()
+    pairs = [(u, l) for u in labels if u.kind == "U" for l in labels if l.kind in "DW"]
+    return pairs + [(l, u) for u, l in pairs] if both_orders else pairs
+
+
 @pytest.mark.parametrize("q", prime_powers_up_to(49))
 def test_semisimple_formula_matches_scan(q):
     F = oracles.field_for(q)
-    assert_semisimple_formula_matches_scan(F, semisimple_pairs(F))
+    assert_formula_matches_scan(F, _semisimple_labels, semisimple_pairs(F))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", [q for q in prime_powers_up_to(128) if q > 49])
 def test_semisimple_formula_matches_scan_to_128(q):
     F = oracles.field_for(q)
-    assert_semisimple_formula_matches_scan(F, semisimple_pairs(F))
+    assert_formula_matches_scan(F, _semisimple_labels, semisimple_pairs(F))
 
 
 @pytest.mark.slow
@@ -133,13 +140,35 @@ def test_semisimple_formula_matches_scan_sampled(q):
         else:
             lb = by_trace[F._mul[rng.choice(roots)][products.label_trace(F, la)]]
         pairs.append((la, lb))
-    assert_semisimple_formula_matches_scan(F, pairs)
+    assert_formula_matches_scan(F, _semisimple_labels, pairs)
+
+
+@pytest.mark.parametrize("q", prime_powers_up_to(49))
+def test_unipotent_formula_matches_scan(q):
+    # every ordered pair of a U class and a D or W class
+    F = oracles.field_for(q)
+    assert_formula_matches_scan(F, _unipotent_labels, unipotent_pairs(F))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [q for q in prime_powers_up_to(128) if q > 49])
+def test_unipotent_formula_matches_scan_to_128(q):
+    F = oracles.field_for(q)
+    assert_formula_matches_scan(F, _unipotent_labels, unipotent_pairs(F))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [509, 512, 1019, 1024])
+def test_unipotent_formula_matches_scan_at_largest_fields(q):
+    # every pair, U class first; the test above covers the other order
+    F = oracles.field_for(q)
+    assert_formula_matches_scan(F, _unipotent_labels, unipotent_pairs(F, both_orders=False))
 
 
 @pytest.mark.parametrize("q", [16, 25])
-def test_min_scans_only_pairs_with_a_unipotent_factor(q, monkeypatch):
-    # D and W pairs are counted by the closed form: the minimum scans the
-    # O(q) pairs with a U factor and no other
+def test_min_scans_only_unipotent_pairs(q, monkeypatch):
+    # every pair with a D or W factor is counted by the closed forms: the
+    # minimum scans the U x U pairs and no other
     scanned = []
     scan = products._scan_labels
 
@@ -149,12 +178,25 @@ def test_min_scans_only_pairs_with_a_unipotent_factor(q, monkeypatch):
 
     monkeypatch.setattr(products, "_scan_labels", recording_scan)
     F = oracles.field_for(q)
-    labels = class_table(F).noncentral_labels()
-    with_u = [(la, lb) for i, la in enumerate(labels) for lb in labels[i:]
-              if "U" in (la.kind, lb.kind)]
+    us = [l for l in class_table(F).noncentral_labels() if l.kind == "U"]
     min_product_classes(F)
-    assert scanned == with_u
-    assert len(with_u) == (4 if q % 2 else 1) * len(labels) - (6 if q % 2 else 0)
+    assert scanned == [(la, lb) for i, la in enumerate(us) for lb in us[i:]]
+    assert len(scanned) == (10 if q % 2 else 1)
+
+
+@pytest.mark.parametrize("q", prime_powers_up_to(49))
+def test_min_matches_scan_of_every_pair(q):
+    # the minimum and its first witness in table order, against the scan
+    # of every unordered noncentral pair
+    F = oracles.field_for(q)
+    labels = class_table(F).noncentral_labels()
+    best = None
+    for i, la in enumerate(labels):
+        for lb in labels[i:]:
+            n = len(_scan_labels(F, la, lb))
+            if best is None or n < best[0]:
+                best = (n, (la, lb))
+    assert min_product_classes(F) == best
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
