@@ -2,9 +2,11 @@
 product class-count bounds.
 
 Each check recomputes a claim from first principles: exhaustive loops over
-small fields (per-check thresholds below) and seeded random sampling above
-them, so results are deterministic given (p, m, seed).  A failing check
-always carries a counterexample payload.
+small fields and seeded random sampling above them, so results are
+deterministic given (p, m, seed).  The formula checks run over every
+conjugator for q <= ``FORMULA_EXHAUSTIVE_LIMIT`` (9); the value sets are
+exhaustive for even q <= 16 and odd q <= ``ODD_VALUE_SET_EXHAUSTIVE_LIMIT``
+(13).  A failing check always carries a counterexample payload.
 
 The formula checks sample their parameters with ``_take``: a partial
 Fisher-Yates shuffle fed by ``getrandbits`` with rejection of draws that
@@ -46,7 +48,7 @@ from typing import Callable
 
 from .classes import ClassLabel, _roots_of_one, class_table, classify, irreducible_traces
 from .field import Field
-from .matrices import _conj4, _mul4, enumerate_sl2, mat
+from .matrices import _conj4, enumerate_sl2, mat
 from .products import (
     _closed_form_count,
     _label_traces,
@@ -57,6 +59,9 @@ from .products import (
     min_product_classes,
     product_report,
 )
+
+FORMULA_EXHAUSTIVE_LIMIT = 9
+ODD_VALUE_SET_EXHAUSTIVE_LIMIT = 13
 
 
 @dataclass
@@ -224,23 +229,25 @@ def _random_sl2(F: Field, rng: random.Random) -> tuple:
     return (a, b, c, mul[inv[a]][add[1][mul[b][c]]])
 
 
-def _generator_pairs(F: Field):
-    neg = F._neg
+def _generators(F: Field) -> list[tuple]:
+    """[[1,x],[0,1]] and [[1,0],[x,1]] for the basis codes x = p**k, k < m."""
     gens = []
     for k in range(F.m):
         x = F.p**k
-        gens.append(((1, x, 0, 1), (1, neg[x], 0, 1)))
-        gens.append(((1, 0, x, 1), (1, 0, neg[x], 1)))
+        gens += [(1, x, 0, 1), (1, 0, x, 1)]
     return gens
 
 
-def _conjugators(F: Field, tag: str, seed: int, exhaustive_limit: int, samples: int = 400) -> list[tuple]:
-    if F.q <= exhaustive_limit:
-        return [(C.a, C.b, C.c, C.d) for C in enumerate_sl2(F)]
+def _formula_samples(F: Field, tag: str, seed: int) -> tuple[list[tuple], random.Random | None]:
+    """The conjugators of a formula check and the generator that samples its
+    family parameters: every element of SL(2, q) and no generator (every
+    parameter) for q <= FORMULA_EXHAUSTIVE_LIMIT, else the identity, the
+    generators and 400 seeded random elements."""
+    if F.q <= FORMULA_EXHAUSTIVE_LIMIT:
+        return [(C.a, C.b, C.c, C.d) for C in enumerate_sl2(F)], None
     rng = _rng(F, tag, seed)
-    out = [(1, 0, 0, 1)] + [g for g, _ in _generator_pairs(F)]
-    out += [_random_sl2(F, rng) for _ in range(samples)]
-    return out
+    Cs = [(1, 0, 0, 1)] + _generators(F) + [_random_sl2(F, rng) for _ in range(400)]
+    return Cs, _rng(F, tag + ":params", seed)
 
 
 def _take(rng: random.Random | None, values, cap: int = 10) -> list:
@@ -278,10 +285,23 @@ def _agreeing(got: list, want: list) -> int:
                 min(len(got), len(want)))
 
 
-def _trace_of_conj_product(F: Field, C: tuple, A: tuple, B: tuple) -> int:
+def _grid(rng: random.Random, exhaustive: bool, n: int, *pools) -> list[tuple]:
+    """Every tuple of ``itertools.product(*pools)`` in the exhaustive
+    regime, else `n` tuples drawn with one ``rng.choice`` per pool."""
+    if exhaustive:
+        return list(itertools.product(*pools))
+    return [tuple(rng.choice(pool) for pool in pools) for _ in range(n)]
+
+
+def _family_traces(F: Field, Cs: list, A: tuple, B: tuple) -> list:
+    """trace(C**-1 * A * C * B) for each conjugator C in Cs."""
     mul, add, neg = F._mul, F._add, F._neg
-    t = _mul4(mul, add, _conj4(mul, add, neg, C, A), B)
-    return add[t[0]][t[3]]
+    b00, b01, b10, b11 = (mul[x] for x in B)
+    traces = []
+    for C in Cs:
+        t00, t01, t10, t11 = _conj4(mul, add, neg, C, A)
+        traces.append(add[add[b00[t00]][b10[t01]]][add[b01[t10]][b11[t11]]])
+    return traces
 
 
 def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
@@ -292,74 +312,49 @@ def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
 # checks
 # ---------------------------------------------------------------------------
 
-def check_conjugation_formulas(F: Field, *, seed: int = 0, exhaustive_limit: int = 9) -> CheckResult:
+def check_conjugation_formulas(F: Field, *, seed: int = 0) -> CheckResult:
     """Closed-form conjugates against direct matrix computation.
 
-    Exhaustive over conjugators up to the limit (and over conjugated
-    matrices too when q <= 4); seeded samples above.
+    Exhaustive over conjugators up to FORMULA_EXHAUSTIVE_LIMIT (and over
+    conjugated matrices too when q <= 4); seeded samples above.
     """
     name = "conjugation_formulas"
     q = F.q
-    mul, add, neg = F._mul, F._add, F._neg
-    exhaustive = q <= exhaustive_limit
-    Cs = _conjugators(F, name, seed, exhaustive_limit)
-    prng = None if exhaustive else _rng(F, name + ":params", seed)
-    details = {"conjugators": len(Cs), "exhaustive": exhaustive, "comparisons": 0}
+    mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
+    Cs, prng = _formula_samples(F, name, seed)
+    details = {"conjugators": len(Cs), "exhaustive": prng is None, "comparisons": 0}
 
     if q <= 4:
         As = [(M.a, M.b, M.c, M.d) for M in enumerate_sl2(F)]
     else:
         rng = _rng(F, name + ":A", seed)
         As = [_random_sl2(F, rng) for _ in range(60)]
-    for A in As:
-        for C in Cs:
-            want = _conj4(mul, add, neg, C, A)
-            got = conj_form_general(F, C, A)
-            details["comparisons"] += 1
-            if got != want:
-                return _fail(name, q, details, form="general", C=list(C), A=list(A),
-                             closed_form=list(got), direct=list(want))
+    # (form, conjugated matrix, payload, closed form, its arguments after C)
+    cases = [("general", A, {"A": list(A)}, conj_form_general, (A,)) for A in As]
+    cases += [("diagonal", (r, 0, 0, inv[r]), {"params": {"r": r, "s": inv[r]}},
+               conj_form_diagonal, (r, inv[r])) for r in _take(prng, range(1, q))]
+    cases += [("upper", (s, u, 0, s), {"params": {"s": s, "u": u}}, conj_form_upper, (s, u))
+              for s in _roots_of_one(F) for u in _take(prng, range(1, q))]
+    cases += [("companion", (0, 1, neg[1], w), {"params": {"w": w}}, conj_form_companion, (w,))
+              for w in _take(prng, range(q))]
 
-    inv = F._inv
-    for r in _take(prng, range(1, q)):
-        s = inv[r]
-        a4 = (r, 0, 0, s)
-        for C in Cs:
-            want = _conj4(mul, add, neg, C, a4)
-            got = conj_form_diagonal(F, C, r, s)
-            details["comparisons"] += 1
-            if got != want:
-                return _fail(name, q, details, form="diagonal", C=list(C), params={"r": r, "s": s},
-                             closed_form=list(got), direct=list(want))
-
-    for s in _roots_of_one(F):
-        for u in _take(prng, range(1, q)):
-            a4 = (s, u, 0, s)
-            for C in Cs:
-                want = _conj4(mul, add, neg, C, a4)
-                got = conj_form_upper(F, C, s, u)
-                details["comparisons"] += 1
-                if got != want:
-                    return _fail(name, q, details, form="upper", C=list(C), params={"s": s, "u": u},
-                                 closed_form=list(got), direct=list(want))
-
-    neg1 = neg[1]
-    for w in _take(prng, range(q)):
-        a4 = (0, 1, neg1, w)
-        for C in Cs:
-            want = _conj4(mul, add, neg, C, a4)
-            got = conj_form_companion(F, C, w)
-            details["comparisons"] += 1
-            if got != want:
-                return _fail(name, q, details, form="companion", C=list(C), params={"w": w},
-                             closed_form=list(got), direct=list(want))
+    for form, a4, payload, closed_form, args in cases:
+        # map hands each call its arguments without building a tuple per C
+        got = list(map(closed_form, itertools.repeat(F), Cs, *map(itertools.repeat, args)))
+        want = [_conj4(mul, add, neg, C, a4) for C in Cs]
+        n = _agreeing(got, want)
+        if n < len(Cs):
+            details["comparisons"] += n + 1
+            return _fail(name, q, details, form=form, C=list(Cs[n]), **payload,
+                         closed_form=list(got[n]), direct=list(want[n]))
+        details["comparisons"] += n
 
     return CheckResult(name, q, True, None, details)
 
 
-def check_trace_formulas(F: Field, *, seed: int = 0, exhaustive_limit: int = 9) -> CheckResult:
+def check_trace_formulas(F: Field, *, seed: int = 0) -> CheckResult:
     """The six product-trace closed forms against direct computation, over
-    every conjugator (up to the limit) and all family parameters.
+    every conjugator (up to FORMULA_EXHAUSTIVE_LIMIT) and all family parameters.
 
     Also settles the diagonal-by-upper sign question: the t*(r+s) form is
     compared as the claim, the t*(r-s) variant is merely recorded (it can
@@ -368,10 +363,8 @@ def check_trace_formulas(F: Field, *, seed: int = 0, exhaustive_limit: int = 9) 
     name = "trace_formulas"
     q = F.q
     mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
-    exhaustive = q <= exhaustive_limit
-    Cs = _conjugators(F, name, seed, exhaustive_limit)
-    prng = None if exhaustive else _rng(F, name + ":params", seed)
-    details = {"conjugators": len(Cs), "exhaustive": exhaustive, "comparisons": 0}
+    Cs, prng = _formula_samples(F, name, seed)
+    details = {"conjugators": len(Cs), "exhaustive": prng is None, "comparisons": 0}
     roots1 = _roots_of_one(F)
     neg1 = neg[1]
     units, elems = list(range(1, q)), list(range(q))
@@ -460,7 +453,7 @@ def check_trace_formulas(F: Field, *, seed: int = 0, exhaustive_limit: int = 9) 
     return CheckResult(name, q, True, None, details)
 
 
-def check_value_set_counts(F: Field, *, seed: int = 0, exhaustive_limit: int = 13) -> CheckResult:
+def check_value_set_counts(F: Field, *, seed: int = 0) -> CheckResult:
     """Cardinalities of the quadratic value sets that drive the trace
     coverage arguments.
 
@@ -486,7 +479,10 @@ def check_value_set_counts(F: Field, *, seed: int = 0, exhaustive_limit: int = 1
     name = "value_set_counts"
     q = F.q
     mul, add, sub, neg, sq = F._mul, F._add, F._sub, F._neg, F._sq
-    details: dict = {"exhaustive": q <= (16 if q % 2 == 0 else exhaustive_limit)}
+    exhaustive = q <= (16 if q % 2 == 0 else ODD_VALUE_SET_EXHAUSTIVE_LIMIT)
+    rng = _rng(F, name, seed)
+    units, elems = range(1, q), range(q)
+    details: dict = {"exhaustive": exhaustive}
     status: dict = {}
     details["part_status"] = status
     counterexample: dict | None = None
@@ -499,11 +495,7 @@ def check_value_set_counts(F: Field, *, seed: int = 0, exhaustive_limit: int = 1
             counterexample = {"part": part, **payload}
 
     if q % 2 == 0:
-        pairs = (
-            [(a, c) for a in range(1, q) for c in range(q)]
-            if q <= 16 else
-            [(r.randrange(1, q), r.randrange(q)) for r in [_rng(F, name, seed)] for _ in range(300)]
-        )
+        pairs = _grid(rng, exhaustive, 300, units, elems)
         for a, c in pairs:
             img = {add[mul[a][si]][c] for si in squares}
             flag("affine_square_image", len(img) == q,
@@ -512,11 +504,7 @@ def check_value_set_counts(F: Field, *, seed: int = 0, exhaustive_limit: int = 1
         return CheckResult(name, q, counterexample is None, counterexample, details)
 
     half = (q + 1) // 2
-    rng = _rng(F, name, seed)
-    if q <= exhaustive_limit:
-        triples = [(a, b, c) for a in range(1, q) for b in range(q) for c in range(q)]
-    else:
-        triples = [(rng.randrange(1, q), rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+    triples = _grid(rng, exhaustive, 300, units, elems, elems)
     for a, b, c in triples:
         img = {add[add[mul[a][squares[i]]][mul[b][i]]][c] for i in range(q)}
         flag("quadratic_image", len(img) == half,
@@ -524,10 +512,7 @@ def check_value_set_counts(F: Field, *, seed: int = 0, exhaustive_limit: int = 1
     details["quadratic_images"] = len(triples)
 
     if q > 3:
-        if q <= exhaustive_limit:
-            mix_pairs = [(a, b) for a in range(1, q) for b in range(1, q)]
-        else:
-            mix_pairs = [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(200)]
+        mix_pairs = _grid(rng, exhaustive, 200, units, units)
         for a, b in mix_pairs:
             vals = {add[mul[a][squares[x]]][mul[b][squares[y]]]
                     for x in range(1, q) for y in range(1, q)}
@@ -539,10 +524,7 @@ def check_value_set_counts(F: Field, *, seed: int = 0, exhaustive_limit: int = 1
 
     four = add[add[1][1]][add[1][1]]
     good_s = [s for s in range(q) if sub[mul[s][s]][four] != 0]
-    if q <= exhaustive_limit:
-        two_var = [(u, s, r) for u in range(1, q) for s in good_s for r in range(q)]
-    else:
-        two_var = [(rng.randrange(1, q), rng.choice(good_s), rng.randrange(q)) for _ in range(200)]
+    two_var = _grid(rng, exhaustive, 200, units, good_s, elems)
     for u, s, r in two_var:
         vals = set()
         for x in range(q):
@@ -609,6 +591,8 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
                              missing=sorted(full - ts))
             details["pairs"] += 1
 
+    upper_family = [(1, i, 0, 1) for i in range(q)]
+    other_family = [(i, sub[i][1], 1, 1) for i in range(q)]
     for ea in splits:
         r = ea.label.x
         s = inv[r]
@@ -616,28 +600,23 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
         for eb in noncentral:
             lb = eb.label
             b4 = (eb.rep.a, eb.rep.b, eb.rep.c, eb.rep.d)
-            got = set()
-            for i in range(q):
-                if lb.kind == "W":
-                    C = (1, i, 0, 1)
-                    expect = add[mul[sub[s][r]][i]][mul[lb.x][s]]
-                else:
-                    C = (i, sub[i][1], 1, 1)
-                    if lb.kind == "D":
-                        u, v = lb.x, inv[lb.x]
-                        expect = add[mul[mul[sub[r][s]][sub[u][v]]][i]][add[mul[u][s]][mul[v][r]]]
-                    else:
-                        t = lb.x
-                        u = 1 if lb.square else F.least_nonsquare
-                        expect = add[neg[mul[mul[sub[r][s]][u]][i]]][mul[t][add[r][s]]]
-                tr = _trace_of_conj_product(F, C, a4, b4)
-                if tr != expect:
-                    return _fail(name, q, details, pair=[str(ea.label), str(lb)],
-                                 family_index=i, expected=expect, direct=tr)
-                got.add(tr)
-            if got != set(range(q)):
+            # each family's trace is linear in i: slope * i + base
+            if lb.kind == "W":
+                Cs, slope, base = upper_family, sub[s][r], mul[lb.x][s]
+            elif lb.kind == "D":
+                u, v = lb.x, inv[lb.x]
+                Cs, slope, base = other_family, mul[sub[r][s]][sub[u][v]], add[mul[u][s]][mul[v][r]]
+            else:
+                u = 1 if lb.square else F.least_nonsquare
+                Cs, slope, base = other_family, neg[mul[sub[r][s]][u]], mul[lb.x][add[r][s]]
+            expect = [add[mul[slope][i]][base] for i in range(q)]
+            got = _family_traces(F, Cs, a4, b4)
+            if (i := _agreeing(got, expect)) < q:
                 return _fail(name, q, details, pair=[str(ea.label), str(lb)],
-                             family_traces=sorted(got))
+                             family_index=i, expected=expect[i], direct=got[i])
+            if set(got) != full:
+                return _fail(name, q, details, pair=[str(ea.label), str(lb)],
+                             family_traces=sorted(set(got)))
             details["witness_families"] += 1
 
     return CheckResult(name, q, True, None, details)
@@ -657,74 +636,62 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     if q % 2:
         raise ValueError("even-characteristic check requires even q")
     mul, add, inv = F._mul, F._add, F._inv
-    table = class_table(F)
-    u_entry = next(e for e in table.entries if e.label.kind == "U")
-    w_entries = [e for e in table.entries if e.label.kind == "W"]
-    details = {"irreducible_classes": len(w_entries), "pairs": 0}
+    labels = class_table(F).labels()
+    u_label = next(l for l in labels if l.kind == "U")
+    w_labels = [l for l in labels if l.kind == "W"]
+    details = {"irreducible_classes": len(w_labels), "pairs": 0}
     full = frozenset(range(q))
     u4 = (1, 1, 0, 1)
-    noncentral_reps = [u_entry] + w_entries
-    products = {
-        (e1.label, e2.label): _scan_labels(F, e1.label, e2.label)
-        for i1, e1 in enumerate(noncentral_reps) for e2 in noncentral_reps[i1:]
-    }
+    products = {(l1, l2): _scan_labels(F, l1, l2)
+                for l1, l2 in itertools.combinations_with_replacement([u_label] + w_labels, 2)}
 
-    def traces(e1, e2):
-        return _label_traces(F, products[(e1.label, e2.label)])
+    def traces(l1, l2):
+        return _label_traces(F, products[(l1, l2)])
 
-    fam = set()
-    for i in range(q):
-        tr = _trace_of_conj_product(F, (1, 0, i, 1), u4, u4)
-        if tr != mul[i][i]:
-            return _fail(name, q, details, part="upper_upper_family", i=i,
-                         expected=mul[i][i], direct=tr)
-        fam.add(tr)
-    if fam != full or traces(u_entry, u_entry) != full:
-        return _fail(name, q, details, part="upper_upper_traces", traces=sorted(fam))
+    squares = [mul[i][i] for i in range(q)]
+    got = _family_traces(F, [(1, 0, i, 1) for i in range(q)], u4, u4)
+    if (i := _agreeing(got, squares)) < q:
+        return _fail(name, q, details, part="upper_upper_family", i=i,
+                     expected=squares[i], direct=got[i])
+    if set(got) != full or traces(u_label, u_label) != full:
+        return _fail(name, q, details, part="upper_upper_traces", traces=sorted(set(got)))
 
-    for ew in w_entries:
-        w = ew.label.x
+    # the family runs over i = 1 .. q-1, so list index n is i = n + 1
+    diagonal_family = [(inv[i], 0, 0, i) for i in range(1, q)]
+    for lw in w_labels:
+        w = lw.x
         b4 = (0, 1, 1, w)  # -1 == 1 here
-        fam = set()
-        for i in range(1, q):
-            tr = _trace_of_conj_product(F, (inv[i], 0, 0, i), u4, b4)
-            if tr != add[mul[i][i]][w]:
-                return _fail(name, q, details, part="upper_companion_family",
-                             w=w, i=i, expected=add[mul[i][i]][w], direct=tr)
-            fam.add(tr)
-        if len(fam) != q - 1:
+        want = [add[x][w] for x in squares[1:]]
+        got = _family_traces(F, diagonal_family, u4, b4)
+        if (n := _agreeing(got, want)) < q - 1:
+            return _fail(name, q, details, part="upper_companion_family",
+                         w=w, i=n + 1, expected=want[n], direct=got[n])
+        if len(set(got)) != q - 1:
             return _fail(name, q, details, part="upper_companion_family_size",
-                         w=w, size=len(fam))
-        ts = traces(u_entry, ew)
+                         w=w, size=len(set(got)))
+        ts = traces(u_label, lw)
         if ts != full - {w}:
             return _fail(name, q, details, part="upper_companion_trace_exclusion",
                          w=w, traces=sorted(ts))
 
-    for i1, e1 in enumerate(w_entries):
-        for e2 in w_entries[i1:]:
-            w, v = e1.label.x, e2.label.x
-            a4 = (0, 1, 1, w)
-            b4 = (0, 1, 1, v)
-            vw = mul[v][w]
-            fam = set()
-            for i in range(q):
-                ii1 = add[i][1]
-                tr = _trace_of_conj_product(F, (ii1, i, i, ii1), a4, b4)
-                if tr != mul[vw][add[mul[i][i]][1]]:
-                    return _fail(name, q, details, part="companion_companion_family",
-                                 w=w, v=v, i=i, direct=tr)
-                fam.add(tr)
-            if fam != full or traces(e1, e2) != full:
-                return _fail(name, q, details, part="companion_companion_traces",
-                             w=w, v=v, traces=sorted(fam))
+    companion_family = [(add[i][1], i, i, add[i][1]) for i in range(q)]
+    for l1, l2 in itertools.combinations_with_replacement(w_labels, 2):
+        w, v = l1.x, l2.x
+        vw = mul[v][w]
+        want = [mul[vw][add[x][1]] for x in squares]
+        got = _family_traces(F, companion_family, (0, 1, 1, w), (0, 1, 1, v))
+        if (i := _agreeing(got, want)) < q:
+            return _fail(name, q, details, part="companion_companion_family",
+                         w=w, v=v, i=i, direct=got[i])
+        if set(got) != full or traces(l1, l2) != full:
+            return _fail(name, q, details, part="companion_companion_traces",
+                         w=w, v=v, traces=sorted(set(got)))
 
-    for i1, e1 in enumerate(noncentral_reps):
-        for e2 in noncentral_reps[i1:]:
-            n = len(products[(e1.label, e2.label)])
-            if n < q - 1:
-                return _fail(name, q, details, pair=[str(e1.label), str(e2.label)],
-                             classes=n, expected_at_least=q - 1)
-            details["pairs"] += 1
+    for (l1, l2), labels in products.items():
+        if len(labels) < q - 1:
+            return _fail(name, q, details, pair=[str(l1), str(l2)],
+                         classes=len(labels), expected_at_least=q - 1)
+        details["pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
 
@@ -759,74 +726,70 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         raise ValueError("odd-characteristic check requires odd q > 3")
     mul, add, sub, neg, sq = F._mul, F._add, F._sub, F._neg, F._sq
     table = class_table(F)
-    u_entries = [e for e in table.entries if e.label.kind == "U"]
-    w_entries = [e for e in table.entries if e.label.kind == "W"]
+    u_labels = [l for l in table.labels() if l.kind == "U"]
+    w_labels = [l for l in table.labels() if l.kind == "W"]
     details = {"uu_pairs": 0, "uw_pairs": 0, "ww_pairs": 0,
                "witness_sets_without_nonsquare": 0, "zero_trace_self_pairs_exempt": 0}
     nu = F.least_nonsquare
     half_plus = (q + 3) // 2
 
-    for i1, e1 in enumerate(u_entries):
-        for e2 in u_entries[i1:]:
-            r, u = e1.label.x, 1 if e1.label.square else nu
-            t, w = e2.label.x, 1 if e2.label.square else nu
-            rw, tu = mul[r][w], mul[t][u]
-            wit = {add[mul[rw][mul[y][y]]][mul[tu][mul[x][x]]]
-                   for x in range(1, q) for y in range(1, q)}
-            if not any(not sq[v] for v in wit):
-                details["witness_sets_without_nonsquare"] += 1
-            rt = mul[r][t]
-            wit_labels = {classify(F, mat(F, rt, e, 0, rt)) for e in wit}
-            labels = _scan_labels(F, e1.label, e2.label)
-            if len(wit_labels) < 2 or not wit_labels <= labels:
-                return _fail(name, q, details, part="upper_upper_witnesses",
-                             pair=[str(e1.label), str(e2.label)],
-                             witnesses=sorted(str(l) for l in wit_labels),
-                             found=sorted(str(l) for l in labels))
-            ts = _label_traces(F, labels)
-            fam = {sub[add[rt][rt]][mul[mul[u][w]][mul[i][i]]] for i in range(q)}
-            if len(ts) < (q + 1) // 2 or not fam <= ts:
-                return _fail(name, q, details, part="upper_upper_traces",
-                             pair=[str(e1.label), str(e2.label)], traces=sorted(ts))
-            if len(labels) < half_plus:
-                return _fail(name, q, details, part="upper_upper_bound",
-                             pair=[str(e1.label), str(e2.label)], classes=len(labels))
-            details["uu_pairs"] += 1
+    for l1, l2 in itertools.combinations_with_replacement(u_labels, 2):
+        pair = [str(l1), str(l2)]
+        r, u = l1.x, 1 if l1.square else nu
+        t, w = l2.x, 1 if l2.square else nu
+        rw, tu = mul[r][w], mul[t][u]
+        wit = {add[mul[rw][mul[y][y]]][mul[tu][mul[x][x]]]
+               for x in range(1, q) for y in range(1, q)}
+        if not any(not sq[v] for v in wit):
+            details["witness_sets_without_nonsquare"] += 1
+        rt = mul[r][t]
+        wit_labels = {classify(F, mat(F, rt, e, 0, rt)) for e in wit}
+        labels = _scan_labels(F, l1, l2)
+        if len(wit_labels) < 2 or not wit_labels <= labels:
+            return _fail(name, q, details, part="upper_upper_witnesses", pair=pair,
+                         witnesses=sorted(str(l) for l in wit_labels),
+                         found=sorted(str(l) for l in labels))
+        ts = _label_traces(F, labels)
+        fam = {sub[add[rt][rt]][mul[mul[u][w]][mul[i][i]]] for i in range(q)}
+        if len(ts) < (q + 1) // 2 or not fam <= ts:
+            return _fail(name, q, details, part="upper_upper_traces", pair=pair,
+                         traces=sorted(ts))
+        if len(labels) < half_plus:
+            return _fail(name, q, details, part="upper_upper_bound", pair=pair,
+                         classes=len(labels))
+        details["uu_pairs"] += 1
 
-    for e1 in u_entries:
-        for e2 in w_entries:
-            n = len(_scan_labels(F, e1.label, e2.label))
-            if n < q - 1:
-                return _fail(name, q, details, part="upper_companion_bound",
-                             pair=[str(e1.label), str(e2.label)], classes=n)
-            details["uw_pairs"] += 1
+    for l1, l2 in itertools.product(u_labels, w_labels):
+        n = len(_scan_labels(F, l1, l2))
+        if n < q - 1:
+            return _fail(name, q, details, part="upper_companion_bound",
+                         pair=[str(l1), str(l2)], classes=n)
+        details["uw_pairs"] += 1
 
     two = add[1][1]
     neg1 = neg[1]
-    for i1, e1 in enumerate(w_entries):
-        for e2 in w_entries[i1:]:
-            w, v = e1.label.x, e2.label.x
-            labels = _scan_labels(F, e1.label, e2.label)
-            ts = _label_traces(F, labels)
-            fam = {add[sub[mul[i][sub[v][w]]][mul[i][i]]][sub[w][two]] for i in range(q)}
-            if not fam <= ts:
-                return _fail(name, q, details, part="companion_companion_traces",
-                             pair=[str(e1.label), str(e2.label)],
-                             missing=sorted(fam - ts))
-            if w == 0 and v == 0:
-                details["zero_trace_self_pairs_exempt"] += 1
-            else:
-                s0 = neg1 if add[v][w] != 0 else 1
-                want = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)]
-                if not all(l in labels for l in want):
-                    return _fail(name, q, details, part="companion_companion_witnesses",
-                                 pair=[str(e1.label), str(e2.label)],
-                                 witnesses=[str(l) for l in want],
-                                 found=sorted(str(l) for l in labels))
-            if len(labels) < half_plus:
-                return _fail(name, q, details, part="companion_companion_bound",
-                             pair=[str(e1.label), str(e2.label)], classes=len(labels))
-            details["ww_pairs"] += 1
+    for l1, l2 in itertools.combinations_with_replacement(w_labels, 2):
+        pair = [str(l1), str(l2)]
+        w, v = l1.x, l2.x
+        labels = _scan_labels(F, l1, l2)
+        ts = _label_traces(F, labels)
+        fam = {add[sub[mul[i][sub[v][w]]][mul[i][i]]][sub[w][two]] for i in range(q)}
+        if not fam <= ts:
+            return _fail(name, q, details, part="companion_companion_traces", pair=pair,
+                         missing=sorted(fam - ts))
+        if w == 0 and v == 0:
+            details["zero_trace_self_pairs_exempt"] += 1
+        else:
+            s0 = neg1 if add[v][w] != 0 else 1
+            want = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)]
+            if not all(l in labels for l in want):
+                return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
+                             witnesses=[str(l) for l in want],
+                             found=sorted(str(l) for l in labels))
+        if len(labels) < half_plus:
+            return _fail(name, q, details, part="companion_companion_bound", pair=pair,
+                         classes=len(labels))
+        details["ww_pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
 
@@ -870,7 +833,7 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     unipotent = [l for l in table.noncentral_labels() if l.kind == "U"]
     formula_pairs = itertools.chain(
         (("semisimple_formula", _semisimple_labels, la, lb)
-         for i, la in enumerate(semisimple) for lb in semisimple[i:]),
+         for la, lb in itertools.combinations_with_replacement(semisimple, 2)),
         (("unipotent_formula", _unipotent_labels, la, lb)
          for u in unipotent for s in semisimple for la, lb in ((u, s), (s, u))))
     for part, kernel, la, lb in formula_pairs:

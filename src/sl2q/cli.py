@@ -7,6 +7,7 @@ import concurrent.futures
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -23,8 +24,6 @@ from .field import (MAX_FIELD_SIZE, Field, field_for, find_modulus, make_field, 
 from .matrices import det, from_literal
 from .products import CSV_HEADER, min_product_classes, product_report
 
-CACHE_DIR_ENV = "SL2Q_CACHE_DIR"
-DEFAULT_CACHE_DIR = ".sl2q-cache"
 # time-derived values are excluded from report checksums so that cached and
 # fresh runs compare byte-identical
 VOLATILE_KEYS = {"timestamp", "elapsed_ms"}
@@ -79,8 +78,8 @@ def _cache_key(p: int, m: int, check: str, seed: int) -> dict:
             "check": check, "seed": seed}
 
 
-def _cache_path(cache_dir: Path, q: int, check: str) -> Path:
-    return cache_dir / f"q{q:04d}_{check}.json"
+def _cache_path(cache_dir: Path, q: int, check: str, seed: int) -> Path:
+    return cache_dir / f"q{q:04d}_{check}_seed{seed}.json"
 
 
 def _cache_load(path: Path, key: dict) -> CheckResult | None:
@@ -103,13 +102,13 @@ def _cache_store(path: Path, key: dict, result: CheckResult) -> None:
     _atomic_write(path, json.dumps({"key": key, "result": result.to_json()}, indent=1, sort_keys=True))
 
 
-def _check_job(args: tuple) -> dict:
+def _check_job(args: tuple) -> CheckResult:
     # one (q, check) item, in process or in a pool worker, and the only place
     # verify builds a field; run_checks is looked up here at call time, so a
     # wrapper set on this module sees every check
     p, m, name, seed = args
     F = make_field(p, m)
-    return run_checks(F, [name], seed=seed)[0].to_json()
+    return run_checks(F, [name], seed=seed)[0]
 
 
 # -- commands ----------------------------------------------------------------
@@ -205,9 +204,8 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
     for q in prime_powers_up_to(qmax):
         F = _field(q)
         labels = class_table(F).noncentral_labels()
-        for i, la in enumerate(labels):
-            for lb in labels[i:]:
-                reports.append(product_report(F, la, lb))
+        reports += [product_report(F, la, lb)
+                    for la, lb in itertools.combinations_with_replacement(labels, 2)]
     if fmt == "json":
         text = json.dumps({"version": __version__, "qmax": qmax,
                            "reports": [r.to_json() for r in reports]}, indent=1, sort_keys=True)
@@ -228,26 +226,29 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
               help="Seed for the sampled regimes of large-q checks.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="sl2q-verify",
               show_default=True, help="Directory for report.json, min_classes.csv, manifest.json.")
-@click.option("--cache-dir", "cache_dir", type=click.Path(file_okay=False), default=None,
-              help=f"Result cache directory (default ${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR}).")
+@click.option("--cache-dir", "cache_dir", type=click.Path(file_okay=False),
+              envvar="SL2Q_CACHE_DIR", default=".sl2q-cache", show_default=True,
+              show_envvar=True, help="Result cache directory.")
 @click.option("--no-cache", is_flag=True, help="Recompute everything, ignore and skip the cache.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel worker processes across (q, check) items.")
 @click.pass_context
 def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
-               cache_dir: str | None, no_cache: bool, jobs: int):
+               cache_dir: str, no_cache: bool, jobs: int):
     """Run the verification suite for every prime power q <= qmax.
 
     Exits nonzero if any executed check fails.
     """
     selected = None
     if check_names:
-        selected = [s.strip() for s in check_names.split(",") if s.strip()]
-        unknown = [s for s in selected if s not in ALL_CHECKS]
+        requested = [s.strip() for s in check_names.split(",") if s.strip()]
+        unknown = [s for s in requested if s not in ALL_CHECKS]
         if unknown:
             raise click.UsageError(f"unknown checks: {', '.join(unknown)}; "
                                    f"known: {', '.join(ALL_CHECKS)}")
-    cache = Path(cache_dir or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
+        # registry order, no repeats: one selection writes one command and checksum
+        selected = [n for n in ALL_CHECKS if n in requested]
+    cache = Path(cache_dir)
 
     work: list[tuple[int, int, int, str]] = []
     for q in prime_powers_up_to(qmax):
@@ -263,7 +264,7 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
     cached: set[tuple[int, str]] = set()
     todo: list[tuple[int, int, int, str]] = []
     for q, p, m, n in work:
-        hit = None if no_cache else _cache_load(_cache_path(cache, q, n), _cache_key(p, m, n, seed))
+        hit = None if no_cache else _cache_load(_cache_path(cache, q, n, seed), _cache_key(p, m, n, seed))
         if hit is not None:
             results[(q, n)] = hit
             cached.add((q, n))
@@ -278,12 +279,12 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
         mapper = map
         if jobs > 1:
             mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs)).map
-        for (q, _, _, n), payload in zip(todo, mapper(_check_job, items)):
-            results[(q, n)] = CheckResult.from_json(payload)
+        for (q, _, _, n), result in zip(todo, mapper(_check_job, items)):
+            results[(q, n)] = result
 
     if not no_cache:
         for q, p, m, n in todo:
-            _cache_store(_cache_path(cache, q, n), _cache_key(p, m, n, seed), results[(q, n)])
+            _cache_store(_cache_path(cache, q, n, seed), _cache_key(p, m, n, seed), results[(q, n)])
 
     ordered = [results[(q, n)] for q, *_, n in work]
     for q, *_, n in work:

@@ -124,8 +124,8 @@ def test_sampled_regime_runs():
     # above the exhaustive threshold the formula checks fall back to seeded
     # sampling and stay deterministic
     F = oracles.field_for(16)
-    r1 = check_trace_formulas(F, exhaustive_limit=8).to_json()
-    r2 = check_trace_formulas(F, exhaustive_limit=8).to_json()
+    r1 = check_trace_formulas(F).to_json()
+    r2 = check_trace_formulas(F).to_json()
     assert r1["passed"] and not r1["details"]["exhaustive"]
     r1.pop("elapsed_ms")
     r2.pop("elapsed_ms")
@@ -236,6 +236,8 @@ def test_conjugation_formula_fault_injection(name, q, monkeypatch):
     assert not r.passed
     assert r.counterexample is not None
     assert r.counterexample["form"] in name
+    # every earlier case compared at each conjugator, then the failing one
+    assert r.details["comparisons"] % r.details["conjugators"] == 1
 
 
 def test_sign_flip_fault_injection(monkeypatch):
@@ -290,3 +292,53 @@ def test_unipotent_formula_fault_injection(q, monkeypatch):
     assert r.counterexample["pair"] == ["U(1,+)", w]
     assert r.counterexample["formula_only"] == [w]
     assert r.counterexample["scan_only"] == []
+
+
+# the witness-family checks: a conjugate with one entry moved by 1 (entry k
+# of C**-1 * A * C, for the conjugators C and factors A that `hit` picks)
+# must fail at the first family member it spoils, with the exact payload
+HITS = {
+    "off_diagonal_2": lambda C, A: 2 in (C[1], C[2]),
+    "upper_2": lambda C, A: C[2] == 0 and C[1] == 2,
+    "diagonal_2": lambda C, A: C[1] == C[2] == 0 and C[0] == 2,
+    "companion_factor": lambda C, A: A[0] == 0 and 2 in (C[1], C[2]),
+}
+
+
+@pytest.mark.parametrize("check,q,k,hit,payload", [
+    ("split_trace_coverage", 8, 0, "off_diagonal_2",
+     {"pair": ["D(2)", "D(2)"], "family_index": 3, "expected": 4, "direct": 6}),
+    ("split_trace_coverage", 9, 0, "off_diagonal_2",
+     {"pair": ["D(3)", "D(3)"], "family_index": 0, "expected": 2, "direct": 5}),
+    ("split_trace_coverage", 8, 2, "off_diagonal_2",
+     {"pair": ["D(2)", "U(1,+)"], "family_index": 3, "expected": 5, "direct": 4}),
+    ("split_trace_coverage", 9, 2, "off_diagonal_2",
+     {"pair": ["D(3)", "U(1,+)"], "family_index": 0, "expected": 0, "direct": 1}),
+    ("split_trace_coverage", 8, 2, "upper_2",
+     {"pair": ["D(2)", "W(1)"], "family_index": 2, "expected": 3, "direct": 2}),
+    ("split_trace_coverage", 9, 2, "upper_2",
+     {"pair": ["D(3)", "W(4)"], "family_index": 2, "expected": 4, "direct": 5}),
+    ("even_char_bounds", 8, 2, "off_diagonal_2",
+     {"part": "upper_upper_family", "i": 2, "expected": 4, "direct": 5}),
+    ("even_char_bounds", 16, 2, "off_diagonal_2",
+     {"part": "upper_upper_family", "i": 2, "expected": 4, "direct": 5}),
+    ("even_char_bounds", 8, 2, "diagonal_2",
+     {"part": "upper_companion_family", "w": 1, "i": 6, "expected": 2, "direct": 3}),
+    ("even_char_bounds", 16, 2, "diagonal_2",
+     {"part": "upper_companion_family", "w": 3, "i": 12, "expected": 5, "direct": 4}),
+    ("even_char_bounds", 8, 2, "companion_factor",
+     {"part": "companion_companion_family", "w": 1, "v": 1, "i": 2, "direct": 4}),
+    ("even_char_bounds", 16, 2, "companion_factor",
+     {"part": "companion_companion_family", "w": 3, "v": 3, "i": 2, "direct": 9}),
+])
+def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
+    real, spoils = checks._conj4, HITS[hit]
+
+    def evil(mul, add, neg, C, A):
+        T = real(mul, add, neg, C, A)
+        return T[:k] + (add[T[k]][1],) + T[k + 1:] if spoils(C, A) else T
+
+    monkeypatch.setattr(checks, "_conj4", evil)
+    r = ALL_CHECKS[check](oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == payload

@@ -304,6 +304,35 @@ def test_verify_cache_dir_env(runner, monkeypatch):
         assert list(Path("envcache").glob("*.json"))
 
 
+def test_verify_cache_dir_env_validated_like_flag(runner, monkeypatch):
+    # a file where the cache directory should be is refused before any work,
+    # whether it is named by the flag or by the environment
+    builds = record_field_builds(monkeypatch)
+    with runner.isolated_filesystem():
+        Path("afile").write_text("")
+        res = runner.invoke(main, ["verify", "--qmax", "3", "--cache-dir", "afile", "--out", "v"])
+        assert res.exit_code == 2 and "'--cache-dir'" in res.output
+        monkeypatch.setenv("SL2Q_CACHE_DIR", "afile")
+        res = runner.invoke(main, ["verify", "--qmax", "3", "--out", "v"])
+        assert res.exit_code == 2, res.output
+        assert "'--cache-dir'" in res.output and "afile" in res.output
+        assert builds == []
+        assert not Path("v").exists()
+
+
+def test_verify_cache_keeps_each_seed(runner):
+    # entries for different seeds live side by side: going back to a seed
+    # reads every item from the cache
+    with runner.isolated_filesystem():
+        for seed in ("0", "1", "0"):
+            res = runner.invoke(main, ["verify", "--qmax", "4", "--cache-dir", "cc",
+                                       "--seed", seed, "--out", "v" + seed])
+            assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()[:-1]
+        assert len(lines) == 17
+        assert all(line.endswith("(cached)") for line in lines), res.output
+
+
 def test_verify_reports_known_q5_anomaly(runner):
     # the square/non-square counting claim is false at q=5, so a sweep
     # through q=5 exits nonzero with exactly that failure
@@ -328,6 +357,26 @@ def test_verify_check_selection(runner):
         assert rows == ["q,min", "2,1", "3,2", "4,3", "5,4"]
     res = runner.invoke(main, ["verify", "--qmax", "3", "--checks", "bogus"])
     assert res.exit_code != 0 and "unknown checks" in res.output
+
+
+def test_verify_check_selection_normalised(runner):
+    # repeats and order do not change the command or the report checksums
+    def verify(checks, out):
+        res = runner.invoke(main, ["verify", "--qmax", "3", "--no-cache", "--checks", checks,
+                                   "--out", out])
+        assert res.exit_code == 0, res.output
+        return json.loads(Path(out, "manifest.json").read_text())
+
+    with runner.isolated_filesystem():
+        m1 = verify("min_class_bounds", "v1")
+        assert verify("min_class_bounds,min_class_bounds", "v2")["checksums"] == m1["checksums"]
+        m3 = verify("min_class_bounds,split_trace_coverage", "v3")
+        assert m3["command"] == ("verify --qmax 3 --seed 0 "
+                                 "--checks split_trace_coverage,min_class_bounds")
+        for checks in ("split_trace_coverage,min_class_bounds",
+                       " min_class_bounds , split_trace_coverage,min_class_bounds"):
+            m = verify(checks, "v4")
+            assert (m["command"], m["checksums"]) == (m3["command"], m3["checksums"])
 
 
 def test_verify_refuses_empty_selection(runner):
