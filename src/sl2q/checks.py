@@ -21,10 +21,20 @@ Each ``trace_form_*`` takes its innermost parameter as a list (for
 ``trace_form_diag_diag``, the (u, v) pairs) and returns the list of
 traces, with the terms in C and the outer parameters computed once per
 call; ``trace_formulas`` computes the direct traces over the same list
-from the rows of the conjugated matrix, and reports the first index where
-the two differ.  So a q = 25 run makes its 445,500 comparisons in about
-44,500 batches.  The ``conj_form_*`` stay scalar: their parameters are
-drawn once per family, not once per conjugator.
+from the rows of the conjugated matrix.  A batch that agrees costs one list
+comparison; only one that does not is searched for its first differing
+index and turned into a counterexample.  So a q = 25 run makes its 445,500
+comparisons in about 44,500 batches.  The ``conj_form_*`` stay scalar:
+their parameters are drawn once per family, not once per conjugator.
+
+The direct side conjugates in one pass per family: ``_conjugates`` maps
+the whole conjugator list to C**-1 * A * C with the sixteen products
+written out.  trace_formulas conjugates each A by every C before its C
+loop, which draws nothing, so the parameters are drawn in the same order.
+The witness families of split_trace_coverage and even_char_bounds are
+conjugated once per first factor and traced against each second factor
+(``_family_traces``).  The pair scans are the row scans of products.py;
+split_trace_coverage reads only traces, so it takes the trace-only one.
 
 Two closed forms each have a competing sign variant; the checks settle
 them against direct computation and record the outcome instead of silently
@@ -48,11 +58,12 @@ from typing import Callable
 
 from .classes import ClassLabel, _roots_of_one, class_table, classify, irreducible_traces
 from .field import Field
-from .matrices import _conj4, enumerate_sl2, mat
+from .matrices import enumerate_sl2, mat
 from .products import (
     _closed_form_count,
     _label_traces,
     _scan_labels,
+    _scan_traces,
     _semisimple_labels,
     _unipotent_labels,
     label_trace,
@@ -293,15 +304,28 @@ def _grid(rng: random.Random, exhaustive: bool, n: int, *pools) -> list[tuple]:
     return [tuple(rng.choice(pool) for pool in pools) for _ in range(n)]
 
 
-def _family_traces(F: Field, Cs: list, A: tuple, B: tuple) -> list:
-    """trace(C**-1 * A * C * B) for each conjugator C in Cs."""
-    mul, add, neg = F._mul, F._add, F._neg
+def _conjugates(F: Field, Cs: list, A: tuple) -> list[tuple]:
+    """C**-1 * A * C for each C in Cs, det(C) == 1 so C**-1 = [[d,-b],[-c,a]]:
+    the sixteen products of the two 2x2 products written out, with A's
+    multiplication rows looked up once."""
+    mul, add, sub = F._mul, F._add, F._sub
+    me, mf, mg, mh = (mul[x] for x in A)
+    out = []
+    for a, b, c, d in Cs:
+        # C**-1 * A = [[x0, x1], [x2, x3]], then times C
+        x0, x1 = sub[me[d]][mg[b]], sub[mf[d]][mh[b]]
+        x2, x3 = sub[mg[a]][me[c]], sub[mh[a]][mf[c]]
+        ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+        out.append((add[ma[x0]][mc[x1]], add[mb[x0]][md[x1]],
+                    add[ma[x2]][mc[x3]], add[mb[x2]][md[x3]]))
+    return out
+
+
+def _family_traces(F: Field, Ts: list, B: tuple) -> list:
+    """trace(T * B) for each T in Ts, the conjugates of a witness family."""
+    mul, add = F._mul, F._add
     b00, b01, b10, b11 = (mul[x] for x in B)
-    traces = []
-    for C in Cs:
-        t00, t01, t10, t11 = _conj4(mul, add, neg, C, A)
-        traces.append(add[add[b00[t00]][b10[t01]]][add[b01[t10]][b11[t11]]])
-    return traces
+    return [add[add[b00[t00]][b10[t01]]][add[b01[t10]][b11[t11]]] for t00, t01, t10, t11 in Ts]
 
 
 def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
@@ -320,7 +344,7 @@ def check_conjugation_formulas(F: Field, *, seed: int = 0) -> CheckResult:
     """
     name = "conjugation_formulas"
     q = F.q
-    mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
+    neg, inv = F._neg, F._inv
     Cs, prng = _formula_samples(F, name, seed)
     details = {"conjugators": len(Cs), "exhaustive": prng is None, "comparisons": 0}
 
@@ -341,7 +365,7 @@ def check_conjugation_formulas(F: Field, *, seed: int = 0) -> CheckResult:
     for form, a4, payload, closed_form, args in cases:
         # map hands each call its arguments without building a tuple per C
         got = list(map(closed_form, itertools.repeat(F), Cs, *map(itertools.repeat, args)))
-        want = [_conj4(mul, add, neg, C, a4) for C in Cs]
+        want = _conjugates(F, Cs, a4)
         n = _agreeing(got, want)
         if n < len(Cs):
             details["comparisons"] += n + 1
@@ -370,14 +394,12 @@ def check_trace_formulas(F: Field, *, seed: int = 0) -> CheckResult:
     units, elems = list(range(1, q)), list(range(q))
     unit_pairs = [(u, inv[u]) for u in units]
     difference_variant_ok = True
+    comparisons = 0  # of the batches that agreed
 
-    def failure(form, C, params, keys, vals, got, want) -> CheckResult | None:
-        # counts the batch's comparisons up to its first mismatch, if any
+    def failure(form, C, params, keys, vals, got, want) -> CheckResult:
+        # a batch that disagrees: its comparisons up to the first mismatch
         n = _agreeing(got, want)
-        if n == len(vals):
-            details["comparisons"] += n
-            return None
-        details["comparisons"] += n + 1
+        details["comparisons"] = comparisons + n + 1
         v = vals[n]
         params.update(zip(keys, v if isinstance(v, tuple) else (v,)))
         details["diag_upper_difference_form_holds"] = difference_variant_ok
@@ -393,17 +415,18 @@ def check_trace_formulas(F: Field, *, seed: int = 0) -> CheckResult:
         anb, atc, mtd = add[neg[T[1]]], add[T[2]], mul[T[3]]
         return [anb[atc[mtd[x]]] for x in xs]
 
+    # each loop conjugates A by every C first, which draws nothing, so the
+    # parameters are drawn in the same order as C by C
     for r in _take(prng, units):
         s = inv[r]
-        a4 = (r, 0, 0, s)
-        for C in Cs:
-            T = _conj4(mul, add, neg, C, a4)
+        for C, T in zip(Cs, _conjugates(F, Cs, (r, 0, 0, s))):
             uvs = _take(prng, unit_pairs)
             mta, mtd = mul[T[0]], mul[T[3]]
             want = [add[mta[u]][mtd[v]] for u, v in uvs]
             got = trace_form_diag_diag(F, C, r, s, uvs)
-            if (bad := failure("diag_diag", C, {"r": r, "s": s}, "uv", uvs, got, want)) is not None:
-                return bad
+            if got != want:
+                return failure("diag_diag", C, {"r": r, "s": s}, "uv", uvs, got, want)
+            comparisons += len(uvs)
             for t in roots1:
                 us = _take(prng, units)
                 want = upper_traces(T, t, us)
@@ -412,42 +435,40 @@ def check_trace_formulas(F: Field, *, seed: int = 0) -> CheckResult:
                     n = _agreeing(got, want)
                     variant = trace_form_diag_upper_difference_variant(F, C, r, s, t, us)
                     difference_variant_ok = variant[:n] == want[:n]
-                if (bad := failure("diag_upper", C, {"r": r, "s": s, "t": t}, "u", us, got,
-                                   want)) is not None:
-                    return bad
+                if got != want:
+                    return failure("diag_upper", C, {"r": r, "s": s, "t": t}, "u", us, got, want)
+                comparisons += len(us)
             ws = _take(prng, elems)
-            got = trace_form_diag_companion(F, C, r, s, ws)
-            if (bad := failure("diag_companion", C, {"r": r, "s": s}, "w", ws, got,
-                               companion_traces(T, ws))) is not None:
-                return bad
+            got, want = trace_form_diag_companion(F, C, r, s, ws), companion_traces(T, ws)
+            if got != want:
+                return failure("diag_companion", C, {"r": r, "s": s}, "w", ws, got, want)
+            comparisons += len(ws)
 
     for r in roots1:
         for u in _take(prng, units):
-            a4 = (r, u, 0, r)
-            for C in Cs:
-                T = _conj4(mul, add, neg, C, a4)
+            for C, T in zip(Cs, _conjugates(F, Cs, (r, u, 0, r))):
                 for t in roots1:
                     ws = _take(prng, units)
-                    got = trace_form_upper_upper(F, C, r, u, t, ws)
-                    if (bad := failure("upper_upper", C, {"r": r, "u": u, "t": t}, "w", ws, got,
-                                       upper_traces(T, t, ws))) is not None:
-                        return bad
+                    got, want = trace_form_upper_upper(F, C, r, u, t, ws), upper_traces(T, t, ws)
+                    if got != want:
+                        return failure("upper_upper", C, {"r": r, "u": u, "t": t}, "w", ws,
+                                       got, want)
+                    comparisons += len(ws)
                 ss = _take(prng, elems)
-                got = trace_form_upper_companion(F, C, r, u, ss)
-                if (bad := failure("upper_companion", C, {"r": r, "u": u}, "s", ss, got,
-                                   companion_traces(T, ss))) is not None:
-                    return bad
+                got, want = trace_form_upper_companion(F, C, r, u, ss), companion_traces(T, ss)
+                if got != want:
+                    return failure("upper_companion", C, {"r": r, "u": u}, "s", ss, got, want)
+                comparisons += len(ss)
 
     for w in _take(prng, elems):
-        a4 = (0, 1, neg1, w)
-        for C in Cs:
-            T = _conj4(mul, add, neg, C, a4)
+        for C, T in zip(Cs, _conjugates(F, Cs, (0, 1, neg1, w))):
             vs = _take(prng, elems)
-            got = trace_form_companion_companion(F, C, w, vs)
-            if (bad := failure("companion_companion", C, {"w": w}, "v", vs, got,
-                               companion_traces(T, vs))) is not None:
-                return bad
+            got, want = trace_form_companion_companion(F, C, w, vs), companion_traces(T, vs)
+            if got != want:
+                return failure("companion_companion", C, {"w": w}, "v", vs, got, want)
+            comparisons += len(vs)
 
+    details["comparisons"] = comparisons
     details["diag_upper_sum_form_holds"] = True
     details["diag_upper_difference_form_holds"] = difference_variant_ok
     return CheckResult(name, q, True, None, details)
@@ -585,7 +606,7 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
 
     for ea in splits:
         for eb in noncentral:
-            ts = _label_traces(F, _scan_labels(F, ea.label, eb.label))
+            ts = _scan_traces(F, ea.label, eb.label)
             if ts != full:
                 return _fail(name, q, details, pair=[str(ea.label), str(eb.label)],
                              missing=sorted(full - ts))
@@ -597,20 +618,21 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
         r = ea.label.x
         s = inv[r]
         a4 = (r, 0, 0, s)
+        upper, other = _conjugates(F, upper_family, a4), _conjugates(F, other_family, a4)
         for eb in noncentral:
             lb = eb.label
             b4 = (eb.rep.a, eb.rep.b, eb.rep.c, eb.rep.d)
             # each family's trace is linear in i: slope * i + base
             if lb.kind == "W":
-                Cs, slope, base = upper_family, sub[s][r], mul[lb.x][s]
+                Ts, slope, base = upper, sub[s][r], mul[lb.x][s]
             elif lb.kind == "D":
                 u, v = lb.x, inv[lb.x]
-                Cs, slope, base = other_family, mul[sub[r][s]][sub[u][v]], add[mul[u][s]][mul[v][r]]
+                Ts, slope, base = other, mul[sub[r][s]][sub[u][v]], add[mul[u][s]][mul[v][r]]
             else:
                 u = 1 if lb.square else F.least_nonsquare
-                Cs, slope, base = other_family, neg[mul[sub[r][s]][u]], mul[lb.x][add[r][s]]
+                Ts, slope, base = other, neg[mul[sub[r][s]][u]], mul[lb.x][add[r][s]]
             expect = [add[mul[slope][i]][base] for i in range(q)]
-            got = _family_traces(F, Cs, a4, b4)
+            got = _family_traces(F, Ts, b4)
             if (i := _agreeing(got, expect)) < q:
                 return _fail(name, q, details, pair=[str(ea.label), str(lb)],
                              family_index=i, expected=expect[i], direct=got[i])
@@ -649,7 +671,7 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         return _label_traces(F, products[(l1, l2)])
 
     squares = [mul[i][i] for i in range(q)]
-    got = _family_traces(F, [(1, 0, i, 1) for i in range(q)], u4, u4)
+    got = _family_traces(F, _conjugates(F, [(1, 0, i, 1) for i in range(q)], u4), u4)
     if (i := _agreeing(got, squares)) < q:
         return _fail(name, q, details, part="upper_upper_family", i=i,
                      expected=squares[i], direct=got[i])
@@ -657,12 +679,12 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         return _fail(name, q, details, part="upper_upper_traces", traces=sorted(set(got)))
 
     # the family runs over i = 1 .. q-1, so list index n is i = n + 1
-    diagonal_family = [(inv[i], 0, 0, i) for i in range(1, q)]
+    diagonal_conjugates = _conjugates(F, [(inv[i], 0, 0, i) for i in range(1, q)], u4)
     for lw in w_labels:
         w = lw.x
         b4 = (0, 1, 1, w)  # -1 == 1 here
         want = [add[x][w] for x in squares[1:]]
-        got = _family_traces(F, diagonal_family, u4, b4)
+        got = _family_traces(F, diagonal_conjugates, b4)
         if (n := _agreeing(got, want)) < q - 1:
             return _fail(name, q, details, part="upper_companion_family",
                          w=w, i=n + 1, expected=want[n], direct=got[n])
@@ -675,17 +697,20 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                          w=w, traces=sorted(ts))
 
     companion_family = [(add[i][1], i, i, add[i][1]) for i in range(q)]
-    for l1, l2 in itertools.combinations_with_replacement(w_labels, 2):
-        w, v = l1.x, l2.x
-        vw = mul[v][w]
-        want = [mul[vw][add[x][1]] for x in squares]
-        got = _family_traces(F, companion_family, (0, 1, 1, w), (0, 1, 1, v))
-        if (i := _agreeing(got, want)) < q:
-            return _fail(name, q, details, part="companion_companion_family",
-                         w=w, v=v, i=i, direct=got[i])
-        if set(got) != full or traces(l1, l2) != full:
-            return _fail(name, q, details, part="companion_companion_traces",
-                         w=w, v=v, traces=sorted(set(got)))
+    for j, l1 in enumerate(w_labels):
+        w = l1.x
+        conjugates = _conjugates(F, companion_family, (0, 1, 1, w))
+        for l2 in w_labels[j:]:
+            v = l2.x
+            vw = mul[v][w]
+            want = [mul[vw][add[x][1]] for x in squares]
+            got = _family_traces(F, conjugates, (0, 1, 1, v))
+            if (i := _agreeing(got, want)) < q:
+                return _fail(name, q, details, part="companion_companion_family",
+                             w=w, v=v, i=i, direct=got[i])
+            if set(got) != full or traces(l1, l2) != full:
+                return _fail(name, q, details, part="companion_companion_traces",
+                             w=w, v=v, traces=sorted(set(got)))
 
     for (l1, l2), labels in products.items():
         if len(labels) < q - 1:

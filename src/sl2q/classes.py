@@ -118,8 +118,9 @@ class ClassTable:
 
 
 def _trace_kinds(F: Field) -> list[tuple]:
-    """Per-trace eigenvalue analysis: index t holds ('D', min_eigenvalue),
-    ('U', s), or ('W',).
+    """Per-trace eigenvalue analysis: index t holds the label of the one
+    class of trace t, ClassLabel('D', min_eigenvalue) or ClassLabel('W', t),
+    or ('U', s) at the trace 2s (s*s == 1) that Z(s) and the U(s, +-) share.
 
     Built by running r over the nonzero codes: x**2 - t*x + 1 has root pair
     {r, 1/r} exactly when t = r + 1/r, a repeated root forces r*r == 1, and
@@ -129,14 +130,14 @@ def _trace_kinds(F: Field) -> list[tuple]:
     if got is not None:
         return got
     add, inv = F._add, F._inv
-    kinds: list[tuple] = [("W",)] * F.q
+    kinds: list[tuple] = [ClassLabel("W", t) for t in range(F.q)]
     for r in range(1, F.q):
         ri = inv[r]
         t = add[r][ri]
         if r == ri:
             kinds[t] = ("U", r)
         elif r < ri:
-            kinds[t] = ("D", r)
+            kinds[t] = ClassLabel("D", r)
     F._cache["trace_kinds"] = kinds
     return kinds
 
@@ -168,10 +169,8 @@ def _label_tuples(F: Field, members: list[tuple], b4: tuple) -> set[tuple]:
                 out.add(("U", info[1], sq[pb]))
             else:
                 out.add(("Z", pa, True))
-        elif k == "D":
-            out.add(("D", info[1], True))
         else:
-            out.add(("W", add[pa][pd], True))
+            out.add(info)
     return out
 
 
@@ -186,7 +185,7 @@ def irreducible_traces(F: Field) -> list[int]:
     There are (q-1)/2 of them for odd q and q/2 for even q.
     """
     kinds = _trace_kinds(F)
-    return [t for t in range(F.q) if kinds[t] == ("W",)]
+    return [t for t in range(F.q) if kinds[t][0] == "W"]
 
 
 def class_table(F: Field) -> ClassTable:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import cProfile
 import functools
 import hashlib
 import itertools
@@ -232,13 +233,17 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
 @click.option("--no-cache", is_flag=True, help="Recompute everything, ignore and skip the cache.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel worker processes across (q, check) items.")
+@click.option("--profile", "profile_path", type=click.Path(dir_okay=False), default=None,
+              help="Write cProfile stats of the checks to this file (needs --jobs 1).")
 @click.pass_context
 def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
-               cache_dir: str, no_cache: bool, jobs: int):
+               cache_dir: str, no_cache: bool, jobs: int, profile_path: str | None):
     """Run the verification suite for every prime power q <= qmax.
 
     Exits nonzero if any executed check fails.
     """
+    if profile_path and jobs > 1:
+        raise click.UsageError("--profile profiles this process only; use it with --jobs 1")
     selected = None
     if check_names:
         requested = [s.strip() for s in check_names.split(",") if s.strip()]
@@ -262,37 +267,41 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
 
     results: dict[tuple[int, str], CheckResult] = {}
     cached: set[tuple[int, str]] = set()
-    todo: list[tuple[int, int, int, str]] = []
+    todo: list[tuple[int, int, str, int]] = []
     for q, p, m, n in work:
         hit = None if no_cache else _cache_load(_cache_path(cache, q, n, seed), _cache_key(p, m, n, seed))
         if hit is not None:
             results[(q, n)] = hit
             cached.add((q, n))
         else:
-            todo.append((q, p, m, n))
+            todo.append((p, m, n, seed))
 
     # ProcessPoolExecutor forks all its workers up front, so never ask for
     # more than there are items or cores
     jobs = min(jobs, len(todo), os.cpu_count() or 1)
-    items = [(p, m, n, seed) for _, p, m, n in todo]
     with contextlib.ExitStack() as stack:
         mapper = map
         if jobs > 1:
             mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs)).map
-        for (q, _, _, n), result in zip(todo, mapper(_check_job, items)):
-            results[(q, n)] = result
-
-    if not no_cache:
-        for q, p, m, n in todo:
-            _cache_store(_cache_path(cache, q, n, seed), _cache_key(p, m, n, seed), results[(q, n)])
+        elif profile_path:
+            profiler = cProfile.Profile()
+            stack.callback(profiler.dump_stats, profile_path)  # after it stops
+            stack.enter_context(profiler)
+        # results arrive in work order: each is stored and printed as it
+        # comes, so a stopped run keeps and shows what it finished
+        fresh = mapper(_check_job, todo)
+        for q, p, m, n in work:
+            if (q, n) not in cached:
+                results[(q, n)] = next(fresh)
+                if not no_cache:
+                    _cache_store(_cache_path(cache, q, n, seed), _cache_key(p, m, n, seed),
+                                 results[(q, n)])
+            r = results[(q, n)]
+            mark = "PASS" if r.passed else "FAIL"
+            extra = "  (cached)" if (q, n) in cached else ""
+            click.echo(f"q={q:<4}{n:<24}{mark}{r.elapsed_ms:10.1f} ms{extra}")
 
     ordered = [results[(q, n)] for q, *_, n in work]
-    for q, *_, n in work:
-        r = results[(q, n)]
-        mark = "PASS" if r.passed else "FAIL"
-        extra = "  (cached)" if (q, n) in cached else ""
-        click.echo(f"q={q:<4}{n:<24}{mark}{r.elapsed_ms:10.1f} ms{extra}")
-
     all_passed = all(r.passed for r in ordered)
     command = f"verify --qmax {qmax} --seed {seed}" + (
         f" --checks {','.join(selected)}" if selected else "")

@@ -30,25 +30,6 @@ def _same_field(F: Field, *ms: Mat2) -> None:
             raise ValueError(f"field mismatch: matrix over GF({M.q}) used with GF({F.q})")
 
 
-def _mul4(mul, add, x, y):
-    # hot-path 2x2 product on bare (a, b, c, d) tuples
-    xa, xb, xc, xd = x
-    ya, yb, yc, yd = y
-    return (
-        add[mul[xa][ya]][mul[xb][yc]],
-        add[mul[xa][yb]][mul[xb][yd]],
-        add[mul[xc][ya]][mul[xd][yc]],
-        add[mul[xc][yb]][mul[xd][yd]],
-    )
-
-
-def _conj4(mul, add, neg, c4, a4):
-    # C**-1 * A * C for det(C) == 1, on bare tuples
-    ca, cb, cc, cd = c4
-    t = _mul4(mul, add, (cd, neg[cb], neg[cc], ca), a4)
-    return _mul4(mul, add, t, c4)
-
-
 def mat(F: Field, a: int, b: int, c: int, d: int) -> Mat2:
     """Build a matrix over F, validating the entry codes."""
     return Mat2(F.check(a), F.check(b), F.check(c), F.check(d), F.q)

@@ -11,15 +11,25 @@ enumeration for small q).  Every product is computed from the class labels
 with both factors at their canonical representatives, as it is
 class-invariant.
 
-The first factor's class is enumerated directly from its label: a + d = t
-and ad - bc = 1, with the square-class filter for U classes.  Conjugating
-by the centralizer of B fixes B, so one member per orbit of that
-centralizer suffices.  For B = diag(r, 1/r) the split torus leaves O(1)
-members per diagonal, for B = [[s,u],[0,s]] the upper unipotent group does
-the same, for B = [[0,1],[-1,w]] the non-split torus leaves at most two
-members per element of trace t in the field {xI + yB}, and a central
-factor needs a single member: O(q) members per pair instead of the whole O(q^2) class.
-Nothing is cached between calls.
+The first factor's class is scanned from its label, row by row.  Its
+members solve a + d = t and ad - bc = 1 (for a U class, in one square
+class); conjugating by the centralizer of B fixes B, so a cut that meets
+every orbit of that centralizer suffices, and each cut falls into rows
+that share their trace against B:
+
+* B = diag(r, 1/r): one row per a, of trace a*r + d/r, with 1 to 3 members
+  (about q when bc = 0);
+* B = [[s,u],[0,s]]: tr(X*B) = s*t + u*c depends on c alone, one row per c;
+* B = [[0,1],[-1,w]]: one row per M of trace t in the field {xI + yB}, of
+  trace w*m0 + (w*w - 2)*m1, with at most two members;
+* a central factor: one row, its representative.
+
+A trace other than +-2 fixes its class, so such a row gives its label from
+one trace, and only the members of rows of trace +-2 are built and
+labelled one by one (:func:`_scan_rows`).  A scan costs O(q) table lookups
+per pair, and the trace-only scan (:func:`_scan_traces`) builds no member.
+Per field only the trace table, the class table and a table of square
+roots are cached.
 
 A pair with a D or W factor and no central one needs no enumeration: its
 product is read off the traces and labels, as a set in O(q) and as a count
@@ -40,7 +50,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classes import ClassLabel, _label_tuples, _roots_of_one, class_table, classify, label_sort_key
+from .classes import (ClassLabel, _label_tuples, _roots_of_one, _trace_kinds, class_table,
+                      classify, label_sort_key)
 from .field import Field
 from .matrices import Mat2, _same_field, det
 
@@ -85,59 +96,124 @@ class ProductReport:
         )
 
 
-def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tuple]:
-    """Members (a, b, c, d) of the noncentral labelled class, read off its
-    label, that meet every orbit of the centralizer of the noncentral
-    second factor ``against`` at its canonical representative.
+def _edge_traces(F: Field) -> list[int]:
+    """The traces 2s, s*s == 1: the only traces that hold more than one
+    class (Z(s) and the U(s, +-)), so the only rows a scan labels member by
+    member."""
+    return [F._add[s][s] for s in _roots_of_one(F)]
 
-    They solve a + d = t and ad - bc = 1 for the class trace t; a U class
-    keeps those whose square class of -c (of b when c = 0) matches its own.
-    The cut depends on the second factor:
 
-    * D (diag(r, 1/r)): b in {0, 1, nu}, or {0, 1} for even q, since
-      conjugating by diag(x, 1/x) scales b by a square;
-    * U ([[s,u],[0,s]]): c = 0, or a = 0 with c != 0, since conjugating
-      by [[1,x],[0,1]] fixes c and shifts a by x*c;
-    * W ([[0,1],[-1,w]]): see :func:`_torus_cut`.
+def _positions(xs: list, x) -> list[int]:
+    # every index of x in xs, found by list.index at C speed
+    out, i = [], -1
+    try:
+        while True:
+            i = xs.index(x, i + 1)
+            out.append(i)
+    except ValueError:
+        return out
+
+
+def _keep(F: Field, members: list[tuple], want: bool | None) -> list[tuple]:
+    # the members of a U class of square class `want` (every member when
+    # want is None): the square class of -c, or of b when c = 0
+    if want is None:
+        return members
+    sq, neg = F._sq, F._neg
+    return [x for x in members if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
+
+
+def _diagonal_rows(F: Field, t: int, r: int, want: bool | None, edges) -> tuple[list, list]:
+    """Rows of the class of trace t against B = diag(r, 1/r).
+
+    Conjugating by diag(x, 1/x) fixes B and scales b by x*x, so the members
+    with b in {0, 1, nu} ({0, 1} for even q) meet every orbit of its
+    centralizer.  They fall into rows a = 0 .. q-1: d = t - a, and
+    bc = ad - 1 =: k gives (a, 1, k, d), (a, nu, k/nu, d) and, when k = 0,
+    every (a, 0, c, d).  tr(X*B) = a*r + d/r is the same along a row.
+
+    Returns the trace of each row and the members of a U class ``want``
+    (all members when None) in the rows whose trace is in ``edges``.  Every
+    row keeps a member of each square class: for k != 0 the two values of
+    -c, k and k/nu, lie in different square classes (for even q every
+    element is a square), and a row with k = 0 holds every c.
     """
-    t = label_trace(F, label)
-    if against.kind == "W":
-        out = _torus_cut(F, t, against.x)
-    else:
-        out = _trace_members(F, t, against.kind)
-    if label.kind == "U":
-        sq, neg, want = F._sq, F._neg, label.square
-        out = [x for x in out if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
-    return out
+    q = F.q
+    mul, add, sub, inv = F._mul, F._add, F._sub, F._inv
+    mr, mri, st = mul[r], mul[inv[r]], sub[t]
+    taus = [add[mr[a]][mri[st[a]]] for a in range(q)]
+    nu = F.least_nonsquare
+    members: list[tuple] = []
+    for e in edges:
+        for a in _positions(taus, e):
+            d = st[a]
+            k = sub[mul[a][d]][1]
+            if not k:
+                members += [(a, 0, c, d) for c in range(q)]
+            members.append((a, 1, k, d))
+            if nu is not None:
+                members.append((a, nu, mul[k][inv[nu]], d))
+    return taus, _keep(F, members, want)
 
 
-def _trace_members(F: Field, t: int, cut: str) -> list[tuple]:
-    # determinant-one matrices of trace t, cut against a D or U factor as
-    # described in _class_members
+def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> tuple[list, list]:
+    """Rows of the class of trace t against B = [[s,u],[0,s]].
+
+    Conjugating by [[1,x],[0,1]] fixes B and c, and shifts a by x*c, so the
+    members with c = 0 (a an eigenvalue of the class, every b) or with
+    a = 0 and c != 0 (b = -1/c) meet every orbit of its centralizer.
+    tr(X*B) = s*t + u*c depends on c alone: each c != 0 is a row of one
+    member, and c = 0 is one row of trace s*t, which keeps a member of each
+    square class since b runs over every element.
+
+    Returns the row traces and the members of a U class ``want`` (all
+    members when None) in the rows whose trace is in ``edges``.
+    """
+    q = F.q
+    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
+    cs = [c for c in range(1, q) if want is None or sq[neg[c]] == want]
+    st, mu = mul[s][t], mul[u]
+    ast = add[st]
+    taus = [ast[mu[c]] for c in cs]
+    members = [(0, neg[inv[cs[i]]], cs[i], t) for e in edges for i in _positions(taus, e)]
+    kind = _trace_kinds(F)[t]
+    if kind[0] != "W":
+        taus.append(st)
+        if st in edges:
+            members += [(a, b, 0, sub[t][a]) for a in sorted({kind[1], inv[kind[1]]})
+                        for b in range(q)]
+    return taus, _keep(F, members, want)
+
+
+def _torus_rows(F: Field, t: int, w: int) -> list[tuple]:
+    """The M = m0*I + m1*B of trace t in K = {xI + yB}, B = [[0,1],[-1,w]]
+    (x**2 - w*x + 1 irreducible): the rows of the non-split torus cut, see
+    :func:`_torus_members`."""
     q = F.q
     mul, sub, inv = F._mul, F._sub, F._inv
-    nu = F.least_nonsquare
-    out: list[tuple] = []
-    for a in range(q):
-        d = sub[t][a]
-        k = sub[mul[a][d]][1]  # = bc
-        mk = mul[k]
-        if cut == "D":
-            if not k:
-                out += [(a, 0, c, d) for c in range(q)]
-            out.append((a, 1, k, d))
-            if nu is not None:
-                out.append((a, nu, mk[inv[nu]], d))
-        elif not k:
-            out += [(a, b, 0, d) for b in range(q)]
-        elif a == 0:
-            out += [(0, mk[inv[c]], c, d) for c in range(1, q)]
-    return out
+    mw = mul[w]
+    if q % 2:
+        half = inv[F._add[1][1]]
+        return [(mul[sub[t][mw[m1]]][half], m1) for m1 in range(q)]
+    m1 = mul[t][inv[w]]
+    return [(m0, m1) for m0 in range(q)]
 
 
-def _torus_cut(F: Field, t: int, w: int) -> list[tuple]:
-    """Determinant-one matrices of trace t, at least one in every orbit of
-    the centralizer of B = [[0,1],[-1,w]] (x**2 - w*x + 1 irreducible).
+def _square_roots(F: Field) -> list[int]:
+    # root[x*x] = x for the largest such code x; 0 at the non-squares
+    got = F._cache.get("square_roots")
+    if got is None:
+        got = F._cache["square_roots"] = [0] * F.q
+        for x in range(F.q):
+            got[F._mul[x][x]] = x
+    return got
+
+
+def _torus_members(F: Field, w: int, rows: list[tuple]) -> list[tuple]:
+    """Determinant-one matrices of the given rows of :func:`_torus_rows`:
+    at least one in every orbit of the centralizer of B = [[0,1],[-1,w]]
+    (x**2 - w*x + 1 irreducible) on the class of trace t, when the rows are
+    all of those of trace t.
 
     K = {xI + yB} is a field of order q**2 whose norm is the determinant,
     N(x + yB) = x**2 + w*x*y + y**2, and s = [[1,0],[w,-1]] inverts B by
@@ -150,6 +226,10 @@ def _torus_cut(F: Field, t: int, w: int) -> list[tuple]:
     and two for odd q, the second being the first times g / conj(g) =
     g**2 / N(g) for some g of non-square norm.  That is at most 2q members
     for odd q and q for even q, against a class of order q**2.
+
+    V*s*B = V*[[0,1],[1,0]] has trace 0 for every V in K, so
+    tr(X*B) = tr(M*B) = w*m0 + (w*w - 2)*m1: all members of a row share
+    their trace against B.
     """
     q = F.q
     mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
@@ -167,9 +247,7 @@ def _torus_cut(F: Field, t: int, w: int) -> list[tuple]:
         # V = x*e adds x*(e0 + w*e1) to a, -x*e1 to b, x*(w*e0 + (w^2-1)*e1) to c
         return add[e[0]][mw[e[1]]], e[1], add[mw[e[0]]][mul[w2m1][e[1]]]
 
-    root = [0] * q
-    for x in range(q):
-        root[mul[x][x]] = x
+    root = _square_roots(F)
     if q % 2:
         # N(x + B) takes (q + 1)/2 distinct nonzero values, more than there
         # are nonzero squares, so the search always stops
@@ -180,14 +258,10 @@ def _torus_cut(F: Field, t: int, w: int) -> list[tuple]:
         # norm n = x^2 is met by x and x*omega, n = x^2 * N(g) by x*g and x*g*omega
         on_squares = [coeffs((1, 0)), coeffs(omega)]
         off_squares = [coeffs(g), coeffs(kmul(g, omega))]
-        half = inv[add[1][1]]
-        mus = [(mul[sub[t][mw[m1]]][half], m1) for m1 in range(q)]
     else:
         on_squares, ign, off_squares = [coeffs((1, 0))], 0, []
-        m1 = mul[t][inv[w]]
-        mus = [(m0, m1) for m0 in range(q)]
     out: list[tuple] = []
-    for m0, m1 in mus:
+    for m0, m1 in rows:
         d0 = add[m0][mw[m1]]
         n = sub[add[add[mul[m0][m0]][mw[mul[m0][m1]]]][mul[m1][m1]]][1]  # N(M) - 1
         if not n:
@@ -203,17 +277,73 @@ def _torus_cut(F: Field, t: int, w: int) -> list[tuple]:
     return out
 
 
-def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    # the second factor stays at its canonical representative and the first
-    # runs over a centralizer-orbit transversal of its class
+def _companion_rows(F: Field, t: int, w: int, want: bool | None, edges) -> tuple[list, list]:
+    """Rows of the class of trace t against B = [[0,1],[-1,w]]: the rows M
+    of :func:`_torus_rows`, one trace w*m0 + (w*w - 2)*m1 each.  A U class
+    keeps only some members of a row, so for ``want`` not None every member
+    is built and is its own row, of trace tr(X*B) = -b + c + w*d.
+
+    Returns the row traces and the members (of a U class ``want``, when not
+    None) in the rows whose trace is in ``edges``.
+    """
+    mul, add, sub = F._mul, F._add, F._sub
+    mw = mul[w]
+    rows = _torus_rows(F, t, w)
+    if want is not None:
+        members = _keep(F, _torus_members(F, w, rows), want)
+        taus = [add[sub[c][b]][mw[d]] for _, b, c, d in members]
+        return taus, [x for x, tau in zip(members, taus) if tau in edges]
+    mk = mul[sub[mw[w]][F._add[1][1]]]
+    taus = [add[mw[m0]][mk[m1]] for m0, m1 in rows]
+    return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
+
+
+def _scan_rows(F: Field, la: ClassLabel, lb: ClassLabel,
+               labelled: bool) -> tuple[list, list, tuple]:
+    """(row traces, members to label, B) of the product of la's class with
+    the canonical representative B of lb's.
+
+    The first factor runs over the rows of a cover of its class by orbits
+    of the centralizer of B; a trace other than +-2 fixes its class, so
+    only the members of rows of trace +-2 (none unless ``labelled``) need
+    the labelling of :func:`_label_tuples`.  A central factor gives a
+    single row: the representative of la's class.
+    """
     table = class_table(F)
+    rb = table.rep(lb)
+    b4 = (rb.a, rb.b, rb.c, rb.d)
+    edges = _edge_traces(F) if labelled else ()
     if la.kind == "Z" or lb.kind == "Z":
         ra = table.rep(la)
-        members = [(ra.a, ra.b, ra.c, ra.d)]
+        mul, add = F._mul, F._add
+        tau = add[add[mul[ra.a][rb.a]][mul[ra.b][rb.c]]][add[mul[ra.c][rb.b]][mul[ra.d][rb.d]]]
+        return [tau], [(ra.a, ra.b, ra.c, ra.d)] if tau in edges else [], b4
+    t = label_trace(F, la)
+    want = la.square if la.kind == "U" else None
+    if lb.kind == "D":
+        taus, members = _diagonal_rows(F, t, rb.a, want, edges)
+    elif lb.kind == "U":
+        taus, members = _upper_rows(F, t, rb.a, rb.b, want, edges)
     else:
-        members = _class_members(F, la, lb)
-    rb = table.rep(lb)
-    return frozenset(ClassLabel(*t) for t in _label_tuples(F, members, (rb.a, rb.b, rb.c, rb.d)))
+        taus, members = _companion_rows(F, t, lb.x, want, edges)
+    return taus, members, b4
+
+
+def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
+    """Labels of the product of two classes by scanning the rows of
+    :func:`_scan_rows`; the checks and the tests recompute the closed forms
+    with it."""
+    taus, members, b4 = _scan_rows(F, la, lb, True)
+    kinds = _trace_kinds(F)
+    out = {kinds[tau] for tau in taus}
+    out.difference_update(kinds[e] for e in _edge_traces(F))  # the ('U', s) entries
+    out.update(ClassLabel(*x) for x in _label_tuples(F, members, b4))
+    return frozenset(out)
+
+
+def _scan_traces(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[int]:
+    """The traces of :func:`_scan_labels`, read off the row traces alone."""
+    return frozenset(_scan_rows(F, la, lb, False)[0])
 
 
 def _semisimple_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:

@@ -4,18 +4,42 @@ Kept deliberately naive: field tables filled entry by entry, polynomial
 factor search by exhaustive products, orbits by conjugating with every group element or by closure under
 transvections, class products by double enumeration or by labelling every
 product with a fixed second factor.  None of them share logic with the code
-paths they check.  ``field_for`` is the library's own field lookup,
-re-exported so every test reaches a field by q the same way; test_field.py
-checks it against literal values.
+paths they check, with one exception: ``_class_members`` builds, member by
+member, the cuts whose rows the library's scan walks, and takes the
+non-split torus members from the library.  Those cuts are checked against
+whole orbits (test_class_cuts_meet_every_centralizer_orbit).
+``field_for`` is the library's own field lookup, re-exported so every test
+reaches a field by q the same way; test_field.py checks it against literal
+values.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from sl2q.classes import ClassLabel
+from sl2q.classes import ClassLabel, _label_tuples, class_table
 from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
-from sl2q.matrices import Mat2, _conj4, _mul4, enumerate_sl2
+from sl2q.matrices import Mat2, enumerate_sl2
+from sl2q.products import _torus_members, _torus_rows, label_trace
+
+
+def _mul4(mul, add, x, y):
+    # 2x2 product on bare (a, b, c, d) tuples
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (
+        add[mul[xa][ya]][mul[xb][yc]],
+        add[mul[xa][yb]][mul[xb][yd]],
+        add[mul[xc][ya]][mul[xd][yc]],
+        add[mul[xc][yb]][mul[xd][yd]],
+    )
+
+
+def _conj4(mul, add, neg, c4, a4):
+    # C**-1 * A * C for det(C) == 1, on bare tuples, as two _mul4 products
+    ca, cb, cc, cd = c4
+    t = _mul4(mul, add, (cd, neg[cb], neg[cc], ca), a4)
+    return _mul4(mul, add, t, c4)
 
 
 def poly_product(p: int, f: list[int], g: list[int]) -> list[int]:
@@ -218,3 +242,68 @@ def square_mix_exceptions(F: Field) -> list[tuple[int, int, list[int]]]:
             if {F._sq[v] for v in vals} != {True, False}:
                 out.append((a, b, vals))
     return out
+
+
+def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tuple]:
+    """Members (a, b, c, d) of the noncentral labelled class, read off its
+    label, that meet every orbit of the centralizer of the noncentral
+    second factor ``against`` at its canonical representative: the cuts
+    whose rows the library's scan walks, built member by member.
+
+    They solve a + d = t and ad - bc = 1 for the class trace t; a U class
+    keeps those whose square class of -c (of b when c = 0) matches its own.
+    The cut depends on the second factor:
+
+    * D (diag(r, 1/r)): b in {0, 1, nu}, or {0, 1} for even q, since
+      conjugating by diag(x, 1/x) scales b by a square;
+    * U ([[s,u],[0,s]]): c = 0, or a = 0 with c != 0, since conjugating
+      by [[1,x],[0,1]] fixes c and shifts a by x*c;
+    * W ([[0,1],[-1,w]]): every row of the library's non-split torus cut.
+    """
+    t = label_trace(F, label)
+    if against.kind == "W":
+        out = _torus_members(F, against.x, _torus_rows(F, t, against.x))
+    else:
+        out = _trace_members(F, t, against.kind)
+    if label.kind == "U":
+        sq, neg, want = F._sq, F._neg, label.square
+        out = [x for x in out if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
+    return out
+
+
+def _trace_members(F: Field, t: int, cut: str) -> list[tuple]:
+    # determinant-one matrices of trace t, cut against a D or U factor as
+    # described in _class_members
+    q = F.q
+    mul, sub, inv = F._mul, F._sub, F._inv
+    nu = F.least_nonsquare
+    out: list[tuple] = []
+    for a in range(q):
+        d = sub[t][a]
+        k = sub[mul[a][d]][1]  # = bc
+        mk = mul[k]
+        if cut == "D":
+            if not k:
+                out += [(a, 0, c, d) for c in range(q)]
+            out.append((a, 1, k, d))
+            if nu is not None:
+                out.append((a, nu, mk[inv[nu]], d))
+        elif not k:
+            out += [(a, b, 0, d) for b in range(q)]
+        elif a == 0:
+            out += [(0, mk[inv[c]], c, d) for c in range(1, q)]
+    return out
+
+
+def member_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
+    """Labels of every X*B, X over the class cut of ``la`` against ``lb``
+    (the representative alone when either class is central), each product
+    multiplied out and labelled: the scan before it was cut into rows."""
+    table = class_table(F)
+    rb = table.rep(lb)
+    if la.kind == "Z" or lb.kind == "Z":
+        ra = table.rep(la)
+        members = [(ra.a, ra.b, ra.c, ra.d)]
+    else:
+        members = _class_members(F, la, lb)
+    return frozenset(ClassLabel(*t) for t in _label_tuples(F, members, (rb.a, rb.b, rb.c, rb.d)))

@@ -2,6 +2,7 @@
 resolutions, determinism, and fault injection (a perturbed closed form must
 flip the corresponding check with a counterexample)."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import oracles
 from sl2q import checks
 from sl2q.classes import ClassLabel
+from sl2q.matrices import enumerate_sl2
 from sl2q.checks import (
     ALL_CHECKS,
     CheckResult,
@@ -180,6 +182,18 @@ def test_trace_formulas_need_no_random_sample(monkeypatch):
     assert r.passed and not r.details["exhaustive"]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_conjugates_match_two_products(q):
+    # every conjugator of SL(2, q) against every A in it and the 0/1
+    # matrices, which need not be invertible
+    F = oracles.field_for(q)
+    mul, add, neg = F._mul, F._add, F._neg
+    group = [(M.a, M.b, M.c, M.d) for M in enumerate_sl2(F)]
+    for A in group + list(itertools.product((0, 1), repeat=4)):
+        assert checks._conjugates(F, group, A) == [oracles._conj4(mul, add, neg, C, A)
+                                                   for C in group], A
+
+
 def test_check_result_json_round_trip():
     r = check_min_class_bounds(oracles.field_for(5))
     r.elapsed_ms = 1.25
@@ -226,6 +240,62 @@ def test_trace_formula_fault_injection(name, q, monkeypatch):
     assert not r.passed
     assert r.counterexample is not None
     assert r.counterexample["form"] in name
+
+
+def _shift_mid_batch(orig):
+    # moves the traces whose sampled parameter (u of a (u, v) pair) is
+    # 2 mod 3, so a batch usually fails after some comparisons agreed
+    def evil(F, C, *args):
+        return [F._add[t][1] if (x[0] if isinstance(x, tuple) else x) % 3 == 2 else t
+                for t, x in zip(orig(F, C, *args), args[-1])]
+    return evil
+
+
+CONJUGATORS = {5: 120, 11: 403, 16: 409, 25: 405}
+
+
+# form, q, then the counterexample's C, params, closed_form and direct, the
+# comparisons made and the difference-variant verdict so far
+@pytest.mark.parametrize("form,q,C,params,closed_form,direct,comparisons,difference_holds", [
+    ("diag_diag", 5, [0, 1, 4, 0], {"r": 1, "s": 1, "u": 2, "v": 3}, 1, 0, 2, True),
+    ("diag_diag", 11, [1, 0, 0, 1], {"r": 1, "s": 1, "u": 2, "v": 6}, 9, 8, 2, True),
+    ("diag_diag", 16, [1, 0, 0, 1], {"r": 1, "s": 1, "u": 14, "v": 7}, 8, 9, 1, True),
+    ("diag_diag", 25, [1, 0, 0, 1], {"r": 19, "s": 22, "u": 17, "v": 7}, 0, 4, 2, True),
+    ("diag_upper", 5, [0, 1, 4, 0], {"r": 1, "s": 1, "t": 1, "u": 2}, 3, 2, 6, False),
+    ("diag_upper", 11, [1, 0, 0, 1], {"r": 1, "s": 1, "t": 1, "u": 2}, 3, 2, 12, False),
+    ("diag_upper", 16, [1, 0, 0, 1], {"r": 1, "s": 1, "t": 1, "u": 11}, 1, 0, 12, True),
+    ("diag_upper", 25, [1, 0, 0, 1], {"r": 19, "s": 22, "t": 1, "u": 11}, 12, 11, 11, True),
+    ("diag_companion", 5, [0, 1, 4, 0], {"r": 1, "s": 1, "w": 2}, 3, 2, 15, False),
+    ("diag_companion", 11, [1, 0, 0, 1], {"r": 1, "s": 1, "w": 5}, 6, 5, 34, False),
+    ("diag_companion", 16, [1, 0, 0, 1], {"r": 1, "s": 1, "w": 8}, 9, 8, 22, True),
+    ("diag_companion", 25, [1, 0, 0, 1], {"r": 19, "s": 22, "w": 5}, 17, 16, 33, False),
+    ("upper_upper", 5, [0, 1, 4, 0], {"r": 1, "t": 1, "u": 1, "w": 2}, 1, 0, 8162, False),
+    ("upper_upper", 11, [1, 0, 0, 1], {"r": 1, "t": 1, "u": 1, "w": 2}, 3, 2, 161202, False),
+    ("upper_upper", 16, [1, 0, 0, 1], {"r": 1, "t": 1, "u": 10, "w": 14}, 1, 0, 122702, True),
+    ("upper_upper", 25, [1, 0, 0, 1], {"r": 1, "t": 1, "u": 18, "w": 8}, 3, 2, 162005, False),
+    ("upper_companion", 5, [0, 1, 4, 0], {"r": 1, "s": 2, "u": 1}, 2, 1, 8171, False),
+    ("upper_companion", 11, [1, 0, 0, 1], {"r": 1, "s": 8, "u": 1}, 8, 7, 161221, False),
+    ("upper_companion", 16, [1, 0, 0, 1], {"r": 1, "s": 2, "u": 10}, 9, 8, 122715, True),
+    ("upper_companion", 25, [1, 1, 0, 1], {"r": 1, "s": 17, "u": 18}, 0, 4, 162051, False),
+    ("companion_companion", 5, [0, 1, 4, 0], {"v": 2, "w": 0}, 4, 3, 20643, False),
+    ("companion_companion", 11, [1, 0, 0, 1], {"v": 5, "w": 0}, 10, 9, 403006, False),
+    ("companion_companion", 16, [1, 0, 0, 1], {"v": 8, "w": 3}, 0, 1, 204502, True),
+    ("companion_companion", 25, [1, 0, 0, 1], {"v": 5, "w": 4}, 24, 23, 405004, False),
+])
+def test_trace_formula_mid_batch_failure(form, q, C, params, closed_form, direct, comparisons,
+                                         difference_holds, monkeypatch):
+    name = "trace_form_" + form
+    monkeypatch.setattr(checks, name, _shift_mid_batch(getattr(checks, name)))
+    r = checks.check_trace_formulas(oracles.field_for(q)).to_json()
+    r.pop("elapsed_ms")
+    assert r == {
+        "check": "trace_formulas", "q": q, "passed": False,
+        "counterexample": {"form": form, "C": C, "params": params,
+                           "closed_form": closed_form, "direct": direct},
+        "details": {"conjugators": CONJUGATORS[q], "exhaustive": q <= 9,
+                    "comparisons": comparisons,
+                    "diag_upper_difference_form_holds": difference_holds},
+    }
 
 
 @pytest.mark.parametrize("name", CONJ_FORMS)
@@ -332,13 +402,13 @@ HITS = {
      {"part": "companion_companion_family", "w": 3, "v": 3, "i": 2, "direct": 9}),
 ])
 def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
-    real, spoils = checks._conj4, HITS[hit]
+    real, spoils = checks._conjugates, HITS[hit]
 
-    def evil(mul, add, neg, C, A):
-        T = real(mul, add, neg, C, A)
-        return T[:k] + (add[T[k]][1],) + T[k + 1:] if spoils(C, A) else T
+    def evil(F, Cs, A):
+        return [T[:k] + (F._add[T[k]][1],) + T[k + 1:] if spoils(C, A) else T
+                for C, T in zip(Cs, real(F, Cs, A))]
 
-    monkeypatch.setattr(checks, "_conj4", evil)
+    monkeypatch.setattr(checks, "_conjugates", evil)
     r = ALL_CHECKS[check](oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == payload

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from oracles import _conj4
 from sl2q.classes import (
     ClassEntry,
     ClassLabel,
@@ -15,7 +16,7 @@ from sl2q.classes import (
     irreducible_traces,
 )
 from sl2q.field import make_field
-from sl2q.matrices import Mat2, _conj4, enumerate_sl2, mat, sl2_order
+from sl2q.matrices import Mat2, enumerate_sl2, mat, sl2_order
 
 ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
 

@@ -2,6 +2,7 @@
 cache (reuse never changes reported numbers)."""
 
 import json
+import pstats
 import weakref
 from pathlib import Path
 
@@ -295,6 +296,47 @@ def test_serial_verify_holds_one_field_at_a_time(runner, monkeypatch):
     qs = prime_powers_up_to(64)
     assert builds == [prime_power(q) for q in qs]
     assert alive == [1] * (2 * len(qs) - 1)  # q = 3 has no parity check
+
+
+def test_interrupted_verify_keeps_finished_items(runner, monkeypatch):
+    # each item is stored and printed as it finishes: a run that dies on
+    # its third item has cached and shown the first two, and a rerun reads
+    # exactly those from the cache
+    run_checks = cli.run_checks
+    calls = []
+
+    def failing_run_checks(F, names=None, *, seed=0):
+        calls.append((F.q, names[0]))
+        if len(calls) == 3:
+            raise RuntimeError("stopped")
+        return run_checks(F, names, seed=seed)
+
+    args = ["verify", "--qmax", "3", "--cache-dir", "cc", "--out", "v"]
+    with runner.isolated_filesystem():
+        monkeypatch.setattr(cli, "run_checks", failing_run_checks)
+        res = runner.invoke(main, args)
+        assert isinstance(res.exception, RuntimeError)
+        assert len(res.output.splitlines()) == 2
+        assert len(list(Path("cc").glob("*.json"))) == 2
+        assert not Path("v").exists()
+        monkeypatch.setattr(cli, "run_checks", run_checks)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        marks = [line.endswith("(cached)") for line in res.output.splitlines()[:-1]]
+        assert marks == [True, True] + [False] * (len(marks) - 2)
+
+
+def test_verify_profile(runner):
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["verify", "--qmax", "3", "--no-cache", "--profile", "p.prof",
+                                   "--out", "v"])
+        assert res.exit_code == 0, res.output
+        functions = {fn for _, _, fn in pstats.Stats("p.prof").stats}
+        assert "check_min_class_bounds" in functions
+        res = runner.invoke(main, ["verify", "--qmax", "3", "--profile", "p2.prof", "--jobs", "2",
+                                   "--out", "v2"])
+        assert res.exit_code == 2 and "--jobs 1" in res.output
+        assert not Path("p2.prof").exists() and not Path("v2").exists()
 
 
 def test_verify_cache_dir_env(runner, monkeypatch):

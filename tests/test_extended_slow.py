@@ -1,6 +1,7 @@
 """Extended sweeps past the default ranges (deselected by default; run with
 `pytest -m slow`)."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,6 +16,10 @@ from sl2q.products import min_product_classes
 
 pytestmark = pytest.mark.slow
 
+# SHA-256 of each check's to_json() without elapsed_ms, keyed "q:seed": every
+# q <= 64 at seeds 0 and 1, and q = 127 and 128 at seed 0
+CHECK_DIGESTS = json.loads((Path(__file__).parent / "check_digests.json").read_text())
+
 
 def expected_minimum(q: int) -> int:
     return q - 1 if q % 2 == 0 else (2 if q == 3 else (q + 3) // 2)
@@ -28,6 +33,20 @@ def test_full_suite_to_49():
             if not r.passed:
                 failures.append((q, r.check))
     assert failures == [(5, "value_set_counts")]
+
+
+@pytest.mark.parametrize("key", CHECK_DIGESTS)
+def test_check_results_unchanged(key):
+    # samples, comparison counts, details and verdicts of every check, so a
+    # faster kernel must reproduce every result to the byte
+    q, seed = map(int, key.split(":"))
+    got = {}
+    for r in run_checks(oracles.field_for(q), seed=seed):
+        d = r.to_json()
+        d.pop("elapsed_ms")
+        blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        got[r.check] = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == CHECK_DIGESTS[key]
 
 
 def test_verify_to_32_report_unchanged():

@@ -5,9 +5,10 @@ import random
 import pytest
 
 import oracles
+from oracles import _conj4, _mul4
 from sl2q.field import make_field
 from sl2q.classes import classify
-from sl2q.matrices import Mat2, _conj4, _mul4, det, enumerate_sl2, from_literal, mat, sl2_order
+from sl2q.matrices import Mat2, det, enumerate_sl2, from_literal, mat, sl2_order
 
 I4 = (1, 0, 0, 1)
 
@@ -59,7 +60,8 @@ def test_det_multiplicative():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_inverse_formula_everywhere(q):
-    # [[d,-b],[-c,a]] inverts every determinant-one matrix; _conj4 relies on it
+    # [[d,-b],[-c,a]] inverts every determinant-one matrix; checks._conjugates and
+    # the _conj4 oracle rely on it
     F = oracles.field_for(q)
     mul, add, neg = F._mul, F._add, F._neg
     for a, b, c, d in tuples(F):

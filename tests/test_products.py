@@ -13,14 +13,16 @@ import pytest
 
 import oracles
 import sl2q
+from oracles import _class_members, _conj4
 from sl2q import products
 from sl2q.classes import ClassLabel, class_table, classify
 from sl2q.field import make_field, prime_factors, prime_powers_up_to
-from sl2q.matrices import Mat2, _conj4, enumerate_sl2, mat
+from sl2q.matrices import Mat2, enumerate_sl2, mat
 from sl2q.products import (
-    _class_members,
     _closed_form_count,
+    _label_traces,
     _scan_labels,
+    _scan_traces,
     _semisimple_labels,
     _unipotent_labels,
     class_product_labels,
@@ -87,6 +89,20 @@ def test_products_match_fixed_factor_oracle(q):
             assert _scan_labels(F, ea.label, eb.label) == labels, (ea.label, eb.label)
             report = product_report(F, ea.label, eb.label)
             assert set(report.traces) == traces, (ea.label, eb.label)
+
+
+@pytest.mark.parametrize("q", GATE_QS)
+def test_row_kernels_match_member_labelling(q):
+    # every ordered pair, central classes included: labelling only the rows
+    # of trace +-2 member by member loses no class of labelling every member
+    # of the cut, and the trace-only scan gives the traces of those labels
+    F = oracles.field_for(q)
+    labels = class_table(F).labels()
+    for la in labels:
+        for lb in labels:
+            want = oracles.member_labels(F, la, lb)
+            assert _scan_labels(F, la, lb) == want, (la, lb)
+            assert _scan_traces(F, la, lb) == _label_traces(F, want), (la, lb)
 
 
 def assert_formula_matches_scan(F, kernel, pairs):
