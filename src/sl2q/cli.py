@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import cProfile
 import functools
 import hashlib
 import itertools
@@ -233,17 +232,13 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
 @click.option("--no-cache", is_flag=True, help="Recompute everything, ignore and skip the cache.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel worker processes across (q, check) items.")
-@click.option("--profile", "profile_path", type=click.Path(dir_okay=False), default=None,
-              help="Write cProfile stats of the checks to this file (needs --jobs 1).")
 @click.pass_context
 def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
-               cache_dir: str, no_cache: bool, jobs: int, profile_path: str | None):
+               cache_dir: str, no_cache: bool, jobs: int):
     """Run the verification suite for every prime power q <= qmax.
 
     Exits nonzero if any executed check fails.
     """
-    if profile_path and jobs > 1:
-        raise click.UsageError("--profile profiles this process only; use it with --jobs 1")
     selected = None
     if check_names:
         requested = [s.strip() for s in check_names.split(",") if s.strip()]
@@ -283,10 +278,6 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
         mapper = map
         if jobs > 1:
             mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs)).map
-        elif profile_path:
-            profiler = cProfile.Profile()
-            stack.callback(profiler.dump_stats, profile_path)  # after it stops
-            stack.enter_context(profiler)
         # results arrive in work order: each is stored and printed as it
         # comes, so a stopped run keeps and shows what it finished
         fresh = mapper(_check_job, todo)

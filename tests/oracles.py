@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from sl2q.classes import ClassLabel, _label_tuples, class_table
+from sl2q.classes import ClassLabel
 from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
 from sl2q.matrices import Mat2, enumerate_sl2
 from sl2q.products import _torus_members, _torus_rows, label_trace
@@ -293,17 +293,3 @@ def _trace_members(F: Field, t: int, cut: str) -> list[tuple]:
         elif a == 0:
             out += [(0, mk[inv[c]], c, d) for c in range(1, q)]
     return out
-
-
-def member_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    """Labels of every X*B, X over the class cut of ``la`` against ``lb``
-    (the representative alone when either class is central), each product
-    multiplied out and labelled: the scan before it was cut into rows."""
-    table = class_table(F)
-    rb = table.rep(lb)
-    if la.kind == "Z" or lb.kind == "Z":
-        ra = table.rep(la)
-        members = [(ra.a, ra.b, ra.c, ra.d)]
-    else:
-        members = _class_members(F, la, lb)
-    return frozenset(ClassLabel(*t) for t in _label_tuples(F, members, (rb.a, rb.b, rb.c, rb.d)))

@@ -2,7 +2,6 @@
 cache (reuse never changes reported numbers)."""
 
 import json
-import pstats
 import weakref
 from pathlib import Path
 
@@ -324,19 +323,6 @@ def test_interrupted_verify_keeps_finished_items(runner, monkeypatch):
         assert res.exit_code == 0, res.output
         marks = [line.endswith("(cached)") for line in res.output.splitlines()[:-1]]
         assert marks == [True, True] + [False] * (len(marks) - 2)
-
-
-def test_verify_profile(runner):
-    with runner.isolated_filesystem():
-        res = runner.invoke(main, ["verify", "--qmax", "3", "--no-cache", "--profile", "p.prof",
-                                   "--out", "v"])
-        assert res.exit_code == 0, res.output
-        functions = {fn for _, _, fn in pstats.Stats("p.prof").stats}
-        assert "check_min_class_bounds" in functions
-        res = runner.invoke(main, ["verify", "--qmax", "3", "--profile", "p2.prof", "--jobs", "2",
-                                   "--out", "v2"])
-        assert res.exit_code == 2 and "--jobs 1" in res.output
-        assert not Path("p2.prof").exists() and not Path("v2").exists()
 
 
 def test_verify_cache_dir_env(runner, monkeypatch):

@@ -20,7 +20,6 @@ from sl2q.field import make_field, prime_factors, prime_powers_up_to
 from sl2q.matrices import Mat2, enumerate_sl2, mat
 from sl2q.products import (
     _closed_form_count,
-    _label_traces,
     _scan_labels,
     _scan_traces,
     _semisimple_labels,
@@ -77,8 +76,8 @@ def test_class_cuts_meet_every_centralizer_orbit(q):
 def test_products_match_fixed_factor_oracle(q):
     # every ordered pair, central classes included: the centralizer cuts
     # must lose no class and no trace of the actual products, both through
-    # the library (closed form for D and W pairs) and through the scan that
-    # the checks use for every pair
+    # the library (closed form for D and W pairs) and through the scans that
+    # the checks use for every pair, the trace-only one included
     F = oracles.field_for(q)
     table = class_table(F)
     for ea in table.entries:
@@ -87,22 +86,9 @@ def test_products_match_fixed_factor_oracle(q):
             labels, traces = oracles.fixed_factor_product(F, orbit, eb.rep)
             assert class_product_labels(F, ea.rep, eb.rep) == labels, (ea.label, eb.label)
             assert _scan_labels(F, ea.label, eb.label) == labels, (ea.label, eb.label)
+            assert _scan_traces(F, ea.label, eb.label) == traces, (ea.label, eb.label)
             report = product_report(F, ea.label, eb.label)
             assert set(report.traces) == traces, (ea.label, eb.label)
-
-
-@pytest.mark.parametrize("q", GATE_QS)
-def test_row_kernels_match_member_labelling(q):
-    # every ordered pair, central classes included: labelling only the rows
-    # of trace +-2 member by member loses no class of labelling every member
-    # of the cut, and the trace-only scan gives the traces of those labels
-    F = oracles.field_for(q)
-    labels = class_table(F).labels()
-    for la in labels:
-        for lb in labels:
-            want = oracles.member_labels(F, la, lb)
-            assert _scan_labels(F, la, lb) == want, (la, lb)
-            assert _scan_traces(F, la, lb) == _label_traces(F, want), (la, lb)
 
 
 def assert_formula_matches_scan(F, kernel, pairs):
