@@ -10,7 +10,6 @@ from .classes import (
     class_table,
     classify,
     irreducible_traces,
-    label_sort_key,
 )
 from .checks import ALL_CHECKS, CheckResult, applicable_checks, run_checks
 from .field import Field, make_field
@@ -27,6 +26,6 @@ __all__ = [
     "ALL_CHECKS", "CheckResult", "ClassEntry", "ClassLabel", "ClassTable",
     "Field", "Mat2", "ProductReport", "applicable_checks", "class_product_labels",
     "class_table", "classify", "det", "enumerate_sl2", "from_literal",
-    "irreducible_traces", "label_sort_key", "label_trace", "make_field", "mat",
-    "min_product_classes", "product_report", "run_checks", "sl2_order",
+    "irreducible_traces", "label_trace", "make_field", "mat", "min_product_classes",
+    "product_report", "run_checks", "sl2_order",
 ]

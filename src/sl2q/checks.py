@@ -10,12 +10,12 @@ exhaustive for even q <= 16 and odd q <= ``ODD_VALUE_SET_EXHAUSTIVE_LIMIT``
 
 The formula checks sample their parameters with ``_take``: a partial
 Fisher-Yates shuffle fed by ``getrandbits`` with rejection of draws that
-are too large, 10 values per family and conjugator.  For pools of at most
-85 values it makes the draws CPython 3.11's ``Random.sample`` makes, so
-the sampled (conjugator, parameters) tuples of every q <= 83 are those of
-that sampler.  Above that the draws stay uniform, and at every size they
-depend on ``getrandbits`` alone, not on how a Python version implements
-``sample()``.
+are too large, ``TAKE`` (10) values per family and conjugator.  For pools
+of at most 85 values it makes the draws CPython 3.11's ``Random.sample``
+makes, so the sampled (conjugator, parameters) tuples of every q <= 83 are
+those of that sampler.  Above that the draws stay uniform, and at every
+size they depend on ``getrandbits`` alone, not on how a Python version
+implements ``sample()``.
 
 Each ``trace_form_*`` takes its innermost parameter as a list (for
 ``trace_form_diag_diag``, the (u, v) pairs) and returns the list of
@@ -73,6 +73,7 @@ from .products import (
 
 FORMULA_EXHAUSTIVE_LIMIT = 9
 ODD_VALUE_SET_EXHAUSTIVE_LIMIT = 13
+TAKE = 10  # values per family and conjugator in the sampled regime
 
 
 @dataclass
@@ -261,9 +262,9 @@ def _formula_samples(F: Field, tag: str, seed: int) -> tuple[list[tuple], random
     return Cs, _rng(F, tag + ":params", seed)
 
 
-def _take(rng: random.Random | None, values, cap: int = 10) -> list:
-    """`cap` distinct members of `values`, or all of them in order when
-    there are at most `cap` or `rng` is None (the exhaustive regime).
+def _take(rng: random.Random | None, values) -> list:
+    """``TAKE`` distinct members of `values`, or all of them in order when
+    there are at most ``TAKE`` or `rng` is None (the exhaustive regime).
 
     A partial Fisher-Yates shuffle: each index is drawn below the n values
     still in the pool from rng.getrandbits(n.bit_length()), rejecting draws
@@ -274,11 +275,11 @@ def _take(rng: random.Random | None, values, cap: int = 10) -> list:
     """
     vals = list(values)
     n = len(vals)
-    if rng is None or n <= cap:
+    if rng is None or n <= TAKE:
         return vals
     getrandbits = rng.getrandbits
     out = []
-    for n in range(n, n - cap, -1):
+    for n in range(n, n - TAKE, -1):
         k = n.bit_length()
         j = getrandbits(k)
         while j >= n:
@@ -561,17 +562,17 @@ def check_value_set_counts(F: Field, *, seed: int = 0) -> CheckResult:
     ws = [w for w in range(q) if not sq[sub[mul[w][w]][four]]]
     plus_ok, minus_ok = True, True
     plus_bad = minus_bad = None
+    # a variant's value set is built only while the variant holds
     for w in ws:
-        plus_set, minus_set = set(), set()
-        for a in range(1, q):
-            for c in range(q):
-                acw = mul[mul[a][c]][w]
-                plus_set.add(sub[add[squares[a]][squares[c]]][acw])
-                minus_set.add(add[sub[squares[a]][squares[c]]][acw])
-        if plus_set != nonzero and plus_ok:
+        mw = mul[w]
+        if plus_ok and {sub[add[squares[a]][squares[c]]][mw[mul[a][c]]]
+                        for a in range(1, q) for c in range(q)} != nonzero:
             plus_ok, plus_bad = False, w
-        if minus_set != nonzero and minus_ok:
+        if minus_ok and {add[sub[squares[a]][squares[c]]][mw[mul[a][c]]]
+                         for a in range(1, q) for c in range(q)} != nonzero:
             minus_ok, minus_bad = False, w
+        if not (plus_ok or minus_ok):
+            break
     details["norm_form_w_values"] = len(ws)
     details["norm_form_plus_holds"] = plus_ok      # a*a + c*c - a*c*w
     details["norm_form_minus_holds"] = minus_ok    # a*a - c*c + a*c*w

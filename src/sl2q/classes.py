@@ -27,7 +27,6 @@ from typing import NamedTuple
 from .field import Field
 from .matrices import Mat2, det, mat, sl2_order
 
-_KIND_ORDER = {"Z": 0, "D": 1, "U": 2, "W": 3}
 _LABEL_RE = re.compile(r"^([ZDUW])\((\d+)(?:,([+-]))?\)$")
 
 
@@ -52,22 +51,19 @@ class ClassLabel(NamedTuple):
         return ClassLabel(kind, x, sign != "-")
 
 
-def label_sort_key(label: ClassLabel) -> tuple[int, int, int]:
-    """Deterministic output order: kind, then payload codes."""
-    return (_KIND_ORDER[label.kind], label.x, 0 if label.square else 1)
-
-
 @dataclass(frozen=True)
 class ClassEntry:
     label: ClassLabel
     rep: Mat2
     size: int
+    trace: int  # shared by every member of the class
 
 
 @dataclass(frozen=True)
 class ClassTable:
-    """All conjugacy classes over GF(q) in deterministic order
-    (central, then D, U, W families, each by ascending code)."""
+    """All conjugacy classes over GF(q) in deterministic order: central,
+    then D, U, W families, each by ascending code, U(s,+) before U(s,-).
+    This is the one class order; reports list their labels in it."""
 
     q: int
     entries: tuple[ClassEntry, ...]
@@ -189,7 +185,7 @@ def irreducible_traces(F: Field) -> list[int]:
 
 
 def class_table(F: Field) -> ClassTable:
-    """Canonical representatives and class sizes, cached per field.
+    """Canonical representatives, class sizes and traces, cached per field.
 
     Sizes are the closed counts (central 1, D: q(q+1), U: (q*q-1)/2 for odd
     q and q*q-1 for even q, W: q(q-1)); the test suite validates them
@@ -199,21 +195,24 @@ def class_table(F: Field) -> ClassTable:
     if got is not None:
         return got
     q = F.q
-    neg1 = F._neg[1]
     entries = []
+
+    def put(label: ClassLabel, a: int, b: int, c: int, d: int, size: int) -> None:
+        entries.append(ClassEntry(label, mat(F, a, b, c, d), size, F._add[a][d]))
+
     for r in _roots_of_one(F):
-        entries.append(ClassEntry(ClassLabel("Z", r), mat(F, r, 0, 0, r), 1))
+        put(ClassLabel("Z", r), r, 0, 0, r, 1)
     for r in range(2, q):
         ri = F._inv[r]
         if r < ri:
-            entries.append(ClassEntry(ClassLabel("D", r), mat(F, r, 0, 0, ri), q * (q + 1)))
+            put(ClassLabel("D", r), r, 0, 0, ri, q * (q + 1))
     u_size = q * q - 1 if q % 2 == 0 else (q * q - 1) // 2
     u_params = (1,) if q % 2 == 0 else (1, F.least_nonsquare)
     for s in _roots_of_one(F):
         for u in u_params:
-            entries.append(ClassEntry(ClassLabel("U", s, u == 1), mat(F, s, u, 0, s), u_size))
+            put(ClassLabel("U", s, u == 1), s, u, 0, s, u_size)
     for w in irreducible_traces(F):
-        entries.append(ClassEntry(ClassLabel("W", w), mat(F, 0, 1, neg1, w), q * (q - 1)))
+        put(ClassLabel("W", w), 0, 1, F._neg[1], w, q * (q - 1))
     table = ClassTable(q, tuple(entries))
     F._cache["class_table"] = table
     return table

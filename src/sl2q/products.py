@@ -39,10 +39,9 @@ and :func:`_closed_form_count`).  Only the pairs with a central factor (one
 member each) and the U x U pairs, at most 10 per field, are scanned.  So
 the minimum over all pairs costs O(q^2) constant-time counts: 0.001 s at
 q = 64, 0.02 s at q = 256, 0.24 s at q = 1019 and 0.18 s at q = 1024 (one
-core, Python 3.11), against 0.02 s, 0.26 s, 15 s and 5.5 s when the pairs
-with a U factor were scanned, and, extrapolated, 35 min at q = 1019 when
-every pair was.  The checks in checks.py scan every pair on purpose, so
-that they recompute the closed forms rather than trust them.
+core, Python 3.11).  A report reads its classes' order and traces off the
+class table in one pass.  The checks in checks.py scan every pair on
+purpose, so that they recompute the closed forms rather than trust them.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classes import (ClassLabel, _label_tuples, _roots_of_one, _trace_kinds, class_table,
-                      classify, label_sort_key)
+from .classes import ClassLabel, _label_tuples, _roots_of_one, _trace_kinds, class_table, classify
 from .field import Field
 from .matrices import Mat2, _same_field, det
 
@@ -483,32 +481,30 @@ def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
 
 def label_trace(F: Field, label: ClassLabel) -> int:
     """The trace shared by every matrix in the labelled class."""
-    if label.kind == "Z" or label.kind == "U":
-        return F._add[label.x][label.x]
-    if label.kind == "D":
-        return F._add[label.x][F._inv[label.x]]
-    return label.x
+    return class_table(F).entry(label).trace
 
 
 def _label_traces(F: Field, labels) -> frozenset[int]:
-    return frozenset(label_trace(F, l) for l in labels)
+    # the traces of a set of labels, read off the class table in one pass
+    return frozenset(e.trace for e in class_table(F).entries if e.label in labels)
 
 
 def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> ProductReport:
     """Compute the class decomposition of the product of two labelled
     classes, using the canonical representatives (the result is
-    class-invariant)."""
+    class-invariant).  The labels come in class table order, with the
+    table's traces."""
     table = class_table(F)
     for label in (label_a, label_b):
         table.entry(label)  # raises for a label with no class over GF(q)
     t0 = time.perf_counter()
     labels = _product_labels(F, label_a, label_b)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    ordered = tuple(sorted(labels, key=label_sort_key))
-    traces = tuple(sorted(_label_traces(F, ordered)))
+    hits = [e for e in table.entries if e.label in labels]  # in class order
+    traces = tuple(sorted({e.trace for e in hits}))
     return ProductReport(
         F.q, F.p, F.m, F.modulus, label_a, label_b,
-        len(ordered), ordered, traces, elapsed,
+        len(hits), tuple(e.label for e in hits), traces, elapsed,
     )
 
 
@@ -521,12 +517,11 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     (:func:`_closed_form_count`), from traces computed once; only the U x U
     pairs, at most 10, are scanned.
     """
-    labels = class_table(F).noncentral_labels()
-    traces = [label_trace(F, l) for l in labels]
+    noncentral = [(e.label, e.trace) for e in class_table(F).entries if e.label.kind != "Z"]
     best_n: int | None = None
     best_pair: tuple[ClassLabel, ClassLabel] | None = None
-    for i, (la, ta) in enumerate(zip(labels, traces)):
-        for lb, tb in zip(labels[i:], traces[i:]):
+    for i, (la, ta) in enumerate(noncentral):
+        for lb, tb in noncentral[i:]:
             if la.kind == "U" and lb.kind == "U":
                 n = len(_scan_labels(F, la, lb))
             else:

@@ -23,6 +23,16 @@ from sl2q.matrices import Mat2, enumerate_sl2
 from sl2q.products import _torus_members, _torus_rows, label_trace
 
 
+_KIND_ORDER = {"Z": 0, "D": 1, "U": 2, "W": 3}
+
+
+def label_sort_key(label: ClassLabel) -> tuple[int, int, int]:
+    """The reference class order: kind Z, D, U, W, then the label's code,
+    U(s,+) before U(s,-).  Reports and the class table must list classes in
+    this order."""
+    return (_KIND_ORDER[label.kind], label.x, 0 if label.square else 1)
+
+
 def _mul4(mul, add, x, y):
     # 2x2 product on bare (a, b, c, d) tuples
     xa, xb, xc, xd = x

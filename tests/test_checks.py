@@ -150,20 +150,21 @@ def test_take_same_draws_for_same_seed():
     assert draws[0] != checks._take(random.Random(8), range(40))
 
 
-@pytest.mark.parametrize("n", [11, 24, 85, 86, 300])
+@pytest.mark.parametrize("n", [checks.TAKE + 1, checks.TAKE + 2, 24, 85, 86, 300])
 def test_take_distinct_members_when_more_than_cap(n):
     values = [3 * v + 1 for v in range(n)]
     got = checks._take(random.Random(n), values)
-    assert len(got) == len(set(got)) == 10
+    assert len(got) == len(set(got)) == checks.TAKE
     assert set(got) <= set(values)
     assert values == [3 * v + 1 for v in range(n)]  # the population is left alone
-    assert len(checks._take(random.Random(n), values, cap=n - 1)) == n - 1
 
 
 def test_take_everything_in_order_at_cap_or_without_rng():
-    assert checks._take(random.Random(1), range(10)) == list(range(10))
-    assert checks._take(random.Random(1), range(4), cap=4) == [0, 1, 2, 3]
-    assert checks._take(None, range(50)) == list(range(50))
+    for n in (0, 1, checks.TAKE - 1, checks.TAKE):
+        assert checks._take(random.Random(1), range(n)) == list(range(n)), n
+    # without an rng (the exhaustive regime) every value comes back, past TAKE too
+    for n in (checks.TAKE, checks.TAKE + 1, 5 * checks.TAKE):
+        assert checks._take(None, range(n)) == list(range(n)), n
 
 
 def test_take_matches_sample_on_small_pools():

@@ -15,7 +15,7 @@ from sl2q.classes import (
     classify,
     irreducible_traces,
 )
-from sl2q.field import make_field
+from sl2q.field import make_field, prime_powers_up_to
 from sl2q.matrices import Mat2, enumerate_sl2, mat, sl2_order
 
 ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
@@ -33,8 +33,20 @@ def test_table_rejects_wrong_size_sum():
     F = make_field(3, 1)
     good = class_table(F).entries
     with pytest.raises(ValueError, match="class sizes sum to 23"):
-        ClassTable(3, good[:-1] + (ClassEntry(good[-1].label, good[-1].rep, 5),))
+        ClassTable(3, good[:-1] + (ClassEntry(good[-1].label, good[-1].rep, 5, good[-1].trace),))
     assert len(ClassTable(3, good)) == len(good)
+
+
+@pytest.mark.parametrize("q", [q if q <= 64 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in prime_powers_up_to(1024)])
+def test_table_order_and_traces(q):
+    # the table's own order is the reference order reports are listed in,
+    # and each entry's trace is its representative's
+    F = oracles.field_for(q)
+    table = class_table(F)
+    assert table.labels() == sorted(table.labels(), key=oracles.label_sort_key)
+    for e in table.entries:
+        assert e.trace == F._add[e.rep.a][e.rep.d], e.label
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

@@ -133,6 +133,15 @@ def test_sweep_csv(runner):
     assert len(lines) == 1 + 3 + 15 + 10
 
 
+def test_sweep_json_unchanged(runner):
+    # every report's labels in class order and its traces, for every pair up
+    # to q = 25; the timings are stripped as in the verify checksums
+    res = runner.invoke(main, ["sweep", "--qmax", "25", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert cli.canonical_checksum(json.loads(res.output)) == (
+        "bc3c81ebc366a21e22812933ceeeb4f24d9840c30a26af40ff28aeba4cb0479c")
+
+
 def test_verify_cache_reuse_and_determinism(runner):
     with runner.isolated_filesystem():
         r1 = runner.invoke(main, ["verify", "--qmax", "4", "--out", "v1"])

@@ -88,7 +88,9 @@ def test_products_match_fixed_factor_oracle(q):
             assert _scan_labels(F, ea.label, eb.label) == labels, (ea.label, eb.label)
             assert _scan_traces(F, ea.label, eb.label) == traces, (ea.label, eb.label)
             report = product_report(F, ea.label, eb.label)
-            assert set(report.traces) == traces, (ea.label, eb.label)
+            ordered = tuple(sorted(labels, key=oracles.label_sort_key))
+            assert report.labels == ordered, (ea.label, eb.label)
+            assert report.traces == tuple(sorted(traces)), (ea.label, eb.label)
 
 
 def assert_formula_matches_scan(F, kernel, pairs):
