@@ -33,8 +33,10 @@ written out.  trace_formulas conjugates each A by every C before its C
 loop, which draws nothing, so the parameters are drawn in the same order.
 The witness families of split_trace_coverage and even_char_bounds are
 conjugated once per first factor and traced against each second factor
-(``_family_traces``).  The pair scans are the row scans of products.py;
-split_trace_coverage reads only traces, so it takes the trace-only one.
+(``_family_traces``).  The pair scans are the row scans of products.py.
+split_trace_coverage scans no pair: its families' direct products show
+every trace, and min_class_bounds scans the same pairs against closed
+forms that hold every trace.
 
 Two closed forms each have a competing sign variant; the checks settle
 them against direct computation and record the outcome instead of silently
@@ -63,7 +65,6 @@ from .products import (
     _closed_form_count,
     _label_traces,
     _scan_labels,
-    _scan_traces,
     _semisimple_labels,
     _unipotent_labels,
     label_trace,
@@ -548,12 +549,9 @@ def check_value_set_counts(F: Field, *, seed: int = 0) -> CheckResult:
     good_s = [s for s in range(q) if sub[mul[s][s]][four] != 0]
     two_var = _grid(rng, exhaustive, 200, units, good_s, elems)
     for u, s, r in two_var:
-        vals = set()
-        for x in range(q):
-            for y in range(q):
-                if x or y:
-                    vals.add(add[neg[mul[u][add[squares[x]][squares[y]]]]]
-                                [mul[s][sub[r][mul[u][mul[x][y]]]]])
+        mu, ms, sr = mul[u], mul[s], sub[r]
+        vals = {add[neg[mu[add[squares[x]][squares[y]]]]][ms[sr[mu[mx[y]]]]]
+                for x, mx in enumerate(mul) for y in range(not x, q)}
         flag("two_variable_image", len(vals) >= q - 1,
              {"params": {"u": u, "s": s, "r": r}, "size": len(vals), "expected_at_least": q - 1})
     details["two_variable_images"] = len(two_var)
@@ -590,9 +588,10 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
     """Products of a diagonalizable (split) class with any noncentral class
     cover every trace, so such a product meets at least q classes.
 
-    Also verifies that the explicit conjugator families [[i,i-1],[1,1]] and
-    [[1,i],[0,1]] achieve all q traces on their own, and that the linear
-    trace expressions they produce match direct computation.
+    For every (D, noncentral) pair the conjugator families [[i,i-1],[1,1]]
+    and [[1,i],[0,1]] give q direct products A**C * B, whose traces are
+    checked against the linear expressions the families produce and shown
+    to cover all q traces.
     """
     name = "split_trace_coverage"
     q = F.q
@@ -604,14 +603,6 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
     if not splits:
         return CheckResult(name, q, True, None, details)  # vacuous: q < 4
     full = frozenset(range(q))
-
-    for ea in splits:
-        for eb in noncentral:
-            ts = _scan_traces(F, ea.label, eb.label)
-            if ts != full:
-                return _fail(name, q, details, pair=[str(ea.label), str(eb.label)],
-                             missing=sorted(full - ts))
-            details["pairs"] += 1
 
     upper_family = [(1, i, 0, 1) for i in range(q)]
     other_family = [(i, sub[i][1], 1, 1) for i in range(q)]
@@ -640,6 +631,7 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
             if set(got) != full:
                 return _fail(name, q, details, pair=[str(ea.label), str(lb)],
                              family_traces=sorted(set(got)))
+            details["pairs"] += 1
             details["witness_families"] += 1
 
     return CheckResult(name, q, True, None, details)

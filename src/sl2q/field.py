@@ -79,13 +79,6 @@ def _digit_add_table(p: int, m: int, elems: list[int]) -> list[list[int]]:
     ]
 
 
-def _poly_eval(p: int, poly: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _poly_divides(p: int, divisor: list[int], poly: list[int]) -> bool:
     """True if the monic `divisor` divides `poly` over GF(p)."""
     rem = list(poly)
@@ -99,20 +92,11 @@ def _poly_divides(p: int, divisor: list[int], poly: list[int]) -> bool:
 
 
 def _is_irreducible(p: int, poly: list[int]) -> bool:
+    """True if the monic `poly` over GF(p) has no monic divisor of degree
+    1 .. deg // 2: a reducible polynomial has one."""
     deg = len(poly) - 1
-    if deg == 1:
-        return True
-    if any(_poly_eval(p, poly, x) == 0 for x in range(p)):
-        return False
-    if deg <= 3:
-        return True
-    # no root rules out linear factors; any remaining factorization has a
-    # monic factor of degree <= deg // 2
-    for d in range(2, deg // 2 + 1):
-        for k in range(p**d):
-            if _poly_divides(p, _digits_of(k, p, d) + [1], poly):
-                return False
-    return True
+    return not any(_poly_divides(p, _digits_of(k, p, d) + [1], poly)
+                   for d in range(1, deg // 2 + 1) for k in range(p**d))
 
 
 def find_modulus(p: int, m: int) -> tuple[int, ...]:

@@ -26,10 +26,9 @@ that share their trace against B:
 
 A trace other than +-2 fixes its class, so such a row gives its label from
 one trace, and only the members of rows of trace +-2 are built and
-labelled one by one (:func:`_scan_rows`).  A scan costs O(q) table lookups
-per pair, and the trace-only scan (:func:`_scan_traces`) builds no member.
-Per field only the trace table, the class table and a table of square
-roots are cached.
+labelled one by one (:func:`_scan_labels`).  A scan costs O(q) table
+lookups per pair.  Per field only the trace table, the class table and a
+table of square roots are cached.
 
 A pair with a D or W factor and no central one needs no enumeration: its
 product is read off the traces and labels, as a set in O(q) and as a count
@@ -296,52 +295,36 @@ def _companion_rows(F: Field, t: int, w: int, want: bool | None, edges) -> tuple
     return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
 
 
-def _scan_rows(F: Field, la: ClassLabel, lb: ClassLabel,
-               labelled: bool) -> tuple[list, list, tuple]:
-    """(row traces, members to label, B) of the product of la's class with
-    the canonical representative B of lb's.
+def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
+    """Labels of the product of la's class with the canonical representative
+    B of lb's; the checks and the tests recompute the closed forms with it.
 
     The first factor runs over the rows of a cover of its class by orbits
     of the centralizer of B; a trace other than +-2 fixes its class, so
-    only the members of rows of trace +-2 (none unless ``labelled``) need
-    the labelling of :func:`_label_tuples`.  A central factor gives a
-    single row: the representative of la's class.
+    only the members of rows of trace +-2 need the labelling of
+    :func:`_label_tuples`.  A central factor gives a single member, the
+    representative of la's class, labelled the same way.
     """
     table = class_table(F)
     rb = table.rep(lb)
     b4 = (rb.a, rb.b, rb.c, rb.d)
-    edges = _edge_traces(F) if labelled else ()
-    if la.kind == "Z" or lb.kind == "Z":
-        ra = table.rep(la)
-        mul, add = F._mul, F._add
-        tau = add[add[mul[ra.a][rb.a]][mul[ra.b][rb.c]]][add[mul[ra.c][rb.b]][mul[ra.d][rb.d]]]
-        return [tau], [(ra.a, ra.b, ra.c, ra.d)] if tau in edges else [], b4
+    edges = _edge_traces(F)
     t = label_trace(F, la)
     want = la.square if la.kind == "U" else None
-    if lb.kind == "D":
+    if la.kind == "Z" or lb.kind == "Z":
+        ra = table.rep(la)
+        taus, members = [], [(ra.a, ra.b, ra.c, ra.d)]
+    elif lb.kind == "D":
         taus, members = _diagonal_rows(F, t, rb.a, want, edges)
     elif lb.kind == "U":
         taus, members = _upper_rows(F, t, rb.a, rb.b, want, edges)
     else:
         taus, members = _companion_rows(F, t, lb.x, want, edges)
-    return taus, members, b4
-
-
-def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    """Labels of the product of two classes by scanning the rows of
-    :func:`_scan_rows`; the checks and the tests recompute the closed forms
-    with it."""
-    taus, members, b4 = _scan_rows(F, la, lb, True)
     kinds = _trace_kinds(F)
     out = {kinds[tau] for tau in taus}
-    out.difference_update(kinds[e] for e in _edge_traces(F))  # the ('U', s) entries
+    out.difference_update(kinds[e] for e in edges)  # the ('U', s) entries
     out.update(ClassLabel(*x) for x in _label_tuples(F, members, b4))
     return frozenset(out)
-
-
-def _scan_traces(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[int]:
-    """The traces of :func:`_scan_labels`, read off the row traces alone."""
-    return frozenset(_scan_rows(F, la, lb, False)[0])
 
 
 def _semisimple_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from sl2q import checks
+from sl2q import checks, products
 from sl2q.classes import ClassLabel
 from sl2q.matrices import enumerate_sl2
 from sl2q.checks import (
@@ -363,6 +363,31 @@ def test_unipotent_formula_fault_injection(q, monkeypatch):
     assert r.counterexample["pair"] == ["U(1,+)", w]
     assert r.counterexample["formula_only"] == [w]
     assert r.counterexample["scan_only"] == []
+
+
+@pytest.mark.parametrize("q,dropped,pair,missing,count", [
+    (8, 1, ["D(2)", "D(2)"], ["W(1)"], 9),
+    (9, 0, ["D(3)", "D(3)"], ["D(3)"], 13),
+    (16, 1, ["D(2)", "D(2)"], ["D(10)"], 17),
+    (25, 0, ["D(2)", "D(2)"], ["D(2)"], 29),
+])
+def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monkeypatch):
+    # the D scan loses every row of one trace other than +-2 (0 is the
+    # edge trace for even q, so those drop 1): min_class_bounds, which
+    # compares every D x D pair with its closed form, must fail at the
+    # first one with that trace's class as formula_only
+    real = products._diagonal_rows
+
+    def evil(F, t, r, want, edges):
+        taus, members = real(F, t, r, want, edges)
+        return [tau for tau in taus if tau != dropped], members
+
+    monkeypatch.setattr(products, "_diagonal_rows", evil)
+    r = check_min_class_bounds(oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == {"part": "semisimple_formula", "pair": pair,
+                                "formula_only": missing, "scan_only": [],
+                                "count": count, "classes": count - 1}
 
 
 # the witness-family checks: a conjugate with one entry moved by 1 (entry k

@@ -18,16 +18,18 @@ from sl2q.matrices import mat
 
 PRIME_POWERS_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
-# frozen from oracles.least_monic_irreducible (re-derived below)
-EXPECTED_MODULI = {
-    4: (1, 1, 1),
-    8: (1, 0, 1, 1),
-    9: (1, 0, 1),
-    16: (1, 0, 0, 1, 1),
-    25: (1, 1, 1),
-    27: (1, 0, 2, 1),
-    32: (1, 0, 0, 1, 0, 1),
+# the canonical modulus of every extension field q <= 1024, frozen from
+# find_modulus; oracles.least_monic_irreducible re-derives those to q = 32
+EXTENSION_MODULI = {
+    4: (1, 1, 1), 8: (1, 0, 1, 1), 9: (1, 0, 1), 16: (1, 0, 0, 1, 1), 25: (1, 1, 1),
+    27: (1, 0, 2, 1), 32: (1, 0, 0, 1, 0, 1), 49: (1, 0, 1), 64: (1, 0, 0, 0, 0, 1, 1),
+    81: (1, 0, 1, 1, 1), 121: (1, 0, 1), 125: (1, 0, 1, 1), 128: (1, 0, 0, 0, 0, 0, 1, 1),
+    169: (1, 3, 1), 243: (1, 0, 0, 0, 2, 1), 256: (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    289: (1, 1, 1), 343: (1, 0, 1, 1), 361: (1, 0, 1), 512: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    529: (1, 0, 1), 625: (1, 0, 1, 1, 1), 729: (1, 0, 0, 0, 1, 1, 1), 841: (1, 1, 1),
+    961: (1, 0, 1), 1024: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
 }
+EXPECTED_MODULI = {q: f for q, f in EXTENSION_MODULI.items() if q <= 32}
 
 
 def test_modulus_examples():
@@ -41,6 +43,15 @@ def test_modulus_examples():
 def test_modulus_matches_independent_scan(q):
     F = oracles.field_for(q)
     assert F.modulus == oracles.least_monic_irreducible(F.p, F.m) == EXPECTED_MODULI[q]
+
+
+def test_extension_moduli_frozen():
+    got = {}
+    for q in prime_powers_up_to(MAX_FIELD_SIZE):
+        p, m = prime_power(q)
+        if m > 1:
+            got[q] = field.find_modulus(p, m)
+    assert got == EXTENSION_MODULI
 
 
 def test_make_field_rejections():
