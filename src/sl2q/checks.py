@@ -827,9 +827,8 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     (products._semisimple_labels for two D or W classes,
     products._unipotent_labels for a U class against one, and the counts
     products._closed_form_count takes from them).  Every such pair is also
-    scanned, the U ones in both operand orders, and a difference in the
-    labels or the count fails the part ``semisimple_formula`` or
-    ``unipotent_formula``.
+    scanned, and a difference in the labels or the count fails the part
+    ``semisimple_formula`` or ``unipotent_formula``.
     """
     name = "min_class_bounds"
     q = F.q
@@ -853,7 +852,7 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         (("semisimple_formula", _semisimple_labels, la, lb)
          for la, lb in itertools.combinations_with_replacement(semisimple, 2)),
         (("unipotent_formula", _unipotent_labels, la, lb)
-         for u in unipotent for s in semisimple for la, lb in ((u, s), (s, u))))
+         for la in unipotent for lb in semisimple))
     for part, kernel, la, lb in formula_pairs:
         formula, scan = kernel(F, la, lb), _scan_labels(F, la, lb)
         count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))

@@ -50,6 +50,7 @@ def canonical_checksum(payload) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -98,7 +99,6 @@ def _cache_load(path: Path, key: dict) -> CheckResult | None:
 
 
 def _cache_store(path: Path, key: dict, result: CheckResult) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, json.dumps({"key": key, "result": result.to_json()}, indent=1, sort_keys=True))
 
 
@@ -312,7 +312,6 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
     csv_text = "\n".join(min_rows) + "\n"
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report_text = json.dumps(report, indent=1, sort_keys=True)
     _atomic_write(out / "report.json", report_text)
     _atomic_write(out / "min_classes.csv", csv_text)

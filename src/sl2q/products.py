@@ -11,17 +11,22 @@ enumeration for small q).  Every product is computed from the class labels
 with both factors at their canonical representatives, as it is
 class-invariant.
 
-The first factor's class is scanned from its label, row by row.  Its
-members solve a + d = t and ad - bc = 1 (for a U class, in one square
-class); conjugating by the centralizer of B fixes B, so a cut that meets
-every orbit of that centralizer suffices, and each cut falls into rows
-that share their trace against B:
+The product of two classes commutes, since X*Y = Y*(Y**-1*X*Y), so a
+scan orders each pair once: a U factor goes second unless both are U, and
+of a D and a W factor the D one goes second.  The first factor's class is
+then scanned from its label, row by row.  Its members solve a + d = t and
+ad - bc = 1 (for a U class, in one square class); conjugating by the
+centralizer of B fixes B, so a cut that meets every orbit of that
+centralizer suffices, and each cut falls into rows that share their trace
+against B:
 
-* B = diag(r, 1/r): one row per a, of trace a*r + d/r, with 1 to 3 members
-  (about q when bc = 0);
-* B = [[s,u],[0,s]]: tr(X*B) = s*t + u*c depends on c alone, one row per c;
-* B = [[0,1],[-1,w]]: one row per M of trace t in the field {xI + yB}, of
-  trace w*m0 + (w*w - 2)*m1, with at most two members;
+* B = diag(r, 1/r), for D x D and W x D: one row per a, of trace
+  a*r + d/r, with 1 to 3 members (about q when bc = 0);
+* B = [[s,u],[0,s]], for D x U, W x U and U x U: tr(X*B) = s*t + u*c
+  depends on c alone, one row per c; only here is the first factor a U
+  class, whose members the cut keeps by square class;
+* B = [[0,1],[-1,w]], for W x W: one row per M of trace t in the field
+  {xI + yB}, of trace w*m0 + (w*w - 2)*m1, with at most two members;
 * a central factor: one row, its representative.
 
 A trace other than +-2 fixes its class, so such a row gives its label from
@@ -111,17 +116,8 @@ def _positions(xs: list, x) -> list[int]:
         return out
 
 
-def _keep(F: Field, members: list[tuple], want: bool | None) -> list[tuple]:
-    # the members of a U class of square class `want` (every member when
-    # want is None): the square class of -c, or of b when c = 0
-    if want is None:
-        return members
-    sq, neg = F._sq, F._neg
-    return [x for x in members if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
-
-
-def _diagonal_rows(F: Field, t: int, r: int, want: bool | None, edges) -> tuple[list, list]:
-    """Rows of the class of trace t against B = diag(r, 1/r).
+def _diagonal_rows(F: Field, t: int, r: int, edges) -> tuple[list, list]:
+    """Rows of the D or W class of trace t against B = diag(r, 1/r).
 
     Conjugating by diag(x, 1/x) fixes B and scales b by x*x, so the members
     with b in {0, 1, nu} ({0, 1} for even q) meet every orbit of its
@@ -129,11 +125,8 @@ def _diagonal_rows(F: Field, t: int, r: int, want: bool | None, edges) -> tuple[
     bc = ad - 1 =: k gives (a, 1, k, d), (a, nu, k/nu, d) and, when k = 0,
     every (a, 0, c, d).  tr(X*B) = a*r + d/r is the same along a row.
 
-    Returns the trace of each row and the members of a U class ``want``
-    (all members when None) in the rows whose trace is in ``edges``.  Every
-    row keeps a member of each square class: for k != 0 the two values of
-    -c, k and k/nu, lie in different square classes (for even q every
-    element is a square), and a row with k = 0 holds every c.
+    Returns the trace of each row and the members of the rows whose trace
+    is in ``edges``.
     """
     q = F.q
     mul, add, sub, inv = F._mul, F._add, F._sub, F._inv
@@ -150,7 +143,7 @@ def _diagonal_rows(F: Field, t: int, r: int, want: bool | None, edges) -> tuple[
             members.append((a, 1, k, d))
             if nu is not None:
                 members.append((a, nu, mul[k][inv[nu]], d))
-    return taus, _keep(F, members, want)
+    return taus, members
 
 
 def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> tuple[list, list]:
@@ -160,11 +153,12 @@ def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> t
     members with c = 0 (a an eigenvalue of the class, every b) or with
     a = 0 and c != 0 (b = -1/c) meet every orbit of its centralizer.
     tr(X*B) = s*t + u*c depends on c alone: each c != 0 is a row of one
-    member, and c = 0 is one row of trace s*t, which keeps a member of each
-    square class since b runs over every element.
+    member, and c = 0 is one row of trace s*t, in which b runs over every
+    element.
 
     Returns the row traces and the members of a U class ``want`` (all
-    members when None) in the rows whose trace is in ``edges``.
+    members when None) in the rows whose trace is in ``edges``: the square
+    class of -c, or of b when c = 0, is ``want``.
     """
     q = F.q
     mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
@@ -178,8 +172,8 @@ def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> t
         taus.append(st)
         if st in edges:
             members += [(a, b, 0, sub[t][a]) for a in sorted({kind[1], inv[kind[1]]})
-                        for b in range(q)]
-    return taus, _keep(F, members, want)
+                        for b in range(q) if want is None or (b and sq[b] == want)]
+    return taus, members
 
 
 def _torus_rows(F: Field, t: int, w: int) -> list[tuple]:
@@ -274,52 +268,51 @@ def _torus_members(F: Field, w: int, rows: list[tuple]) -> list[tuple]:
     return out
 
 
-def _companion_rows(F: Field, t: int, w: int, want: bool | None, edges) -> tuple[list, list]:
-    """Rows of the class of trace t against B = [[0,1],[-1,w]]: the rows M
-    of :func:`_torus_rows`, one trace w*m0 + (w*w - 2)*m1 each.  A U class
-    keeps only some members of a row, so for ``want`` not None every member
-    is built and is its own row, of trace tr(X*B) = -b + c + w*d.
+def _companion_rows(F: Field, t: int, w: int, edges) -> tuple[list, list]:
+    """Rows of the W class of trace t against B = [[0,1],[-1,w]]: the rows M
+    of :func:`_torus_rows`, one trace w*m0 + (w*w - 2)*m1 each.
 
-    Returns the row traces and the members (of a U class ``want``, when not
-    None) in the rows whose trace is in ``edges``.
+    Returns the row traces and the members of the rows whose trace is in
+    ``edges``.
     """
     mul, add, sub = F._mul, F._add, F._sub
     mw = mul[w]
     rows = _torus_rows(F, t, w)
-    if want is not None:
-        members = _keep(F, _torus_members(F, w, rows), want)
-        taus = [add[sub[c][b]][mw[d]] for _, b, c, d in members]
-        return taus, [x for x, tau in zip(members, taus) if tau in edges]
-    mk = mul[sub[mw[w]][F._add[1][1]]]
+    mk = mul[sub[mw[w]][add[1][1]]]
     taus = [add[mw[m0]][mk[m1]] for m0, m1 in rows]
     return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
 
 
 def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    """Labels of the product of la's class with the canonical representative
-    B of lb's; the checks and the tests recompute the closed forms with it.
+    """Labels of the product of la's and lb's classes, scanned against the
+    canonical representative B of the second factor; the checks and the
+    tests recompute the closed forms with it.
 
-    The first factor runs over the rows of a cover of its class by orbits
-    of the centralizer of B; a trace other than +-2 fixes its class, so
-    only the members of rows of trace +-2 need the labelling of
-    :func:`_label_tuples`.  A central factor gives a single member, the
-    representative of la's class, labelled the same way.
+    The product commutes, so the operands are ordered first: a U factor
+    goes second unless both are U, and of a D and a W factor the D one goes
+    second.  The first factor then runs over the rows of a cover of its
+    class by orbits of the centralizer of B; a trace other than +-2 fixes
+    its class, so only the members of rows of trace +-2 need the labelling
+    of :func:`_label_tuples`.  A central factor gives a single member, the
+    representative of the first factor's class, labelled the same way.
     """
+    if (la.kind == "U" and lb.kind != "U") or (la.kind, lb.kind) == ("D", "W"):
+        la, lb = lb, la
     table = class_table(F)
     rb = table.rep(lb)
     b4 = (rb.a, rb.b, rb.c, rb.d)
     edges = _edge_traces(F)
     t = label_trace(F, la)
-    want = la.square if la.kind == "U" else None
     if la.kind == "Z" or lb.kind == "Z":
         ra = table.rep(la)
         taus, members = [], [(ra.a, ra.b, ra.c, ra.d)]
     elif lb.kind == "D":
-        taus, members = _diagonal_rows(F, t, rb.a, want, edges)
+        taus, members = _diagonal_rows(F, t, rb.a, edges)
     elif lb.kind == "U":
+        want = la.square if la.kind == "U" else None
         taus, members = _upper_rows(F, t, rb.a, rb.b, want, edges)
     else:
-        taus, members = _companion_rows(F, t, lb.x, want, edges)
+        taus, members = _companion_rows(F, t, lb.x, edges)
     kinds = _trace_kinds(F)
     out = {kinds[tau] for tau in taus}
     out.difference_update(kinds[e] for e in edges)  # the ('U', s) entries

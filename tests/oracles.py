@@ -6,8 +6,11 @@ transvections, class products by double enumeration or by labelling every
 product with a fixed second factor.  None of them share logic with the code
 paths they check, with one exception: ``_class_members`` builds, member by
 member, the cuts whose rows the library's scan walks, and takes the
-non-split torus members from the library.  Those cuts are checked against
-whole orbits (test_class_cuts_meet_every_centralizer_orbit).
+non-split torus members from the library.  It cuts a U class against every
+kind of second factor, while the library puts a U factor second and so
+walks a cut filtered by square class only against a U factor.  Those cuts
+are checked against whole orbits
+(test_class_cuts_meet_every_centralizer_orbit).
 ``field_for`` is the library's own field lookup, re-exported so every test
 reaches a field by q the same way; test_field.py checks it against literal
 values.

@@ -365,27 +365,46 @@ def test_unipotent_formula_fault_injection(q, monkeypatch):
     assert r.counterexample["scan_only"] == []
 
 
+# the row kernel that scans a failing pair, and the part it fails, by the
+# kinds of that pair as min_class_bounds reports it
+ROW_KERNELS = {
+    ("D", "D"): ("_diagonal_rows", "semisimple_formula"),
+    ("U", "D"): ("_upper_rows", "unipotent_formula"),
+    ("W", "W"): ("_companion_rows", "semisimple_formula"),
+}
+
+
 @pytest.mark.parametrize("q,dropped,pair,missing,count", [
     (8, 1, ["D(2)", "D(2)"], ["W(1)"], 9),
     (9, 0, ["D(3)", "D(3)"], ["D(3)"], 13),
     (16, 1, ["D(2)", "D(2)"], ["D(10)"], 17),
     (25, 0, ["D(2)", "D(2)"], ["D(2)"], 29),
+    (8, 1, ["U(1,+)", "D(2)"], ["W(1)"], 8),
+    (9, 0, ["U(1,+)", "D(3)"], ["D(3)"], 9),
+    (16, 1, ["U(1,+)", "D(2)"], ["D(10)"], 16),
+    (25, 0, ["U(1,+)", "D(2)"], ["D(2)"], 25),
+    (8, 1, ["W(1)", "W(1)"], ["W(1)"], 8),
+    (9, 0, ["W(4)", "W(4)"], ["D(3)"], 10),
+    (16, 1, ["W(3)", "W(3)"], ["D(10)"], 16),
+    (25, 0, ["W(7)", "W(7)"], ["D(2)"], 26),
 ])
 def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monkeypatch):
-    # the D scan loses every row of one trace other than +-2 (0 is the
+    # a row kernel loses every row of one trace other than +-2 (0 is the
     # edge trace for even q, so those drop 1): min_class_bounds, which
-    # compares every D x D pair with its closed form, must fail at the
-    # first one with that trace's class as formula_only
-    real = products._diagonal_rows
+    # compares every pair with a D or W factor with its closed form, must
+    # fail at the first pair that kernel scans, with that trace's class as
+    # formula_only
+    kernel, part = ROW_KERNELS[(pair[0][0], pair[1][0])]
+    real = getattr(products, kernel)
 
-    def evil(F, t, r, want, edges):
-        taus, members = real(F, t, r, want, edges)
+    def evil(F, t, *args):
+        taus, members = real(F, t, *args)
         return [tau for tau in taus if tau != dropped], members
 
-    monkeypatch.setattr(products, "_diagonal_rows", evil)
+    monkeypatch.setattr(products, kernel, evil)
     r = check_min_class_bounds(oracles.field_for(q))
     assert not r.passed
-    assert r.counterexample == {"part": "semisimple_formula", "pair": pair,
+    assert r.counterexample == {"part": part, "pair": pair,
                                 "formula_only": missing, "scan_only": [],
                                 "count": count, "classes": count - 1}
 

@@ -133,6 +133,20 @@ def test_sweep_csv(runner):
     assert len(lines) == 1 + 3 + 15 + 10
 
 
+def test_sweep_out_creates_missing_directories(runner):
+    # the CSV written under directories that do not exist yet is the one on
+    # stdout, up to the elapsed_ms column
+    def untimed(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["sweep", "--qmax", "4", "--out", "new/dir/x.csv"])
+        assert res.exit_code == 0, res.output
+        assert res.output == "wrote 28 reports to new/dir/x.csv\n"
+        stdout = runner.invoke(main, ["sweep", "--qmax", "4"]).output
+        assert untimed(Path("new/dir/x.csv").read_text()) == untimed(stdout)
+
+
 def test_sweep_json_unchanged(runner):
     # every report's labels in class order and its traces, for every pair up
     # to q = 25; the timings are stripped as in the verify checksums

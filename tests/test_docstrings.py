@@ -1,6 +1,8 @@
-"""Docstring references: every :func:`name` in a library docstring names a
-function that its module defines or imports, so no reference outlives the
-function it points at."""
+"""Docstring references and imports: every :func:`name` in a library
+docstring names a function that its module defines or imports, and every
+name a library module imports is used in it (the package's __init__
+imports exactly its __all__), so neither a reference nor an import
+outlives the function it points at."""
 
 import ast
 import re
@@ -19,15 +21,22 @@ def docstrings(tree: ast.Module):
                 yield doc
 
 
-def functions_in_scope(tree: ast.Module) -> set[str]:
-    # the module's own top-level functions and every name it imports
+def imported_names(tree: ast.Module) -> set[str]:
+    # every name the module's top-level imports bind, __future__ aside
     names = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             names.update(alias.asname or alias.name for alias in node.names)
     return names
+
+
+def functions_in_scope(tree: ast.Module) -> set[str]:
+    # the module's own top-level functions and every name it imports
+    return imported_names(tree) | {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
 def test_docstring_function_references_resolve():
@@ -42,3 +51,19 @@ def test_docstring_function_references_resolve():
                     stale.append(f"{path.name}: {name}")
     assert refs, "no :func: reference found; the pattern is stale"
     assert not stale
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(Path(sl2q.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = imported_names(tree)
+        if path.name == "__init__.py":
+            [exported] = [ast.literal_eval(node.value) for node in tree.body
+                          if isinstance(node, ast.Assign)
+                          and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+            assert imported == set(exported)
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused

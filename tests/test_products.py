@@ -186,6 +186,39 @@ def test_min_scans_only_unipotent_pairs(q, monkeypatch):
     assert len(scanned) == (10 if q % 2 else 1)
 
 
+@pytest.mark.parametrize("q", [8, 9])
+def test_scan_orders_each_pair_once(q, monkeypatch):
+    # every ordered noncentral pair reaches one row kernel, with its
+    # operands ordered at the top of the scan: the torus cut serves W x W
+    # alone, the D cut never gets a U first factor (trace +-2), and the U
+    # cut filters by square class only for U x U
+    calls = []
+    for name in ("_diagonal_rows", "_upper_rows", "_companion_rows"):
+        def recording(F, t, *args, name=name, real=getattr(products, name)):
+            calls.append((name, t, args))
+            return real(F, t, *args)
+
+        monkeypatch.setattr(products, name, recording)
+    F = oracles.field_for(q)
+    labels = class_table(F).noncentral_labels()
+    edges = {label_trace(F, l) for l in labels if l.kind == "U"}
+    seen = set()
+    for la in labels:
+        for lb in labels:
+            calls.clear()
+            _scan_labels(F, la, lb)
+            [(name, t, args)] = calls
+            kinds = {la.kind, lb.kind}
+            if name == "_companion_rows":
+                assert kinds == {"W"}, (la, lb)
+            if name == "_diagonal_rows":
+                assert t not in edges, (la, lb)
+            if name == "_upper_rows":  # args: s, u, want, edges
+                assert (args[2] is not None) == (kinds == {"U"}), (la, lb)
+            seen.add(name)
+    assert seen == {"_diagonal_rows", "_upper_rows", "_companion_rows"}
+
+
 @pytest.mark.parametrize("q", prime_powers_up_to(49))
 def test_min_matches_scan_of_every_pair(q):
     # the minimum and its first witness in table order, against the scan
