@@ -58,15 +58,15 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
-from .classes import ClassLabel, _roots_of_one, class_table, classify, irreducible_traces
+from .classes import ClassLabel, _class_keys, _roots_of_one, class_table, irreducible_traces
 from .field import Field
-from .matrices import enumerate_sl2, mat
+from .matrices import enumerate_sl2
 from .products import (
     _closed_form_count,
-    _label_traces,
-    _scan_labels,
-    _semisimple_labels,
-    _unipotent_labels,
+    _entries,
+    _scan_keys,
+    _semisimple_keys,
+    _unipotent_keys,
     label_trace,
     min_product_classes,
     product_report,
@@ -657,11 +657,11 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     details = {"irreducible_classes": len(w_labels), "pairs": 0}
     full = frozenset(range(q))
     u4 = (1, 1, 0, 1)
-    products = {(l1, l2): _scan_labels(F, l1, l2)
+    products = {(l1, l2): _scan_keys(F, l1, l2)
                 for l1, l2 in itertools.combinations_with_replacement([u_label] + w_labels, 2)}
 
     def traces(l1, l2):
-        return _label_traces(F, products[(l1, l2)])
+        return frozenset(e.trace for e in _entries(F, products[(l1, l2)]))
 
     squares = [mul[i][i] for i in range(q)]
     got = _family_traces(F, _conjugates(F, [(1, 0, i, 1) for i in range(q)], u4), u4)
@@ -705,10 +705,10 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                 return _fail(name, q, details, part="companion_companion_traces",
                              w=w, v=v, traces=sorted(set(got)))
 
-    for (l1, l2), labels in products.items():
-        if len(labels) < q - 1:
+    for (l1, l2), keys in products.items():
+        if len(keys) < q - 1:
             return _fail(name, q, details, pair=[str(l1), str(l2)],
-                         classes=len(labels), expected_at_least=q - 1)
+                         classes=len(keys), expected_at_least=q - 1)
         details["pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
@@ -761,24 +761,24 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if not any(not sq[v] for v in wit):
             details["witness_sets_without_nonsquare"] += 1
         rt = mul[r][t]
-        wit_labels = {classify(F, mat(F, rt, e, 0, rt)) for e in wit}
-        labels = _scan_labels(F, l1, l2)
-        if len(wit_labels) < 2 or not wit_labels <= labels:
+        wit_keys = _class_keys(F, [(rt, v, 0, rt) for v in wit], (1, 0, 0, 1))
+        keys = _scan_keys(F, l1, l2)
+        if len(wit_keys) < 2 or not wit_keys <= keys:
             return _fail(name, q, details, part="upper_upper_witnesses", pair=pair,
-                         witnesses=sorted(str(l) for l in wit_labels),
-                         found=sorted(str(l) for l in labels))
-        ts = _label_traces(F, labels)
+                         witnesses=sorted(str(e.label) for e in _entries(F, wit_keys)),
+                         found=sorted(str(e.label) for e in _entries(F, keys)))
+        ts = {e.trace for e in _entries(F, keys)}
         fam = {sub[add[rt][rt]][mul[mul[u][w]][mul[i][i]]] for i in range(q)}
         if len(ts) < (q + 1) // 2 or not fam <= ts:
             return _fail(name, q, details, part="upper_upper_traces", pair=pair,
                          traces=sorted(ts))
-        if len(labels) < half_plus:
+        if len(keys) < half_plus:
             return _fail(name, q, details, part="upper_upper_bound", pair=pair,
-                         classes=len(labels))
+                         classes=len(keys))
         details["uu_pairs"] += 1
 
     for l1, l2 in itertools.product(u_labels, w_labels):
-        n = len(_scan_labels(F, l1, l2))
+        n = len(_scan_keys(F, l1, l2))
         if n < q - 1:
             return _fail(name, q, details, part="upper_companion_bound",
                          pair=[str(l1), str(l2)], classes=n)
@@ -789,8 +789,8 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     for l1, l2 in itertools.combinations_with_replacement(w_labels, 2):
         pair = [str(l1), str(l2)]
         w, v = l1.x, l2.x
-        labels = _scan_labels(F, l1, l2)
-        ts = _label_traces(F, labels)
+        keys = _scan_keys(F, l1, l2)
+        ts = {e.trace for e in _entries(F, keys)}
         fam = {add[sub[mul[i][sub[v][w]]][mul[i][i]]][sub[w][two]] for i in range(q)}
         if not fam <= ts:
             return _fail(name, q, details, part="companion_companion_traces", pair=pair,
@@ -800,13 +800,13 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         else:
             s0 = neg1 if add[v][w] != 0 else 1
             want = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)]
-            if not all(l in labels for l in want):
+            if not all(l in keys for l in want):
                 return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
                              witnesses=[str(l) for l in want],
-                             found=sorted(str(l) for l in labels))
-        if len(labels) < half_plus:
+                             found=sorted(str(e.label) for e in _entries(F, keys)))
+        if len(keys) < half_plus:
             return _fail(name, q, details, part="companion_companion_bound", pair=pair,
-                         classes=len(labels))
+                         classes=len(keys))
         details["ww_pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
@@ -824,10 +824,10 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     against itself otherwise; and exactly 2 for q = 3.
 
     The minimum counts every pair with a D or W factor by closed forms
-    (products._semisimple_labels for two D or W classes,
-    products._unipotent_labels for a U class against one, and the counts
+    (products._semisimple_keys for two D or W classes,
+    products._unipotent_keys for a U class against one, and the counts
     products._closed_form_count takes from them).  Every such pair is also
-    scanned, and a difference in the labels or the count fails the part
+    scanned, and a difference in the classes or the count fails the part
     ``semisimple_formula`` or ``unipotent_formula``.
     """
     name = "min_class_bounds"
@@ -835,31 +835,29 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     table = class_table(F)
     details: dict = {}
 
-    for ze in table.entries:
-        if ze.label.kind != "Z":
-            continue
-        for e in table.entries:
-            labels = _scan_labels(F, ze.label, e.label)
-            if len(labels) != 1:
-                return _fail(name, q, details, part="central_pair",
-                             pair=[str(ze.label), str(e.label)], classes=len(labels))
+    central = [l for l in table.labels() if l.kind == "Z"]
+    for lz, l in itertools.product(central, table.labels()):
+        keys = _scan_keys(F, lz, l)
+        if len(keys) != 1:
+            return _fail(name, q, details, part="central_pair", pair=[str(lz), str(l)],
+                         classes=len(keys))
 
     # min_product_classes counts every pair with a D or W factor by the
     # closed forms; the scan recomputes each such pair
     semisimple = [l for l in table.noncentral_labels() if l.kind in ("D", "W")]
     unipotent = [l for l in table.noncentral_labels() if l.kind == "U"]
     formula_pairs = itertools.chain(
-        (("semisimple_formula", _semisimple_labels, la, lb)
+        (("semisimple_formula", _semisimple_keys, la, lb)
          for la, lb in itertools.combinations_with_replacement(semisimple, 2)),
-        (("unipotent_formula", _unipotent_labels, la, lb)
+        (("unipotent_formula", _unipotent_keys, la, lb)
          for la in unipotent for lb in semisimple))
     for part, kernel, la, lb in formula_pairs:
-        formula, scan = kernel(F, la, lb), _scan_labels(F, la, lb)
+        formula, scan = kernel(F, la, lb), _scan_keys(F, la, lb)
         count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
         if formula != scan or count != len(scan):
             return _fail(name, q, details, part=part, pair=[str(la), str(lb)],
-                         formula_only=sorted(str(l) for l in formula - scan),
-                         scan_only=sorted(str(l) for l in scan - formula),
+                         formula_only=sorted(str(e.label) for e in _entries(F, formula - scan)),
+                         scan_only=sorted(str(e.label) for e in _entries(F, scan - formula)),
                          count=count, classes=len(scan))
 
     min_val, witness = min_product_classes(F)
@@ -874,10 +872,7 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         pair = None
     else:
         expected = (q + 3) // 2
-        if q % 4 == 1:
-            pair = (ClassLabel("U", 1, True), ClassLabel("U", 1, False))
-        else:
-            pair = (ClassLabel("U", 1, True), ClassLabel("U", 1, True))
+        pair = (ClassLabel("U", 1, True), ClassLabel("U", 1, q % 4 != 1))
     details["expected"] = expected
 
     if min_val != expected:

@@ -138,11 +138,13 @@ def _trace_kinds(F: Field) -> list[tuple]:
     return kinds
 
 
-def _label_tuples(F: Field, members: list[tuple], b4: tuple) -> set[tuple]:
-    """Label tuples (kind, x, square) of every X*B, X over ``members``,
-    without building Mat2 objects; the one home of the labelling branch.
+def _class_keys(F: Field, members: list[tuple], b4: tuple) -> set:
+    """Class keys of every X*B, X over ``members``, without building Mat2
+    objects; the one home of the labelling branch.
 
-    A repeated-root trace splits on the off-diagonal entries: scalars are
+    A trace other than +-2 fixes its class (D or W) and is its key; a Z or
+    U class is keyed by its label tuple, equal to its ClassLabel.  A
+    repeated-root trace splits on the off-diagonal entries: scalars are
     the center, and otherwise the square class is read from -m21, or from
     m12 when m21 == 0.  Every conjugate of [[s,u],[0,s]] has m12 = u*d*d
     and m21 = -u*c*c, so both entries carry u's square class.
@@ -150,23 +152,22 @@ def _label_tuples(F: Field, members: list[tuple], b4: tuple) -> set[tuple]:
     mul, add, neg, sq = F._mul, F._add, F._neg, F._sq
     kinds = _trace_kinds(F)
     ba, bb, bc, bd = b4
-    out: set[tuple] = set()
+    out: set = set()
     for xa, xb, xc, xd in members:
         pa = add[mul[xa][ba]][mul[xb][bc]]
         pb = add[mul[xa][bb]][mul[xb][bd]]
         pc = add[mul[xc][ba]][mul[xd][bc]]
         pd = add[mul[xc][bb]][mul[xd][bd]]
-        info = kinds[add[pa][pd]]
-        k = info[0]
-        if k == "U":
-            if pc:
-                out.add(("U", info[1], sq[neg[pc]]))
-            elif pb:
-                out.add(("U", info[1], sq[pb]))
-            else:
-                out.add(("Z", pa, True))
+        t = add[pa][pd]
+        info = kinds[t]
+        if info[0] != "U":
+            out.add(t)
+        elif pc:
+            out.add(("U", info[1], sq[neg[pc]]))
+        elif pb:
+            out.add(("U", info[1], sq[pb]))
         else:
-            out.add(info)
+            out.add(("Z", pa, True))
     return out
 
 
@@ -221,10 +222,10 @@ def class_table(F: Field) -> ClassTable:
 def classify(F: Field, M: Mat2) -> ClassLabel:
     """Canonical label of M's conjugacy class; requires det(M) == 1.
 
-    The branch on trace kind is :func:`_label_tuples`, applied to M times
-    the identity.
+    The branch on trace kind is :func:`_class_keys`, applied to M times
+    the identity; a trace key names its D or W class in the trace table.
     """
     if det(F, M) != 1:
         raise ValueError("classify requires determinant 1")
-    (label,) = _label_tuples(F, [(M.a, M.b, M.c, M.d)], (1, 0, 0, 1))
-    return ClassLabel(*label)
+    (key,) = _class_keys(F, [(M.a, M.b, M.c, M.d)], (1, 0, 0, 1))
+    return _trace_kinds(F)[key] if isinstance(key, int) else ClassLabel(*key)

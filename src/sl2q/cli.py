@@ -49,6 +49,14 @@ def canonical_checksum(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _check_dir(path: Path) -> None:
+    # checked before any work, so a bad path fails at once, not after the last
+    # check; made only when written, so a stopped run leaves no empty directory
+    p = next(p for p in [path, *path.parents] if p.exists())
+    if not p.is_dir() or not os.access(p, os.W_OK | os.X_OK):
+        raise click.UsageError(f"cannot write to directory {path}: {p} is not a writable directory")
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -200,6 +208,8 @@ def cmd_min(q: int, fmt: str):
               help="Write to a file instead of stdout.")
 def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
     """Product reports for every noncentral class pair, all q <= qmax."""
+    if out_path:
+        _check_dir(Path(out_path).parent)
     reports = []
     for q in prime_powers_up_to(qmax):
         F = _field(q)
@@ -259,6 +269,10 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
     if not work:
         raise click.UsageError(f"--checks {check_names!r} selects no check that applies to "
                                f"any q <= {qmax}")
+    out = Path(out_dir)
+    _check_dir(out)
+    if not no_cache:
+        _check_dir(cache)
 
     results: dict[tuple[int, str], CheckResult] = {}
     cached: set[tuple[int, str]] = set()
@@ -311,7 +325,6 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
             min_rows.append(f"{r.q},{r.details['min_classes']}")
     csv_text = "\n".join(min_rows) + "\n"
 
-    out = Path(out_dir)
     report_text = json.dumps(report, indent=1, sort_keys=True)
     _atomic_write(out / "report.json", report_text)
     _atomic_write(out / "min_classes.csv", csv_text)

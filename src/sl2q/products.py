@@ -11,6 +11,11 @@ enumeration for small q).  Every product is computed from the class labels
 with both factors at their canonical representatives, as it is
 class-invariant.
 
+A product is a frozenset of class keys.  A trace other than +-2 fixes its
+class, so it keys every D and W class; a Z or U class is keyed by its label
+tuple, equal to its ClassLabel.  A set's length is its class count, and
+:func:`_entries` is the one place a product's labels are made.
+
 The product of two classes commutes, since X*Y = Y*(Y**-1*X*Y), so a
 scan orders each pair once: a U factor goes second unless both are U, and
 of a D and a W factor the D one goes second.  The first factor's class is
@@ -29,23 +34,22 @@ against B:
   {xI + yB}, of trace w*m0 + (w*w - 2)*m1, with at most two members;
 * a central factor: one row, its representative.
 
-A trace other than +-2 fixes its class, so such a row gives its label from
-one trace, and only the members of rows of trace +-2 are built and
-labelled one by one (:func:`_scan_labels`).  A scan costs O(q) table
-lookups per pair.  Per field only the trace table, the class table and a
-table of square roots are cached.
+A row of trace other than +-2 gives its class's key, that trace, and only
+the members of rows of trace +-2 are built and keyed one by one
+(:func:`_scan_keys`).  A scan costs O(q) table lookups per pair.  Per field
+only the trace table, the class table and a table of square roots are
+cached.
 
 A pair with a D or W factor and no central one needs no enumeration: its
 product is read off the traces and labels, as a set in O(q) and as a count
-in O(1) (:func:`_semisimple_labels` for two D or W classes,
-:func:`_unipotent_labels` for a U class against one, each with its proof,
+in O(1) (:func:`_semisimple_keys` for two D or W classes,
+:func:`_unipotent_keys` for a U class against one, each with its proof,
 and :func:`_closed_form_count`).  Only the pairs with a central factor (one
 member each) and the U x U pairs, at most 10 per field, are scanned.  So
 the minimum over all pairs costs O(q^2) constant-time counts: 0.001 s at
 q = 64, 0.02 s at q = 256, 0.24 s at q = 1019 and 0.18 s at q = 1024 (one
-core, Python 3.11).  A report reads its classes' order and traces off the
-class table in one pass.  The checks in checks.py scan every pair on
-purpose, so that they recompute the closed forms rather than trust them.
+core, Python 3.11).  The checks in checks.py and the tests scan every pair
+on purpose, so that they recompute the closed forms rather than trust them.
 """
 
 from __future__ import annotations
@@ -53,12 +57,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classes import ClassLabel, _label_tuples, _roots_of_one, _trace_kinds, class_table, classify
+from .classes import (ClassEntry, ClassLabel, _class_keys, _roots_of_one, _trace_kinds, class_table,
+                      classify)
 from .field import Field
 from .matrices import Mat2, _same_field, det
 
 CSV_HEADER = "q,p,m,a,b,eta,n_traces,elapsed_ms"
-_SEMISIMPLE = ("D", "W")
 
 
 @dataclass(frozen=True)
@@ -283,18 +287,14 @@ def _companion_rows(F: Field, t: int, w: int, edges) -> tuple[list, list]:
     return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
 
 
-def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    """Labels of the product of la's and lb's classes, scanned against the
-    canonical representative B of the second factor; the checks and the
-    tests recompute the closed forms with it.
-
-    The product commutes, so the operands are ordered first: a U factor
-    goes second unless both are U, and of a D and a W factor the D one goes
-    second.  The first factor then runs over the rows of a cover of its
-    class by orbits of the centralizer of B; a trace other than +-2 fixes
-    its class, so only the members of rows of trace +-2 need the labelling
-    of :func:`_label_tuples`.  A central factor gives a single member, the
-    representative of the first factor's class, labelled the same way.
+def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+    """Class keys of the product of la's and lb's classes, with the
+    operands ordered and the first one's class scanned by rows against the
+    canonical representative B of the second, as the module docstring sets
+    out; the checks and the tests recompute the closed forms with it.  Only
+    the members of rows of trace +-2 are keyed one by one, by
+    :func:`_class_keys`; a central factor gives one member, the
+    representative of the first factor's class.
     """
     if (la.kind == "U" and lb.kind != "U") or (la.kind, lb.kind) == ("D", "W"):
         la, lb = lb, la
@@ -313,18 +313,14 @@ def _scan_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLab
         taus, members = _upper_rows(F, t, rb.a, rb.b, want, edges)
     else:
         taus, members = _companion_rows(F, t, lb.x, edges)
-    kinds = _trace_kinds(F)
-    out = {kinds[tau] for tau in taus}
-    out.difference_update(kinds[e] for e in edges)  # the ('U', s) entries
-    out.update(ClassLabel(*x) for x in _label_tuples(F, members, b4))
-    return frozenset(out)
+    return frozenset(set(taus).difference(edges)).union(_class_keys(F, members, b4))
 
 
-def _semisimple_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    """Labels of the product of two noncentral D or W classes, read off
-    their traces in O(q): every D and W class, Z(r) exactly when
-    t_b = r*t_a, and every U(r, +-) unless t_b = r*t_a and both are of
-    kind W (r*r == 1).
+def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+    """Class keys of the product of two noncentral D or W classes, read
+    off their traces in O(q): every trace other than +-2 (every D and W
+    class), Z(r) exactly when t_b = r*t_a, and every U(r, +-) unless
+    t_b = r*t_a and both are of kind W (r*r == 1).
 
     Neither trace is 2r, and a trace other than 2r fixes its class, so
     r*C_a is the class of trace r*t_a and C_b is self-inverse
@@ -347,27 +343,24 @@ def _semisimple_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[Cl
       r*u appears.  A W matrix has c != 0, since with c = 0 it would be
       triangular with eigenvalues in GF(q); so tr(u*Y) != t_b and no r*u
       appears.
-
-    The scan in :func:`_scan_labels` recomputes this for every pair in the
-    min_class_bounds check and the tests.
     """
     ta, tb = label_trace(F, la), label_trace(F, lb)
-    out = [l for l in class_table(F).labels() if l.kind in _SEMISIMPLE]
+    out = set(range(F.q)).difference(_edge_traces(F))
     squares = (True,) if F.q % 2 == 0 else (True, False)
     for r in _roots_of_one(F):
         inverse = tb == F._mul[r][ta]  # C_b = r*C_a**-1
         if inverse:
-            out.append(ClassLabel("Z", r))
+            out.add(ClassLabel("Z", r))
         if not (inverse and la.kind == "W"):
-            out += [ClassLabel("U", r, s) for s in squares]
+            out.update(ClassLabel("U", r, s) for s in squares)
     return frozenset(out)
 
 
-def _unipotent_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
-    """Labels of the product of a U class U(r, sigma) and a noncentral D or
-    W class of trace t_b, in either operand order, read off the labels in
-    O(q): every D and W class except W(r*t_b) when the other class is of
-    kind W; no Z class; and for each s with s*s == 1 the one class
+def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+    """Class keys of the product of a U class U(r, sigma) and a noncentral
+    D or W class of trace t_b, in either operand order, read off the labels
+    in O(q): every trace other than +-2, all but r*t_b when the other class
+    is of kind W; no Z class; and for each s with s*s == 1 the one class
     U(s, sigma) if t_b - 2*r*s is a square, else U(s, -sigma) (always
     U(1, +) for even q, where every element is a square).  With k roots of
     one (1 for even q, 2 for odd) there are q - k D and W classes, so the
@@ -403,31 +396,28 @@ def _unipotent_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[Cla
       s*u' = [[s, s*f], [0, s]] is the square class of s*f, which is then
       that of r*e*(t_b - 2*r*s): sigma when t_b - 2*r*s is a square, and
       -sigma otherwise.
-
-    The scan in :func:`_scan_labels` recomputes this for every pair in the
-    min_class_bounds check and the tests.
     """
     if la.kind != "U":
         la, lb = lb, la
     r, tb = la.x, label_trace(F, lb)
     mul, sub, sq, two = F._mul, F._sub, F._sq, F._add[1][1]
-    dropped = mul[r][tb] if lb.kind == "W" else None
-    out = [l for l in class_table(F).labels()
-           if l.kind == "D" or (l.kind == "W" and l.x != dropped)]
-    for s in _roots_of_one(F):
-        out.append(ClassLabel("U", s, la.square == sq[sub[tb][mul[two][mul[r][s]]]]))
+    out = set(range(F.q)).difference(_edge_traces(F))
+    if lb.kind == "W":
+        out.discard(mul[r][tb])
+    out.update(ClassLabel("U", s, la.square == sq[sub[tb][mul[two][mul[r][s]]]])
+               for s in _roots_of_one(F))
     return frozenset(out)
 
 
 def _closed_form_count(F: Field, la: ClassLabel, lb: ClassLabel, ta: int, tb: int) -> int:
-    """len(_product_labels(F, la, lb)) for noncentral classes of traces ta
+    """len(_product_keys(F, la, lb)) for noncentral classes of traces ta
     and tb, not both of kind U, in O(1).
 
     With k roots of one (1 for even q, 2 for odd), a U class gives q
     classes against a D class and q - 1 against a W class
-    (:func:`_unipotent_labels`).  Two D or W classes give their q - k
+    (:func:`_unipotent_keys`).  Two D or W classes give their q - k
     classes, k*k U classes, and for each r with t_b = r*t_a a Z(r), less
-    the k U(r, .) when they are of kind W (:func:`_semisimple_labels`).
+    the k U(r, .) when they are of kind W (:func:`_semisimple_keys`).
     """
     q = F.q
     if la.kind == "U" or lb.kind == "U":
@@ -437,13 +427,13 @@ def _closed_form_count(F: Field, la: ClassLabel, lb: ClassLabel, ta: int, tb: in
     return q - k + k * k + inverse * (1 if la.kind == "D" else 1 - k)
 
 
-def _product_labels(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset[ClassLabel]:
+def _product_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     kinds = {la.kind, lb.kind}
     if "Z" in kinds or kinds == {"U"}:
-        return _scan_labels(F, la, lb)
+        return _scan_keys(F, la, lb)
     if "U" in kinds:
-        return _unipotent_labels(F, la, lb)
-    return _semisimple_labels(F, la, lb)
+        return _unipotent_keys(F, la, lb)
+    return _semisimple_keys(F, la, lb)
 
 
 def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
@@ -452,7 +442,7 @@ def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
     _same_field(F, A, B)
     if det(F, A) != 1 or det(F, B) != 1:
         raise ValueError("class products are defined for determinant-one matrices")
-    return _product_labels(F, classify(F, A), classify(F, B))
+    return frozenset(e.label for e in _entries(F, _product_keys(F, classify(F, A), classify(F, B))))
 
 
 def label_trace(F: Field, label: ClassLabel) -> int:
@@ -460,9 +450,10 @@ def label_trace(F: Field, label: ClassLabel) -> int:
     return class_table(F).entry(label).trace
 
 
-def _label_traces(F: Field, labels) -> frozenset[int]:
-    # the traces of a set of labels, read off the class table in one pass
-    return frozenset(e.trace for e in class_table(F).entries if e.label in labels)
+def _entries(F: Field, keys) -> list[ClassEntry]:
+    # the classes of a set of keys in table order; no Z or U class has a
+    # trace key (+-2), and no D or W class a label key
+    return [e for e in class_table(F).entries if e.trace in keys or e.label in keys]
 
 
 def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> ProductReport:
@@ -474,9 +465,9 @@ def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> Produc
     for label in (label_a, label_b):
         table.entry(label)  # raises for a label with no class over GF(q)
     t0 = time.perf_counter()
-    labels = _product_labels(F, label_a, label_b)
+    keys = _product_keys(F, label_a, label_b)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    hits = [e for e in table.entries if e.label in labels]  # in class order
+    hits = _entries(F, keys)
     traces = tuple(sorted({e.trace for e in hits}))
     return ProductReport(
         F.q, F.p, F.m, F.modulus, label_a, label_b,
@@ -499,7 +490,7 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     for i, (la, ta) in enumerate(noncentral):
         for lb, tb in noncentral[i:]:
             if la.kind == "U" and lb.kind == "U":
-                n = len(_scan_labels(F, la, lb))
+                n = len(_scan_keys(F, la, lb))
             else:
                 n = _closed_form_count(F, la, lb, ta, tb)
             if best_n is None or n < best_n:

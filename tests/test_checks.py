@@ -329,12 +329,12 @@ def test_sign_flip_fault_injection(monkeypatch):
 def test_semisimple_formula_fault_injection(q, monkeypatch):
     # U(1,+) put back into the product of a W class with itself: the scan
     # inside min_class_bounds must catch the closed form the minimum uses
-    real = checks._semisimple_labels
+    real = checks._semisimple_keys
 
     def evil(F, la, lb):
         return real(F, la, lb) | {ClassLabel("U", 1, True)}
 
-    monkeypatch.setattr(checks, "_semisimple_labels", evil)
+    monkeypatch.setattr(checks, "_semisimple_keys", evil)
     F = oracles.field_for(q)
     w = str(next(l for l in checks.class_table(F).labels() if l.kind == "W"))
     r = check_min_class_bounds(F)
@@ -349,12 +349,13 @@ def test_semisimple_formula_fault_injection(q, monkeypatch):
 def test_unipotent_formula_fault_injection(q, monkeypatch):
     # W(r*t_b) put back into U(r) x W: the scan inside min_class_bounds must
     # catch the closed form, here at U(1,+) against the first W class
-    real = checks._unipotent_labels
+    real = checks._unipotent_keys
 
-    def evil(F, la, lb):
-        return real(F, la, lb) | {l for l in checks.class_table(F).labels() if l.kind == "W"}
+    def evil(F, la, lb):  # a W class's key is its trace
+        return real(F, la, lb) | {e.trace for e in checks.class_table(F).entries
+                                  if e.label.kind == "W"}
 
-    monkeypatch.setattr(checks, "_unipotent_labels", evil)
+    monkeypatch.setattr(checks, "_unipotent_keys", evil)
     F = oracles.field_for(q)
     w = str(next(l for l in checks.class_table(F).labels() if l.kind == "W"))
     r = check_min_class_bounds(F)

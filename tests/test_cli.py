@@ -371,6 +371,24 @@ def test_verify_cache_dir_env_validated_like_flag(runner, monkeypatch):
         assert not Path("v").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--qmax", "3", "--no-cache", "--out", "afile/sub"],
+    ["verify", "--qmax", "3", "--cache-dir", "afile/c", "--out", "v"],
+    ["sweep", "--qmax", "3", "--out", "afile/x.csv"],
+])
+def test_output_path_below_a_file_refused_before_any_work(runner, monkeypatch, args):
+    # the output and cache directories are checked first: a path below a
+    # regular file is a usage error before any field is built
+    builds = record_field_builds(monkeypatch)
+    with runner.isolated_filesystem():
+        Path("afile").write_text("")
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "afile" in res.output
+        assert "PASS" not in res.output and "FAIL" not in res.output
+        assert builds == []
+
+
 def test_verify_cache_keeps_each_seed(runner):
     # entries for different seeds live side by side: going back to a seed
     # reads every item from the cache

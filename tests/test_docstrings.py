@@ -1,8 +1,10 @@
 """Docstring references and imports: every :func:`name` in a library
 docstring names a function that its module defines or imports, and every
 name a library module imports is used in it (the package's __init__
-imports exactly its __all__), so neither a reference nor an import
-outlives the function it points at."""
+imports exactly its __all__), and every private top-level function is
+used by library code, so neither a reference, an import nor a helper
+outlives the code it serves (helpers only tests need live in
+tests/oracles.py)."""
 
 import ast
 import re
@@ -67,3 +69,23 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert not unused
+
+
+def test_every_private_function_is_used():
+    # a top-level _name function of a library module is live when some
+    # library code outside its own definition names it
+    paths = sorted(Path(sl2q.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    defs = [node for tree in trees for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")]
+    assert defs, "no private function found; the lint is stale"
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    dead = []
+    for fn in defs:
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(name == fn.name and i not in own for name, i in refs):
+            dead.append(fn.name)
+    assert not dead

@@ -20,9 +20,11 @@ from sl2q.field import make_field, prime_factors, prime_powers_up_to
 from sl2q.matrices import Mat2, enumerate_sl2, mat
 from sl2q.products import (
     _closed_form_count,
-    _scan_labels,
-    _semisimple_labels,
-    _unipotent_labels,
+    _entries,
+    _product_keys,
+    _scan_keys,
+    _semisimple_keys,
+    _unipotent_keys,
     class_product_labels,
     label_trace,
     min_product_classes,
@@ -76,15 +78,23 @@ def test_products_match_fixed_factor_oracle(q):
     # every ordered pair, central classes included: the centralizer cuts
     # must lose no class and no trace of the actual products, both through
     # the library (closed form for D and W pairs) and through the scan that
-    # the checks use for every pair
+    # the checks use for every pair.  Both give class keys: the trace of a
+    # class of trace other than +-2, the label of a Z or U class
     F = oracles.field_for(q)
     table = class_table(F)
+    edges = {e.trace for e in table.entries if e.label.kind in "ZU"}
+    edge_labels = {e.label for e in table.entries if e.label.kind in "ZU"}
     for ea in table.entries:
         orbit = oracles.bfs_orbit(F, ea.rep)
         for eb in table.entries:
             labels, traces = oracles.fixed_factor_product(F, orbit, eb.rep)
             assert class_product_labels(F, ea.rep, eb.rep) == labels, (ea.label, eb.label)
-            assert _scan_labels(F, ea.label, eb.label) == labels, (ea.label, eb.label)
+            for keys in (_scan_keys(F, ea.label, eb.label), _product_keys(F, ea.label, eb.label)):
+                ints = {k for k in keys if isinstance(k, int)}
+                assert not ints & edges and keys - ints <= edge_labels, (ea.label, eb.label)
+                entries = _entries(F, keys)
+                assert len(entries) == len(keys), (ea.label, eb.label)
+                assert {e.label for e in entries} == labels, (ea.label, eb.label)
             report = product_report(F, ea.label, eb.label)
             ordered = tuple(sorted(labels, key=oracles.label_sort_key))
             assert report.labels == ordered, (ea.label, eb.label)
@@ -92,9 +102,9 @@ def test_products_match_fixed_factor_oracle(q):
 
 
 def assert_formula_matches_scan(F, kernel, pairs):
-    # the label set, and the count min_product_classes takes in O(1)
+    # the key set, and the count min_product_classes takes in O(1)
     for la, lb in pairs:
-        scan = _scan_labels(F, la, lb)
+        scan = _scan_keys(F, la, lb)
         assert kernel(F, la, lb) == scan, (F.q, la, lb)
         count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
         assert count == len(scan), (F.q, la, lb)
@@ -105,23 +115,24 @@ def semisimple_pairs(F):
     return [(la, lb) for i, la in enumerate(labels) for lb in labels[i:]]
 
 
-def unipotent_pairs(F, both_orders=True):
+def unipotent_pairs(F):
+    # U class first: the scan and the closed form both order their operands
+    # themselves, so the other order would repeat each computation
     labels = class_table(F).noncentral_labels()
-    pairs = [(u, l) for u in labels if u.kind == "U" for l in labels if l.kind in "DW"]
-    return pairs + [(l, u) for u, l in pairs] if both_orders else pairs
+    return [(u, l) for u in labels if u.kind == "U" for l in labels if l.kind in "DW"]
 
 
 @pytest.mark.parametrize("q", prime_powers_up_to(49))
 def test_semisimple_formula_matches_scan(q):
     F = oracles.field_for(q)
-    assert_formula_matches_scan(F, _semisimple_labels, semisimple_pairs(F))
+    assert_formula_matches_scan(F, _semisimple_keys, semisimple_pairs(F))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", [q for q in prime_powers_up_to(128) if q > 49])
 def test_semisimple_formula_matches_scan_to_128(q):
     F = oracles.field_for(q)
-    assert_formula_matches_scan(F, _semisimple_labels, semisimple_pairs(F))
+    assert_formula_matches_scan(F, _semisimple_keys, semisimple_pairs(F))
 
 
 @pytest.mark.slow
@@ -142,29 +153,29 @@ def test_semisimple_formula_matches_scan_sampled(q):
         else:
             lb = by_trace[F._mul[rng.choice(roots)][products.label_trace(F, la)]]
         pairs.append((la, lb))
-    assert_formula_matches_scan(F, _semisimple_labels, pairs)
+    assert_formula_matches_scan(F, _semisimple_keys, pairs)
 
 
 @pytest.mark.parametrize("q", prime_powers_up_to(49))
 def test_unipotent_formula_matches_scan(q):
-    # every ordered pair of a U class and a D or W class
+    # every pair of a U class and a D or W class, U class first; the
+    # fixed-factor oracle covers the other order for q <= 25
     F = oracles.field_for(q)
-    assert_formula_matches_scan(F, _unipotent_labels, unipotent_pairs(F))
+    assert_formula_matches_scan(F, _unipotent_keys, unipotent_pairs(F))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", [q for q in prime_powers_up_to(128) if q > 49])
 def test_unipotent_formula_matches_scan_to_128(q):
     F = oracles.field_for(q)
-    assert_formula_matches_scan(F, _unipotent_labels, unipotent_pairs(F))
+    assert_formula_matches_scan(F, _unipotent_keys, unipotent_pairs(F))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", [509, 512, 1019, 1024])
 def test_unipotent_formula_matches_scan_at_largest_fields(q):
-    # every pair, U class first; the test above covers the other order
     F = oracles.field_for(q)
-    assert_formula_matches_scan(F, _unipotent_labels, unipotent_pairs(F, both_orders=False))
+    assert_formula_matches_scan(F, _unipotent_keys, unipotent_pairs(F))
 
 
 @pytest.mark.parametrize("q", [16, 25])
@@ -172,13 +183,13 @@ def test_min_scans_only_unipotent_pairs(q, monkeypatch):
     # every pair with a D or W factor is counted by the closed forms: the
     # minimum scans the U x U pairs and no other
     scanned = []
-    scan = products._scan_labels
+    scan = products._scan_keys
 
     def recording_scan(F, la, lb):
         scanned.append((la, lb))
         return scan(F, la, lb)
 
-    monkeypatch.setattr(products, "_scan_labels", recording_scan)
+    monkeypatch.setattr(products, "_scan_keys", recording_scan)
     F = oracles.field_for(q)
     us = [l for l in class_table(F).noncentral_labels() if l.kind == "U"]
     min_product_classes(F)
@@ -206,7 +217,7 @@ def test_scan_orders_each_pair_once(q, monkeypatch):
     for la in labels:
         for lb in labels:
             calls.clear()
-            _scan_labels(F, la, lb)
+            _scan_keys(F, la, lb)
             [(name, t, args)] = calls
             kinds = {la.kind, lb.kind}
             if name == "_companion_rows":
@@ -228,7 +239,7 @@ def test_min_matches_scan_of_every_pair(q):
     best = None
     for i, la in enumerate(labels):
         for lb in labels[i:]:
-            n = len(_scan_labels(F, la, lb))
+            n = len(_scan_keys(F, la, lb))
             if best is None or n < best[0]:
                 best = (n, (la, lb))
     assert min_product_classes(F) == best
@@ -245,7 +256,7 @@ def test_products_match_double_enumeration(q):
                 for t in oracles.double_product_tuples(F, ea.rep, eb.rep)
             }
             assert class_product_labels(F, ea.rep, eb.rep) == oracle
-            assert _scan_labels(F, ea.label, eb.label) == oracle
+            assert {e.label for e in _entries(F, _scan_keys(F, ea.label, eb.label))} == oracle
 
 
 def test_central_factor_collapses():
