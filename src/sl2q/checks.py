@@ -31,12 +31,12 @@ The direct side conjugates in one pass per family: ``_conjugates`` maps
 the whole conjugator list to C**-1 * A * C with the sixteen products
 written out.  trace_formulas conjugates each A by every C before its C
 loop, which draws nothing, so the parameters are drawn in the same order.
-The witness families of split_trace_coverage and even_char_bounds are
+The witness families of the coverage and char_bounds checks are
 conjugated once per first factor and traced against each second factor
-(``_family_traces``).  The pair scans are the row scans of products.py.
-split_trace_coverage scans no pair: its families' direct products show
-every trace, and min_class_bounds scans the same pairs against closed
-forms that hold every trace.
+(``_family_traces``); distinct traces are distinct classes, so a family's
+traces bound a pair's class count from below.  Only min_class_bounds,
+the U x W pairs of even_char_bounds and odd_char_bounds scan pairs, with
+the row scans of products.py.
 
 Two closed forms each have a competing sign variant; the checks settle
 them against direct computation and record the outcome instead of silently
@@ -621,8 +621,7 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
                 u, v = lb.x, inv[lb.x]
                 Ts, slope, base = other, mul[sub[r][s]][sub[u][v]], add[mul[u][s]][mul[v][r]]
             else:
-                u = 1 if lb.square else F.least_nonsquare
-                Ts, slope, base = other, neg[mul[sub[r][s]][u]], mul[lb.x][add[r][s]]
+                Ts, slope, base = other, neg[mul[sub[r][s]][eb.rep.b]], mul[lb.x][add[r][s]]
             expect = [add[mul[slope][i]][base] for i in range(q)]
             got = _family_traces(F, Ts, b4)
             if (i := _agreeing(got, expect)) < q:
@@ -644,32 +643,31 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
 
     The witness conjugator families are [[1,0],[i,1]] (traces i*i, all of
     GF(q)), diag(1/i, i) (traces i*i + w, everything except w), and
-    [[i+1,i],[i,i+1]] (traces v*w*(i*i + 1), all of GF(q)).
+    [[i+1,i],[i,i+1]] (traces v*w*(i*i + 1), all of GF(q)).  Each direct
+    product A**C * B lies in the product of the classes, and distinct
+    traces are distinct classes, so the q (U x U, W x W) or q - 1 (U x W)
+    family traces bound the class count.  Only the U x W pairs are
+    scanned, to show that the trace w is missing, which no family can.
     """
     name = "even_char_bounds"
     q = F.q
     if q % 2:
         raise ValueError("even-characteristic check requires even q")
     mul, add, inv = F._mul, F._add, F._inv
-    labels = class_table(F).labels()
-    u_label = next(l for l in labels if l.kind == "U")
-    w_labels = [l for l in labels if l.kind == "W"]
+    u_label = ClassLabel("U", 1)
+    w_labels = [l for l in class_table(F).labels() if l.kind == "W"]
     details = {"irreducible_classes": len(w_labels), "pairs": 0}
     full = frozenset(range(q))
     u4 = (1, 1, 0, 1)
-    products = {(l1, l2): _scan_keys(F, l1, l2)
-                for l1, l2 in itertools.combinations_with_replacement([u_label] + w_labels, 2)}
-
-    def traces(l1, l2):
-        return frozenset(e.trace for e in _entries(F, products[(l1, l2)]))
 
     squares = [mul[i][i] for i in range(q)]
     got = _family_traces(F, _conjugates(F, [(1, 0, i, 1) for i in range(q)], u4), u4)
     if (i := _agreeing(got, squares)) < q:
         return _fail(name, q, details, part="upper_upper_family", i=i,
                      expected=squares[i], direct=got[i])
-    if set(got) != full or traces(u_label, u_label) != full:
+    if set(got) != full:
         return _fail(name, q, details, part="upper_upper_traces", traces=sorted(set(got)))
+    details["pairs"] += 1
 
     # the family runs over i = 1 .. q-1, so list index n is i = n + 1
     diagonal_conjugates = _conjugates(F, [(inv[i], 0, 0, i) for i in range(1, q)], u4)
@@ -684,10 +682,11 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if len(set(got)) != q - 1:
             return _fail(name, q, details, part="upper_companion_family_size",
                          w=w, size=len(set(got)))
-        ts = traces(u_label, lw)
+        ts = {e.trace for e in _entries(F, _scan_keys(F, u_label, lw))}
         if ts != full - {w}:
             return _fail(name, q, details, part="upper_companion_trace_exclusion",
                          w=w, traces=sorted(ts))
+        details["pairs"] += 1
 
     companion_family = [(add[i][1], i, i, add[i][1]) for i in range(q)]
     for j, l1 in enumerate(w_labels):
@@ -701,15 +700,10 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
             if (i := _agreeing(got, want)) < q:
                 return _fail(name, q, details, part="companion_companion_family",
                              w=w, v=v, i=i, direct=got[i])
-            if set(got) != full or traces(l1, l2) != full:
+            if set(got) != full:
                 return _fail(name, q, details, part="companion_companion_traces",
                              w=w, v=v, traces=sorted(set(got)))
-
-    for (l1, l2), keys in products.items():
-        if len(keys) < q - 1:
-            return _fail(name, q, details, pair=[str(l1), str(l2)],
-                         classes=len(keys), expected_at_least=q - 1)
-        details["pairs"] += 1
+            details["pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
 
@@ -729,14 +723,15 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
 
     U x W: at least q-1 classes.
 
-    W x W: the quadratic trace family is covered, the bound (q+3)/2 holds,
-    and both square classes of the repeated-eigenvalue witnesses appear
-    (eigenvalue -1, or +1 when the two traces cancel).  The closed-form
-    witness construction needs a nonzero trace somewhere: for the self-pair
-    of the trace-0 class (possible when q = 3 mod 4) the product provably
-    contains no repeated-eigenvalue class at all, so that single pair is
-    exempted from the witness clause and counted in
-    ``zero_trace_self_pairs_exempt``.
+    W x W: A = [[0,1],[-1,w]] conjugated by [[1,i],[0,1]] times
+    [[0,1],[-1,v]] has trace -i*i + i*(w - v) + w*v - 2, (q+1)/2 values;
+    the scan shows the bound (q+3)/2, and that both square classes of the
+    repeated-eigenvalue witnesses appear (eigenvalue -1, or +1 when the two
+    traces cancel).  The closed-form witness construction needs a nonzero
+    trace somewhere: for the self-pair of the trace-0 class (possible when
+    q = 3 mod 4) the product provably contains no repeated-eigenvalue class
+    at all, so that single pair is exempted from the witness clause and
+    counted in ``zero_trace_self_pairs_exempt``.
     """
     name = "odd_char_bounds"
     q = F.q
@@ -748,13 +743,12 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     w_labels = [l for l in table.labels() if l.kind == "W"]
     details = {"uu_pairs": 0, "uw_pairs": 0, "ww_pairs": 0,
                "witness_sets_without_nonsquare": 0, "zero_trace_self_pairs_exempt": 0}
-    nu = F.least_nonsquare
     half_plus = (q + 3) // 2
 
     for l1, l2 in itertools.combinations_with_replacement(u_labels, 2):
         pair = [str(l1), str(l2)]
-        r, u = l1.x, 1 if l1.square else nu
-        t, w = l2.x, 1 if l2.square else nu
+        r, u = l1.x, table.rep(l1).b
+        t, w = l2.x, table.rep(l2).b
         rw, tu = mul[r][w], mul[t][u]
         wit = {add[mul[rw][mul[y][y]]][mul[tu][mul[x][x]]]
                for x in range(1, q) for y in range(1, q)}
@@ -784,30 +778,37 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                          pair=[str(l1), str(l2)], classes=n)
         details["uw_pairs"] += 1
 
-    two = add[1][1]
-    neg1 = neg[1]
-    for l1, l2 in itertools.combinations_with_replacement(w_labels, 2):
-        pair = [str(l1), str(l2)]
-        w, v = l1.x, l2.x
-        keys = _scan_keys(F, l1, l2)
-        ts = {e.trace for e in _entries(F, keys)}
-        fam = {add[sub[mul[i][sub[v][w]]][mul[i][i]]][sub[w][two]] for i in range(q)}
-        if not fam <= ts:
-            return _fail(name, q, details, part="companion_companion_traces", pair=pair,
-                         missing=sorted(fam - ts))
-        if w == 0 and v == 0:
-            details["zero_trace_self_pairs_exempt"] += 1
-        else:
-            s0 = neg1 if add[v][w] != 0 else 1
-            want = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)]
-            if not all(l in keys for l in want):
-                return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
-                             witnesses=[str(l) for l in want],
-                             found=sorted(str(e.label) for e in _entries(F, keys)))
-        if len(keys) < half_plus:
-            return _fail(name, q, details, part="companion_companion_bound", pair=pair,
-                         classes=len(keys))
-        details["ww_pairs"] += 1
+    two, neg1 = add[1][1], neg[1]
+    upper_family = [(1, i, 0, 1) for i in range(q)]
+    for j, l1 in enumerate(w_labels):
+        w = l1.x
+        conjugates = _conjugates(F, upper_family, (0, 1, neg1, w))
+        for l2 in w_labels[j:]:
+            pair = [str(l1), str(l2)]
+            v = l2.x
+            base, mk = add[sub[mul[w][v]][two]], mul[sub[w][v]]
+            want = [base[sub[mk[i]][mul[i][i]]] for i in range(q)]
+            got = _family_traces(F, conjugates, (0, 1, neg1, v))
+            if (i := _agreeing(got, want)) < q:
+                return _fail(name, q, details, part="companion_companion_family", pair=pair,
+                             i=i, expected=want[i], direct=got[i])
+            if len(set(got)) < (q + 1) // 2:
+                return _fail(name, q, details, part="companion_companion_traces", pair=pair,
+                             traces=sorted(set(got)))
+            keys = _scan_keys(F, l1, l2)
+            if w == 0 and v == 0:
+                details["zero_trace_self_pairs_exempt"] += 1
+            else:
+                s0 = neg1 if add[v][w] != 0 else 1
+                wit = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)]
+                if not all(l in keys for l in wit):
+                    return _fail(name, q, details, part="companion_companion_witnesses",
+                                 pair=pair, witnesses=[str(l) for l in wit],
+                                 found=sorted(str(e.label) for e in _entries(F, keys)))
+            if len(keys) < half_plus:
+                return _fail(name, q, details, part="companion_companion_bound", pair=pair,
+                             classes=len(keys))
+            details["ww_pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
 

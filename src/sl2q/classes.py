@@ -12,9 +12,11 @@ Every class gets a compact canonical label:
                     over GF(q), keyed by the trace w.
 
 Labels biject with conjugacy classes, so label equality is the similarity
-test.  The eigenvalue analysis is done by a linear scan over GF(q) rather
-than discriminant formulas: it is uniform across characteristics (the
-char-2 discriminant degenerates) and O(q) is negligible here.
+test.  The eigenvalue analysis is one linear scan over GF(q) in
+:func:`class_table` rather than discriminant formulas: it is uniform across
+characteristics (the char-2 discriminant degenerates) and O(q) is
+negligible here.  The table's per-trace index (``ClassTable.by_trace``)
+then serves every lookup of a class by its trace.
 """
 
 from __future__ import annotations
@@ -78,6 +80,16 @@ class ClassTable:
     def _by_label(self) -> dict[ClassLabel, ClassEntry]:
         return {e.label: e for e in self.entries}
 
+    @cached_property
+    def by_trace(self) -> list[ClassEntry]:
+        """Index t holds the one D or W entry of trace t, or Z(s)'s entry at
+        the trace 2s (s*s == 1) that Z(s) shares with the U(s, +-)."""
+        out = [None] * self.q
+        for e in self.entries:
+            if e.label.kind != "U":
+                out[e.trace] = e
+        return out
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -113,31 +125,6 @@ class ClassTable:
         }
 
 
-def _trace_kinds(F: Field) -> list[tuple]:
-    """Per-trace eigenvalue analysis: index t holds the label of the one
-    class of trace t, ClassLabel('D', min_eigenvalue) or ClassLabel('W', t),
-    or ('U', s) at the trace 2s (s*s == 1) that Z(s) and the U(s, +-) share.
-
-    Built by running r over the nonzero codes: x**2 - t*x + 1 has root pair
-    {r, 1/r} exactly when t = r + 1/r, a repeated root forces r*r == 1, and
-    traces hit by no pair are the irreducible ones.
-    """
-    got = F._cache.get("trace_kinds")
-    if got is not None:
-        return got
-    add, inv = F._add, F._inv
-    kinds: list[tuple] = [ClassLabel("W", t) for t in range(F.q)]
-    for r in range(1, F.q):
-        ri = inv[r]
-        t = add[r][ri]
-        if r == ri:
-            kinds[t] = ("U", r)
-        elif r < ri:
-            kinds[t] = ClassLabel("D", r)
-    F._cache["trace_kinds"] = kinds
-    return kinds
-
-
 def _class_keys(F: Field, members: list[tuple], b4: tuple) -> set:
     """Class keys of every X*B, X over ``members``, without building Mat2
     objects; the one home of the labelling branch.
@@ -150,7 +137,7 @@ def _class_keys(F: Field, members: list[tuple], b4: tuple) -> set:
     and m21 = -u*c*c, so both entries carry u's square class.
     """
     mul, add, neg, sq = F._mul, F._add, F._neg, F._sq
-    kinds = _trace_kinds(F)
+    by_trace = class_table(F).by_trace
     ba, bb, bc, bd = b4
     out: set = set()
     for xa, xb, xc, xd in members:
@@ -159,13 +146,13 @@ def _class_keys(F: Field, members: list[tuple], b4: tuple) -> set:
         pc = add[mul[xc][ba]][mul[xd][bc]]
         pd = add[mul[xc][bb]][mul[xd][bd]]
         t = add[pa][pd]
-        info = kinds[t]
-        if info[0] != "U":
+        label = by_trace[t].label
+        if label.kind != "Z":
             out.add(t)
         elif pc:
-            out.add(("U", info[1], sq[neg[pc]]))
+            out.add(("U", label.x, sq[neg[pc]]))
         elif pb:
-            out.add(("U", info[1], sq[pb]))
+            out.add(("U", label.x, sq[pb]))
         else:
             out.add(("Z", pa, True))
     return out
@@ -181,12 +168,16 @@ def irreducible_traces(F: Field) -> list[int]:
 
     There are (q-1)/2 of them for odd q and q/2 for even q.
     """
-    kinds = _trace_kinds(F)
-    return [t for t in range(F.q) if kinds[t][0] == "W"]
+    return [e.trace for e in class_table(F).entries if e.label.kind == "W"]
 
 
 def class_table(F: Field) -> ClassTable:
     """Canonical representatives, class sizes and traces, cached per field.
+
+    The one eigenvalue pass: x**2 - t*x + 1 has root pair {r, 1/r} exactly
+    when t = r + 1/r, and a repeated root forces r*r == 1.  So r over the
+    codes gives the central classes and one D class per pair r < 1/r, and
+    the traces that no class hits are the irreducible ones (W).
 
     Sizes are the closed counts (central 1, D: q(q+1), U: (q*q-1)/2 for odd
     q and q*q-1 for even q, W: q(q-1)); the test suite validates them
@@ -212,8 +203,10 @@ def class_table(F: Field) -> ClassTable:
     for s in _roots_of_one(F):
         for u in u_params:
             put(ClassLabel("U", s, u == 1), s, u, 0, s, u_size)
-    for w in irreducible_traces(F):
-        put(ClassLabel("W", w), 0, 1, F._neg[1], w, q * (q - 1))
+    hit = {e.trace for e in entries}
+    for w in range(q):
+        if w not in hit:
+            put(ClassLabel("W", w), 0, 1, F._neg[1], w, q * (q - 1))
     table = ClassTable(q, tuple(entries))
     F._cache["class_table"] = table
     return table
@@ -223,9 +216,10 @@ def classify(F: Field, M: Mat2) -> ClassLabel:
     """Canonical label of M's conjugacy class; requires det(M) == 1.
 
     The branch on trace kind is :func:`_class_keys`, applied to M times
-    the identity; a trace key names its D or W class in the trace table.
+    the identity; a trace key names its D or W class in the table's
+    per-trace index.
     """
     if det(F, M) != 1:
         raise ValueError("classify requires determinant 1")
     (key,) = _class_keys(F, [(M.a, M.b, M.c, M.d)], (1, 0, 0, 1))
-    return _trace_kinds(F)[key] if isinstance(key, int) else ClassLabel(*key)
+    return class_table(F).by_trace[key].label if isinstance(key, int) else ClassLabel(*key)

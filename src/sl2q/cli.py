@@ -22,7 +22,7 @@ from .classes import ClassLabel, class_table, classify
 from .field import (MAX_FIELD_SIZE, Field, field_for, find_modulus, make_field, prime_power,
                     prime_powers_up_to)
 from .matrices import det, from_literal
-from .products import CSV_HEADER, min_product_classes, product_report
+from .products import CSV_HEADER, csv_line, min_product_classes, product_report
 
 # time-derived values are excluded from report checksums so that cached and
 # fresh runs compare byte-identical
@@ -140,7 +140,7 @@ def cmd_table(q: int, fmt: str):
     if fmt == "csv":
         click.echo("label,rep,size")
         for e in table.entries:
-            click.echo(f'{e.label},"{e.rep}",{e.size}')
+            click.echo(csv_line(e.label, e.rep, e.size))
         return
     click.echo(f"q={q} p={F.p} m={F.m} modulus={list(F.modulus)}")
     click.echo(f"{'label':<10}{'representative':<20}size")
@@ -218,7 +218,8 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
                     for la, lb in itertools.combinations_with_replacement(labels, 2)]
     if fmt == "json":
         text = json.dumps({"version": __version__, "qmax": qmax,
-                           "reports": [r.to_json() for r in reports]}, indent=1, sort_keys=True)
+                           "reports": [r.to_json() for r in reports]},
+                          indent=1, sort_keys=True) + "\n"
     else:
         text = "\n".join([CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
     if out_path:
@@ -325,8 +326,7 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
             min_rows.append(f"{r.q},{r.details['min_classes']}")
     csv_text = "\n".join(min_rows) + "\n"
 
-    report_text = json.dumps(report, indent=1, sort_keys=True)
-    _atomic_write(out / "report.json", report_text)
+    _atomic_write(out / "report.json", json.dumps(report, indent=1, sort_keys=True) + "\n")
     _atomic_write(out / "min_classes.csv", csv_text)
     manifest = {
         "version": __version__,
@@ -339,7 +339,7 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
             "min_classes.csv": hashlib.sha256(csv_text.encode()).hexdigest(),
         },
     }
-    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
+    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     click.echo(f"report in {out}/  ({'all passed' if all_passed else 'FAILURES'})")
     if not all_passed:
         ctx.exit(1)

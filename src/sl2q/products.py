@@ -37,8 +37,7 @@ against B:
 A row of trace other than +-2 gives its class's key, that trace, and only
 the members of rows of trace +-2 are built and keyed one by one
 (:func:`_scan_keys`).  A scan costs O(q) table lookups per pair.  Per field
-only the trace table, the class table and a table of square roots are
-cached.
+only the class table and a table of square roots are cached.
 
 A pair with a D or W factor and no central one needs no enumeration: its
 product is read off the traces and labels, as a set in O(q) and as a count
@@ -57,12 +56,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classes import (ClassEntry, ClassLabel, _class_keys, _roots_of_one, _trace_kinds, class_table,
-                      classify)
+from .classes import ClassEntry, ClassLabel, _class_keys, _roots_of_one, class_table, classify
 from .field import Field
 from .matrices import Mat2, _same_field, det
 
 CSV_HEADER = "q,p,m,a,b,eta,n_traces,elapsed_ms"
+
+
+def csv_line(*fields) -> str:
+    # one CSV row, quoting a field that holds a comma (a U label) as csv.QUOTE_MINIMAL does
+    return ",".join(f'"{s}"' if "," in (s := str(x)) else s for x in fields)
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,8 @@ class ProductReport:
         }
 
     def csv_row(self) -> str:
-        return (
-            f"{self.q},{self.p},{self.m},{self.label_a},{self.label_b},"
-            f"{self.num_classes},{len(self.traces)},{self.elapsed_ms:.3f}"
-        )
+        return csv_line(self.q, self.p, self.m, self.label_a, self.label_b,
+                        self.num_classes, len(self.traces), f"{self.elapsed_ms:.3f}")
 
 
 def _edge_traces(F: Field) -> list[int]:
@@ -171,11 +172,12 @@ def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> t
     ast = add[st]
     taus = [ast[mu[c]] for c in cs]
     members = [(0, neg[inv[cs[i]]], cs[i], t) for e in edges for i in _positions(taus, e)]
-    kind = _trace_kinds(F)[t]
-    if kind[0] != "W":
+    entry = class_table(F).by_trace[t]
+    if entry.label.kind != "W":
         taus.append(st)
         if st in edges:
-            members += [(a, b, 0, sub[t][a]) for a in sorted({kind[1], inv[kind[1]]})
+            r = entry.rep.a  # an eigenvalue: a D or Z representative is diagonal
+            members += [(a, b, 0, sub[t][a]) for a in sorted({r, inv[r]})
                         for b in range(q) if want is None or (b and sq[b] == want)]
     return taus, members
 

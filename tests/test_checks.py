@@ -446,6 +446,12 @@ HITS = {
      {"part": "companion_companion_family", "w": 1, "v": 1, "i": 2, "direct": 4}),
     ("even_char_bounds", 16, 2, "companion_factor",
      {"part": "companion_companion_family", "w": 3, "v": 3, "i": 2, "direct": 9}),
+    ("odd_char_bounds", 9, 2, "companion_factor",
+     {"part": "companion_companion_family", "pair": ["W(4)", "W(4)"], "i": 2,
+      "expected": 6, "direct": 7}),
+    ("odd_char_bounds", 25, 2, "companion_factor",
+     {"part": "companion_companion_family", "pair": ["W(7)", "W(7)"], "i": 2,
+      "expected": 17, "direct": 18}),
 ])
 def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
     real, spoils = checks._conjugates, HITS[hit]
@@ -458,3 +464,20 @@ def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
     r = ALL_CHECKS[check](oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == payload
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_even_bounds_scan_only_upper_companion_pairs(q, monkeypatch):
+    # the families' traces bound every pair's class count, so the only scans
+    # left are the U x W ones that show the trace w missing, one per W class
+    scanned = []
+    scan = checks._scan_keys
+
+    def recording_scan(F, la, lb):
+        scanned.append((la.kind, lb.kind))
+        return scan(F, la, lb)
+
+    monkeypatch.setattr(checks, "_scan_keys", recording_scan)
+    r = check_even_char_bounds(oracles.field_for(q))
+    assert r.passed
+    assert scanned == [("U", "W")] * r.details["irreducible_classes"]

@@ -41,12 +41,26 @@ def test_table_rejects_wrong_size_sum():
                                for q in prime_powers_up_to(1024)])
 def test_table_order_and_traces(q):
     # the table's own order is the reference order reports are listed in,
-    # and each entry's trace is its representative's
+    # and each entry's trace is its representative's; the per-trace index
+    # holds each D or W entry at its trace and Z(s) at 2s, so the W traces
+    # are the irreducible ones
     F = oracles.field_for(q)
     table = class_table(F)
     assert table.labels() == sorted(table.labels(), key=oracles.label_sort_key)
     for e in table.entries:
         assert e.trace == F._add[e.rep.a][e.rep.d], e.label
+    by_trace = table.by_trace
+    assert len(by_trace) == q
+    for e in table.entries:
+        if e.label.kind == "Z":
+            assert by_trace[F._add[e.label.x][e.label.x]] is e
+        elif e.label.kind != "U":
+            assert by_trace[e.trace] is e
+    w_traces = [t for t, e in enumerate(by_trace) if e.label.kind == "W"]
+    assert w_traces == irreducible_traces(F)
+    # x**2 - t*x + 1 has a root r exactly when t = r + 1/r
+    split = {F._add[r][F._inv[r]] for r in range(1, q)}
+    assert w_traces == [t for t in range(q) if t not in split]
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

@@ -1,6 +1,7 @@
 """CLI surface: commands, literals, formats, exit codes, and the verify
 cache (reuse never changes reported numbers)."""
 
+import csv
 import json
 import weakref
 from pathlib import Path
@@ -131,6 +132,35 @@ def test_sweep_csv(runner):
     assert lines[0] == "q,p,m,a,b,eta,n_traces,elapsed_ms"
     # unordered noncentral pairs: q=2 gives 3, q=3 gives 15, q=4 gives 10
     assert len(lines) == 1 + 3 + 15 + 10
+
+
+@pytest.mark.parametrize("args,label_columns", [
+    (["table", "--q", "9", "--format", "csv"], [0]),
+    (["sweep", "--qmax", "9"], [3, 4]),
+    (["eta", "--q", "9", "--a", "U(1,+)", "--b", "U(1,-)", "--format", "csv"], [3, 4]),
+])
+def test_csv_rows_parse(runner, args, label_columns):
+    # a U label holds a comma, so it is quoted; every row then has the
+    # header's columns and its labels read back
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    header, *rows = csv.reader(res.output.splitlines())
+    assert rows
+    for row in rows:
+        assert len(row) == len(header), row
+        for i in label_columns:
+            assert str(ClassLabel.parse(row[i])) == row[i]
+
+
+def test_json_outputs_end_with_newline(runner):
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["sweep", "--qmax", "3", "--format", "json"])
+        assert res.exit_code == 0 and res.output.endswith("}\n")
+        res = runner.invoke(main, ["sweep", "--qmax", "3", "--format", "json", "--out", "s.json"])
+        assert res.exit_code == 0, res.output
+        assert runner.invoke(main, ["verify", "--qmax", "3", "--no-cache", "--out", "v"]).exit_code == 0
+        for path in ("s.json", "v/report.json", "v/manifest.json"):
+            assert Path(path).read_text().endswith("}\n"), path
 
 
 def test_sweep_out_creates_missing_directories(runner):

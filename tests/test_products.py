@@ -357,7 +357,7 @@ def test_products_cache_no_members():
     w = class_table(F).noncentral_labels()[-1]
     min_product_classes(F)
     product_report(F, w, w)
-    assert set(F._cache) == {"trace_kinds", "class_table"}
+    assert set(F._cache) == {"class_table"}
 
 
 def test_split_class_covers_all_traces():
