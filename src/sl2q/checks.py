@@ -38,6 +38,12 @@ traces bound a pair's class count from below.  Only min_class_bounds,
 the U x W pairs of even_char_bounds and odd_char_bounds scan pairs, with
 the row scans of products.py.
 
+Every value set of a binary quadratic form (the square/non-square mix, the
+two-variable trace image, the norm forms and the U x U witness values) is
+read off one point per line by ``_form_values``: f(x*v) = x*x*f(v), so the
+form's values at the q + 1 points (1, y) and (0, 1) fix the set, in O(q)
+rather than over all O(q*q) points.
+
 Two closed forms each have a competing sign variant; the checks settle
 them against direct computation and record the outcome instead of silently
 picking one:
@@ -330,6 +336,23 @@ def _family_traces(F: Field, Ts: list, B: tuple) -> list:
     return [add[add[b00[t00]][b10[t01]]][add[b01[t10]][b11[t11]]] for t00, t01, t10, t11 in Ts]
 
 
+def _form_values(F: Field, gs) -> set:
+    """{g*x*x : x != 0, g in gs}, with g = 0 giving {0}, built in O(q).
+
+    The value set of a binary quadratic form f over a domain of nonzero
+    points closed under nonzero scaling, with `gs` the values of f at the
+    points of the domain among the q + 1 points (1, y) and (0, 1).  Since
+    f(x*v) = x*x*f(v), and every nonzero point is a nonzero multiple of
+    exactly one of those points, f takes on the domain exactly the union of
+    the cosets g*(nonzero squares) over g in `gs`.  That coset is {0} for
+    g = 0, else the nonzero squares or the non-squares by the square class
+    of g.
+    """
+    sq = F._sq
+    kinds = {sq[g] if g else None for g in gs}
+    return {v for v in range(F.q) if (sq[v] if v else None) in kinds}
+
+
 def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
     return CheckResult(name, q, False, payload, details)
 
@@ -489,7 +512,10 @@ def check_value_set_counts(F: Field, *, seed: int = 0) -> CheckResult:
     non-square, recording which sign variant holds.
 
     Every part runs to completion and gets a ``part_status`` entry; the
-    returned counterexample is the first failure.
+    returned counterexample is the first failure.  The two-variable sets
+    come from ``_form_values``, from the form's values on one point per
+    line: the mix form on (1, y) with y != 0, the two-variable form on
+    every (1, y) and on (0, 1), and the norm forms on every (1, c).
 
     The square-and-non-square claim is tested as stated, but it is true
     only for odd q >= 7.  At q = 5 it fails exactly when a and b are both
@@ -501,7 +527,7 @@ def check_value_set_counts(F: Field, *, seed: int = 0) -> CheckResult:
     """
     name = "value_set_counts"
     q = F.q
-    mul, add, sub, neg, sq = F._mul, F._add, F._sub, F._neg, F._sq
+    mul, add, sub, sq = F._mul, F._add, F._sub, F._sq
     exhaustive = q <= (16 if q % 2 == 0 else ODD_VALUE_SET_EXHAUSTIVE_LIMIT)
     rng = _rng(F, name, seed)
     units, elems = range(1, q), range(q)
@@ -534,51 +560,41 @@ def check_value_set_counts(F: Field, *, seed: int = 0) -> CheckResult:
              {"params": {"a": a, "b": b, "c": c}, "size": len(img), "expected": half})
     details["quadratic_images"] = len(triples)
 
-    if q > 3:
-        mix_pairs = _grid(rng, exhaustive, 200, units, units)
-        for a, b in mix_pairs:
-            vals = {add[mul[a][squares[x]]][mul[b][squares[y]]]
-                    for x in range(1, q) for y in range(1, q)}
-            ok = any(sq[v] for v in vals) and any(not sq[v] for v in vals)
-            flag("square_nonsquare_mix", ok, {"params": {"a": a, "b": b}, "values": sorted(vals)})
-        details["square_mix_pairs"] = len(mix_pairs)
-    else:
-        details["square_mix_pairs"] = 0
+    mix_pairs = _grid(rng, exhaustive, 200, units, units) if q > 3 else []
+    for a, b in mix_pairs:  # a + b*y*y on the points (1, y), y != 0
+        vals = _form_values(F, [add[a][mul[b][y2]] for y2 in squares[1:]])
+        ok = any(sq[v] for v in vals) and any(not sq[v] for v in vals)
+        flag("square_nonsquare_mix", ok, {"params": {"a": a, "b": b}, "values": sorted(vals)})
+    details["square_mix_pairs"] = len(mix_pairs)
 
     four = add[add[1][1]][add[1][1]]
     good_s = [s for s in range(q) if sub[mul[s][s]][four] != 0]
     two_var = _grid(rng, exhaustive, 200, units, good_s, elems)
     for u, s, r in two_var:
-        mu, ms, sr = mul[u], mul[s], sub[r]
-        vals = {add[neg[mu[add[squares[x]][squares[y]]]]][ms[sr[mu[mx[y]]]]]
-                for x, mx in enumerate(mul) for y in range(not x, q)}
+        # the set is s*r - u*Q(x, y), one-to-one in Q as u != 0, with
+        # Q = x*x + s*x*y + y*y taking 1 + s*y + y*y at (1, y) and 1 at (0, 1)
+        qvals = _form_values(F, [1] + [add[add[1][mul[s][y]]][squares[y]] for y in elems])
+        vals = {sub[mul[s][r]][mul[u][v]] for v in qvals}
         flag("two_variable_image", len(vals) >= q - 1,
              {"params": {"u": u, "s": s, "r": r}, "size": len(vals), "expected_at_least": q - 1})
     details["two_variable_images"] = len(two_var)
 
-    nonzero = set(range(1, q))
-    ws = [w for w in range(q) if not sq[sub[mul[w][w]][four]]]
-    plus_ok, minus_ok = True, True
-    plus_bad = minus_bad = None
-    # a variant's value set is built only while the variant holds
-    for w in ws:
-        mw = mul[w]
-        if plus_ok and {sub[add[squares[a]][squares[c]]][mw[mul[a][c]]]
-                        for a in range(1, q) for c in range(q)} != nonzero:
-            plus_ok, plus_bad = False, w
-        if minus_ok and {add[sub[squares[a]][squares[c]]][mw[mul[a][c]]]
-                         for a in range(1, q) for c in range(q)} != nonzero:
-            minus_ok, minus_bad = False, w
-        if not (plus_ok or minus_ok):
-            break
+    nonzero = set(units)
+    ws = [w for w in elems if not sq[sub[mul[w][w]][four]]]
+    # each variant's first failing w; on the point (1, c) the plus form
+    # a*a + c*c - a*c*w is 1 + c*c - c*w and the minus one 1 - c*c + c*w
+    plus_bad = next((w for w in ws if _form_values(
+        F, [sub[add[1][squares[c]]][mul[w][c]] for c in elems]) != nonzero), None)
+    minus_bad = next((w for w in ws if _form_values(
+        F, [add[sub[1][squares[c]]][mul[w][c]] for c in elems]) != nonzero), None)
     details["norm_form_w_values"] = len(ws)
-    details["norm_form_plus_holds"] = plus_ok      # a*a + c*c - a*c*w
-    details["norm_form_minus_holds"] = minus_ok    # a*a - c*c + a*c*w
+    details["norm_form_plus_holds"] = plus_bad is None
+    details["norm_form_minus_holds"] = minus_bad is None
     if minus_bad is not None:
         details["norm_form_minus_failing_w"] = minus_bad
     # one variant covering all qualifying w is what the downstream argument
     # needs; which one it is stays recorded above
-    flag("norm_form", plus_ok or minus_ok,
+    flag("norm_form", plus_bad is None or minus_bad is None,
          {"failing_w": {"plus": plus_bad, "minus": minus_bad}})
 
     return CheckResult(name, q, counterexample is None, counterexample, details)
@@ -750,8 +766,8 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         r, u = l1.x, table.rep(l1).b
         t, w = l2.x, table.rep(l2).b
         rw, tu = mul[r][w], mul[t][u]
-        wit = {add[mul[rw][mul[y][y]]][mul[tu][mul[x][x]]]
-               for x in range(1, q) for y in range(1, q)}
+        # the value set of rw*y*y + tu*x*x over x, y != 0, from its points (x, 1)
+        wit = _form_values(F, [add[rw][mul[tu][mul[x][x]]] for x in range(1, q)])
         if not any(not sq[v] for v in wit):
             details["witness_sets_without_nonsquare"] += 1
         rt = mul[r][t]
@@ -817,12 +833,13 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     """The group-wide minimum product class count and its optimality
     witness.
 
-    Central times anything collapses to a single class.  Over noncentral
-    pairs the minimum is exactly q-1 for even q, attained by the
-    repeated-eigenvalue class against an irreducible class; exactly
-    (q+3)/2 for odd q > 3, attained by the two square classes of
-    eigenvalue-1 upper triangulars when q = 1 mod 4 and by the square one
-    against itself otherwise; and exactly 2 for q = 3.
+    Central times anything collapses to a single class: Z(r) x C is r*C,
+    whose label is read off C's and compared with the scan (part
+    ``central_pair``).  Over noncentral pairs the minimum is exactly q-1
+    for even q, attained by the repeated-eigenvalue class against an
+    irreducible class; exactly (q+3)/2 for odd q > 3, attained by the two
+    square classes of eigenvalue-1 upper triangulars when q = 1 mod 4 and
+    by the square one against itself otherwise; and exactly 2 for q = 3.
 
     The minimum counts every pair with a D or W factor by closed forms
     (products._semisimple_keys for two D or W classes,
@@ -836,12 +853,22 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     table = class_table(F)
     details: dict = {}
 
+    # Z(r) x C is the class r*C: of trace r*t for a D or W class, Z(rs) for
+    # Z(s), and since r*[[s,u],[0,s]] = [[rs,ru],[0,rs]], U(rs, sigma) for
+    # U(s, sigma) when r is a square, else U(rs, -sigma)
+    mul, sq = F._mul, F._sq
     central = [l for l in table.labels() if l.kind == "Z"]
-    for lz, l in itertools.product(central, table.labels()):
+    for lz, entry in itertools.product(central, table.entries):
+        r, l = lz.x, entry.label
+        if l.kind in ("D", "W"):
+            want = mul[r][entry.trace]
+        else:  # a Z label's flag is always +
+            want = ClassLabel(l.kind, mul[r][l.x], l.kind == "Z" or l.square == sq[r])
         keys = _scan_keys(F, lz, l)
-        if len(keys) != 1:
+        if keys != {want}:
             return _fail(name, q, details, part="central_pair", pair=[str(lz), str(l)],
-                         classes=len(keys))
+                         expected=[str(e.label) for e in _entries(F, {want})],
+                         found=sorted(str(e.label) for e in _entries(F, keys)))
 
     # min_product_classes counts every pair with a D or W factor by the
     # closed forms; the scan recomputes each such pair

@@ -251,7 +251,7 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
     Exits nonzero if any executed check fails.
     """
     selected = None
-    if check_names:
+    if check_names is not None:
         requested = [s.strip() for s in check_names.split(",") if s.strip()]
         unknown = [s for s in requested if s not in ALL_CHECKS]
         if unknown:

@@ -3,10 +3,11 @@
 Kept deliberately naive: field tables filled entry by entry, polynomial
 factor search by exhaustive products, orbits by conjugating with every group element or by closure under
 transvections, class products by double enumeration or by labelling every
-product with a fixed second factor.  None of them share logic with the code
-paths they check, with one exception: ``_class_members`` builds, member by
-member, the cuts whose rows the library's scan walks, and takes the
-non-split torus members from the library.  It cuts a U class against every
+product with a fixed second factor, and quadratic-form value sets over every
+point.  None of them share logic with the code paths they check, with one
+exception: ``_class_members`` builds, member by member, the cuts whose rows
+the library's scan walks, and takes the non-split torus members from the
+library.  It cuts a U class against every
 kind of second factor, while the library puts a U factor second and so
 walks a cut filtered by square class only against a U factor.  Those cuts
 are checked against whole orbits
@@ -244,17 +245,40 @@ def square_mix_exceptions(F: Field) -> list[tuple[int, int, list[int]]]:
     it is exactly the pairs with a and b both non-squares.
     """
     q = F.q
-    add, mul = F._add, F._mul
     out = []
     for a in range(1, q):
         for b in range(1, q):
-            vals = sorted({
-                add[mul[a][mul[x][x]]][mul[b][mul[y][y]]]
-                for x in range(1, q) for y in range(1, q)
-            })
+            vals = sorted(mix_values(F, a, b))
             if {F._sq[v] for v in vals} != {True, False}:
                 out.append((a, b, vals))
     return out
+
+
+# the value sets of the binary quadratic forms that the value_set_counts and
+# odd_char_bounds checks read off one point per line
+# (checks._form_values), here enumerated over all their points
+
+def mix_values(F: Field, a: int, b: int) -> set[int]:
+    """{a*x^2 + b*y^2 : x, y != 0}."""
+    q, add, mul = F.q, F._add, F._mul
+    return {add[mul[a][mul[x][x]]][mul[b][mul[y][y]]] for x in range(1, q) for y in range(1, q)}
+
+
+def two_variable_values(F: Field, u: int, s: int, r: int) -> set[int]:
+    """{-u*x^2 - u*y^2 + s*(r - u*x*y) : (x, y) != 0}."""
+    q, add, sub, mul, neg = F.q, F._add, F._sub, F._mul, F._neg
+    return {add[neg[mul[u][add[mul[x][x]][mul[y][y]]]]][mul[s][sub[r][mul[u][mul[x][y]]]]]
+            for x in range(q) for y in range(q) if x or y}
+
+
+def norm_values(F: Field, w: int, plus: bool) -> set[int]:
+    """{a^2 + c^2 - a*c*w : a != 0} when `plus`, else {a^2 - c^2 + a*c*w : a != 0}."""
+    q, add, sub, mul = F.q, F._add, F._sub, F._mul
+    if plus:
+        return {sub[add[mul[a][a]][mul[c][c]]][mul[w][mul[a][c]]]
+                for a in range(1, q) for c in range(q)}
+    return {add[sub[mul[a][a]][mul[c][c]]][mul[w][mul[a][c]]]
+            for a in range(1, q) for c in range(q)}
 
 
 def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tuple]:

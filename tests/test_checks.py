@@ -10,6 +10,7 @@ import pytest
 import oracles
 from sl2q import checks, products
 from sl2q.classes import ClassLabel
+from sl2q.field import prime_powers_up_to
 from sl2q.matrices import enumerate_sl2
 from sl2q.checks import (
     ALL_CHECKS,
@@ -67,6 +68,55 @@ def test_norm_form_variant_recorded(q, minus_holds):
     r = check_value_set_counts(oracles.field_for(q))
     assert r.details["norm_form_plus_holds"] is True
     assert r.details["norm_form_minus_holds"] is minus_holds
+
+
+# Tier-1 runs odd q <= 49, `-m slow` the odd q up to 127
+@pytest.mark.parametrize("q", [q if q <= 49 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in prime_powers_up_to(127) if q % 2])
+def test_form_values_match_brute_force(q, monkeypatch):
+    # every value set that value_set_counts and odd_char_bounds read off one
+    # point per line, in call order, against the set enumerated over all its
+    # points; the samples are redrawn with the checks' own _rng and _grid
+    F = oracles.field_for(q)
+    mul, add, sub, sq = F._mul, F._add, F._sub, F._sq
+    got, real = [], checks._form_values
+
+    def recording(F, gs):
+        got.append(real(F, gs))
+        return got[-1]
+
+    monkeypatch.setattr(checks, "_form_values", recording)
+    check_value_set_counts(F)
+    if q > 3:
+        check_odd_char_bounds(F)
+    calls = iter(got)
+
+    units, elems = range(1, q), range(q)
+    exhaustive = q <= checks.ODD_VALUE_SET_EXHAUSTIVE_LIMIT
+    rng = checks._rng(F, "value_set_counts", 0)
+    checks._grid(rng, exhaustive, 300, units, elems, elems)  # the quadratic_image triples
+    if q > 3:
+        for a, b in checks._grid(rng, exhaustive, 200, units, units):
+            assert next(calls) == oracles.mix_values(F, a, b), ("mix", a, b)
+    four = add[add[1][1]][add[1][1]]
+    good_s = [s for s in elems if sub[mul[s][s]][four]]
+    for u, s, r in checks._grid(rng, exhaustive, 200, units, good_s, elems):
+        # the kernel gives Q's values, and the check maps them by s*r - u*Q
+        assert ({sub[mul[s][r]][mul[u][v]] for v in next(calls)}
+                == oracles.two_variable_values(F, u, s, r)), ("two_variable", u, s, r)
+    for plus in (True, False):
+        for w in (w for w in elems if not sq[sub[mul[w][w]][four]]):
+            want = oracles.norm_values(F, w, plus)
+            assert next(calls) == want, ("norm_form", plus, w)
+            if want != set(units):
+                break  # the variant's first failing w ends its search
+    if q > 3:
+        table = checks.class_table(F)
+        u_labels = [l for l in table.labels() if l.kind == "U"]
+        for l1, l2 in itertools.combinations_with_replacement(u_labels, 2):
+            r, u, t, w = l1.x, table.rep(l1).b, l2.x, table.rep(l2).b
+            assert next(calls) == oracles.mix_values(F, mul[t][u], mul[r][w]), ("witness", l1, l2)
+    assert next(calls, None) is None
 
 
 def test_odd_bounds_anomaly_counters():
@@ -323,6 +373,30 @@ def test_sign_flip_fault_injection(monkeypatch):
     monkeypatch.setattr(checks, "trace_form_upper_companion", flipped)
     r = checks.check_trace_formulas(oracles.field_for(5))
     assert not r.passed and r.counterexample["form"] == "upper_companion"
+
+
+@pytest.mark.parametrize("q,kinds,pair,expected,found", [
+    (7, "ZDUW", ["Z(6)", "Z(1)"], ["Z(6)"], ["Z(1)"]),
+    (9, "ZDUW", ["Z(2)", "Z(1)"], ["Z(2)"], ["Z(1)"]),
+    (7, "U", ["Z(6)", "U(1,+)"], ["U(6,-)"], ["U(1,+)"]),
+    (9, "U", ["Z(2)", "U(1,+)"], ["U(2,+)"], ["U(1,+)"]),
+])
+def test_central_pair_fault_injection(q, kinds, pair, expected, found, monkeypatch):
+    # Z(-1) x C scanned as Z(1) x C for C of the given kinds: each central
+    # product must be the class r*C, read off the labels; -1 is a
+    # non-square at q = 7, which flips a U class's sign, and a square at 9
+    real = checks._scan_keys
+
+    def evil(F, la, lb):
+        if la.kind == "Z" and la.x != 1 and lb.kind in kinds:
+            la = ClassLabel("Z", 1)
+        return real(F, la, lb)
+
+    monkeypatch.setattr(checks, "_scan_keys", evil)
+    r = check_min_class_bounds(oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == {"part": "central_pair", "pair": pair,
+                                "expected": expected, "found": found}
 
 
 @pytest.mark.parametrize("q", [7, 8])

@@ -479,9 +479,9 @@ def test_verify_check_selection_normalised(runner):
 
 
 def test_verify_refuses_empty_selection(runner):
-    # no name at all, and a check that applies to no q <= qmax
+    # no name at all (an empty value too), and a check that applies to no q <= qmax
     with runner.isolated_filesystem():
-        for checks in (",", "odd_char_bounds"):
+        for checks in ("", ",", "odd_char_bounds"):
             res = runner.invoke(main, ["verify", "--qmax", "3", "--checks", checks, "--out", "v"])
             assert res.exit_code == 2, (checks, res.output)
             assert "selects no check" in res.output and "q <= 3" in res.output

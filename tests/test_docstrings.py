@@ -2,15 +2,17 @@
 docstring names a function that its module defines or imports, and every
 name a library module imports is used in it (the package's __init__
 imports exactly its __all__), and every private top-level function is
-used by library code, so neither a reference, an import nor a helper
-outlives the code it serves (helpers only tests need live in
-tests/oracles.py)."""
+used by library code, and every field table a function binds to a local
+name is read in it, so neither a reference, an import, a helper nor a
+table binding outlives the code it serves (helpers only tests need live
+in tests/oracles.py)."""
 
 import ast
 import re
 from pathlib import Path
 
 import sl2q
+from sl2q.field import Field
 
 FUNC_REF = re.compile(r":func:`~?([\w.]+)`")
 
@@ -89,3 +91,40 @@ def test_every_private_function_is_used():
         if not any(name == fn.name and i not in own for name, i in refs):
             dead.append(fn.name)
     assert not dead
+
+
+# the arithmetic tables of a Field (_add, _mul, _sq, ...), not its cache
+FIELD_TABLES = {name for name in Field.__slots__
+                if name.startswith("_") and not name.startswith("__") and name != "_cache"}
+
+
+def table_bindings(fn: ast.FunctionDef):
+    # (name, table) for each local name an assignment in fn binds to a field
+    # table, as in `mul, add = F._mul, F._add` or `sq = F._sq`
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        target, value = node.targets[0], node.value
+        pairs = (zip(target.elts, value.elts)
+                 if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                 else [(target, value)])
+        for t, v in pairs:
+            if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr in FIELD_TABLES:
+                yield t.id, v.attr
+
+
+def test_every_field_table_binding_is_read():
+    bound, unread = 0, []
+    for path in sorted(Path(sl2q.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for name, table in table_bindings(fn):
+                bound += 1
+                if name not in read:
+                    unread.append(f"{path.name}: {fn.name} binds {name} = F.{table}")
+    assert bound, "no field table binding found; the lint is stale"
+    assert not unread

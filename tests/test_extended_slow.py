@@ -35,18 +35,38 @@ def test_full_suite_to_49():
     assert failures == [(5, "value_set_counts")]
 
 
+# the same digests at seed 0 for the value-set checks at large q, taken from
+# the brute-force enumerations that checks._form_values replaced
+LARGE_Q_DIGESTS = {
+    (257, "value_set_counts"): "af44f252892654c757b5b0b7dbaa2743cf50f1bfc9e1f3c79c124ac39cbb89c2",
+    (509, "value_set_counts"): "5a9b81732b6449ee1bc8bc58a1b1736e46d21b24b5f9131bed13f5f5c11b13a7",
+    (729, "value_set_counts"): "3c9173463390d0fc5ea7f27a531beceba55924d9fe594534e67b1df572c40c21",
+    (1019, "value_set_counts"): "e135775bb8e4a88fe4641767c6eaa1cd57730411d4bc585862595e71677afc3a",
+    (257, "odd_char_bounds"): "2f6a1be280f20d81b8263d8d4eb09e93f0d3101f0be5df592718c5ded1e6efb1",
+}
+
+
+def result_digest(r) -> str:
+    # SHA-256 of the result's to_json() without elapsed_ms
+    d = r.to_json()
+    d.pop("elapsed_ms")
+    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("key", CHECK_DIGESTS)
 def test_check_results_unchanged(key):
     # samples, comparison counts, details and verdicts of every check, so a
     # faster kernel must reproduce every result to the byte
     q, seed = map(int, key.split(":"))
-    got = {}
-    for r in run_checks(oracles.field_for(q), seed=seed):
-        d = r.to_json()
-        d.pop("elapsed_ms")
-        blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
-        got[r.check] = hashlib.sha256(blob.encode()).hexdigest()
+    got = {r.check: result_digest(r) for r in run_checks(oracles.field_for(q), seed=seed)}
     assert got == CHECK_DIGESTS[key]
+
+
+@pytest.mark.parametrize("q,check", LARGE_Q_DIGESTS)
+def test_large_q_value_set_results_unchanged(q, check):
+    [r] = run_checks(oracles.field_for(q), [check])
+    assert result_digest(r) == LARGE_Q_DIGESTS[q, check]
 
 
 def test_verify_to_32_report_unchanged():
