@@ -277,31 +277,37 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
 
     results: dict[tuple[int, str], CheckResult] = {}
     cached: set[tuple[int, str]] = set()
-    todo: list[tuple[int, int, str, int]] = []
+    todo: list[tuple[int, int, int, str]] = []
     for q, p, m, n in work:
         hit = None if no_cache else _cache_load(_cache_path(cache, q, n, seed), _cache_key(p, m, n, seed))
         if hit is not None:
             results[(q, n)] = hit
             cached.add((q, n))
         else:
-            todo.append((p, m, n, seed))
+            todo.append((q, p, m, n))
 
     # ProcessPoolExecutor forks all its workers up front, so never ask for
     # more than there are items or cores
     jobs = min(jobs, len(todo), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
-        mapper = map
         if jobs > 1:
-            mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs)).map
-        # results arrive in work order: each is stored and printed as it
-        # comes, so a stopped run keeps and shows what it finished
-        fresh = mapper(_check_job, todo)
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+            # a stopped run waits for the running items only
+            stack.callback(pool.shutdown, cancel_futures=True)
+            # largest q first, so the longest items do not end the run alone
+            futures = {pool.submit(_check_job, (p, m, n, seed)): (q, p, m, n)
+                       for q, p, m, n in sorted(todo, key=lambda item: -item[0])}
+            arrivals = ((futures[f], f.result()) for f in concurrent.futures.as_completed(futures))
+        else:
+            arrivals = ((item, _check_job((*item[1:], seed))) for item in todo)
+        # each result is stored as it arrives and printed in work order, so
+        # a stopped run keeps what it finished and shows what it can
         for q, p, m, n in work:
-            if (q, n) not in cached:
-                results[(q, n)] = next(fresh)
+            while (q, n) not in results:
+                (dq, dp, dm, dn), result = next(arrivals)
+                results[(dq, dn)] = result
                 if not no_cache:
-                    _cache_store(_cache_path(cache, q, n, seed), _cache_key(p, m, n, seed),
-                                 results[(q, n)])
+                    _cache_store(_cache_path(cache, dq, dn, seed), _cache_key(dp, dm, dn, seed), result)
             r = results[(q, n)]
             mark = "PASS" if r.passed else "FAIL"
             extra = "  (cached)" if (q, n) in cached else ""

@@ -1,7 +1,9 @@
 """CLI surface: commands, literals, formats, exit codes, and the verify
 cache (reuse never changes reported numbers)."""
 
+import concurrent.futures
 import csv
+import functools
 import json
 import weakref
 from pathlib import Path
@@ -251,25 +253,42 @@ def test_verify_rejects_nonpositive_jobs(runner, monkeypatch):
             assert not Path("v").exists()
 
 
-def test_verify_jobs_capped_by_items_and_cores(runner, monkeypatch):
-    # a fake pool records the worker count; no process is started
-    started = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """ProcessPoolExecutor and as_completed stand-ins that start no process.
+    The returned log holds each worker count, submitted item and shutdown's
+    cancel_futures; the fake as_completed finishes the items in the order
+    ``log["order"]`` gives and stops the run before item ``log["stop"]``."""
+    log = {"workers": [], "submitted": [], "shutdown": [], "order": list, "stop": None}
 
     class FakePool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            log["workers"].append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, args):
+            future = concurrent.futures.Future()
+            future.job = functools.partial(fn, args)
+            log["submitted"].append(args)
+            return future
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            log["shutdown"].append(cancel_futures)
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def as_completed(futures):
+        for k, future in enumerate(log["order"](list(futures))):
+            if k == log["stop"]:
+                raise RuntimeError("stopped")
+            future.set_result(future.job())
+            yield future
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.concurrent.futures, "as_completed", as_completed)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    return log
+
+
+def test_verify_jobs_capped_by_items_and_cores(runner, monkeypatch, fake_pool):
+    started = fake_pool["workers"]
     with runner.isolated_filesystem():
         args = ["verify", "--qmax", "3", "--no-cache", "--jobs", "5000"]
         assert runner.invoke(main, args + ["--out", "v1"]).exit_code == 0
@@ -486,6 +505,42 @@ def test_verify_refuses_empty_selection(runner):
             assert res.exit_code == 2, (checks, res.output)
             assert "selects no check" in res.output and "q <= 3" in res.output
             assert not Path("v/report.json").exists()
+
+
+def test_parallel_verify_stores_items_as_they_complete(runner, fake_pool):
+    # the pool gets the largest q first and finishes the items in reverse,
+    # so the first item in work order finishes last; a run stopped after
+    # three items has cached those three but printed nothing, and a rerun
+    # reads them from the cache and prints every item in work order
+    fake_pool["order"] = lambda futures: futures[::-1]
+    fake_pool["stop"] = 3
+    args = ["verify", "--qmax", "4", "--cache-dir", "cc", "--jobs", "2"]
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, args + ["--out", "v"])
+        assert isinstance(res.exception, RuntimeError)
+        assert res.output == ""
+        assert not Path("v").exists()
+        assert fake_pool["shutdown"] == [True]
+        submitted = [p**m for p, m, _, _ in fake_pool["submitted"]]
+        assert submitted == sorted(submitted, reverse=True) and submitted[-1] == 2
+        done = fake_pool["submitted"][-3:]
+        assert sorted(Path("cc").glob("*.json")) == sorted(
+            Path("cc", f"q{p**m:04d}_{n}_seed0.json") for p, m, n, _ in done)
+
+        fake_pool["stop"] = None
+        res = runner.invoke(main, args + ["--out", "v"])
+        assert res.exit_code == 0, res.output
+        assert len(fake_pool["submitted"]) == 2 * len(submitted) - 3
+        lines = res.output.splitlines()[:-1]
+        work = [(int(line[2:6]), line[6:30].strip()) for line in lines]
+        cached = [(p**m, n) for p, m, n, _ in done]
+        assert [line.endswith("(cached)") for line in lines] == [w in cached for w in work]
+        serial = runner.invoke(main, ["verify", "--qmax", "4", "--no-cache", "--out", "s"])
+        assert work == [(int(line[2:6]), line[6:30].strip())
+                        for line in serial.output.splitlines()[:-1]]
+        m1 = json.loads(Path("v/manifest.json").read_text())
+        m2 = json.loads(Path("s/manifest.json").read_text())
+        assert m1["checksums"] == m2["checksums"]
 
 
 def test_verify_parallel_jobs_match_serial(runner):

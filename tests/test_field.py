@@ -171,6 +171,47 @@ def test_collector_restored_when_build_raises(enabled, monkeypatch):
         (gc.enable if was else gc.disable)()
 
 
+def _table_rows(F):
+    return F._add + F._sub + F._mul
+
+
+def _young_ids():
+    return {id(o) for g in (0, 1) for o in gc.get_objects(generation=g)}
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 4), (3, 3)])
+def test_tables_leave_young_generations(p, m):
+    frozen = gc.get_freeze_count()
+    F = Field(p, m)
+    assert gc.get_freeze_count() == frozen
+    young = _young_ids()
+    assert not any(id(row) in young for row in _table_rows(F))
+
+
+def test_caller_frozen_objects_stay_frozen():
+    # with the collector off nothing moves the new rows but the promotion,
+    # which is skipped while a caller holds objects frozen
+    was = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        F = Field(7, 1)
+        assert gc.get_freeze_count() == frozen
+        young = _young_ids()
+        assert all(id(row) in young for row in _table_rows(F))
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("m", [1, 10])
+def test_characteristic_2_sub_is_add(m):
+    F = Field(2, m)
+    assert F._sub is F._add
+
+
 @pytest.mark.parametrize("p, m", [(1019, 1), (31, 2), (2, 10)])
 def test_table_rows_exact_size_and_shared_entries(p, m):
     F = Field(p, m)
