@@ -34,9 +34,11 @@ loop, which draws nothing, so the parameters are drawn in the same order.
 The witness families of the coverage and char_bounds checks are
 conjugated once per first factor and traced against each second factor
 (``_family_traces``); distinct traces are distinct classes, so a family's
-traces bound a pair's class count from below.  Only min_class_bounds,
-the U x W pairs of even_char_bounds and odd_char_bounds scan pairs, with
-the row scans of products.py.
+traces bound a pair's class count from below.  Only min_class_bounds, the
+U x W pairs of both char_bounds checks and odd_char_bounds' U x U pairs
+scan pairs, with the row scans of products.py; odd_char_bounds' W x W
+pairs get their two repeated-eigenvalue witnesses from two direct
+products each, so min_class_bounds is the one scan of those pairs.
 
 Every value set of a binary quadratic form (the square/non-square mix, the
 two-variable trace image, the norm forms and the U x U witness values) is
@@ -615,7 +617,7 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
     table = class_table(F)
     splits = [e for e in table.entries if e.label.kind == "D"]
     noncentral = [e for e in table.entries if e.label.kind != "Z"]
-    details = {"split_classes": len(splits), "pairs": 0, "witness_families": 0}
+    details = {"split_classes": len(splits), "pairs": 0}
     if not splits:
         return CheckResult(name, q, True, None, details)  # vacuous: q < 4
     full = frozenset(range(q))
@@ -647,7 +649,6 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
                 return _fail(name, q, details, pair=[str(ea.label), str(lb)],
                              family_traces=sorted(set(got)))
             details["pairs"] += 1
-            details["witness_families"] += 1
 
     return CheckResult(name, q, True, None, details)
 
@@ -731,29 +732,40 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     U x U: the traces 2rt - u*w*i*i give at least (q+1)/2 values, and
     mapping the upper-triangular witnesses [[rt, rw*y*y + tu*x*x],[0, rt]]
     to their classes yields two distinct same-trace classes inside the
-    product, so at least (q+3)/2 classes.  The witness value set usually
-    holds a square and a non-square; at q = 5 with both off-diagonal
-    parameters non-square it is all squares ({0,1,4}), and the two classes
-    are then the central one plus the square variant -- the count of such
-    pairs is recorded in ``witness_sets_without_nonsquare``.
+    product, so at least (q+3)/2 classes: two at the trace 2rt and one at
+    each of the (q-1)/2 or more other traces.  The witness value set
+    usually holds a square and a non-square; at q = 5 with both
+    off-diagonal parameters non-square it is all squares ({0,1,4}), and the
+    two classes are then the central one plus the square variant -- the
+    count of such pairs is recorded in ``witness_sets_without_nonsquare``.
 
     U x W: at least q-1 classes.
 
     W x W: A = [[0,1],[-1,w]] conjugated by [[1,i],[0,1]] times
-    [[0,1],[-1,v]] has trace -i*i + i*(w - v) + w*v - 2, (q+1)/2 values;
-    the scan shows the bound (q+3)/2, and that both square classes of the
-    repeated-eigenvalue witnesses appear (eigenvalue -1, or +1 when the two
-    traces cancel).  The closed-form witness construction needs a nonzero
-    trace somewhere: for the self-pair of the trace-0 class (possible when
-    q = 3 mod 4) the product provably contains no repeated-eigenvalue class
-    at all, so that single pair is exempted from the witness clause and
-    counted in ``zero_trace_self_pairs_exempt``.
+    B = [[0,1],[-1,v]] has trace -i*i + i*(w - v) + w*v - 2, (q+1)/2
+    values.  Two direct products add the repeated-eigenvalue classes.  Let
+    s0 = -1, or 1 when v + w = 0, so e = s0*w - v is nonzero except for
+    the self-pair of the trace-0 class (possible when q = 3 mod 4).  With
+    N = [[-y,1],[-y*y,y]] (trace 0, N*N = 0) and Q(y) = 1 - v*y + y*y,
+    the matrix X = s0*(I + e/Q(y)*N) has determinant 1, and X*B**-1
+    (B**-1 = [[v,-1],[1,0]], trace(N*B**-1) = Q(y)) has trace
+    s0*(v + e) = w, so it lies in W(w) and X in W(w)*W(v).  X is in
+    U(s0, square class of s0*e/Q(y)).  Q has no root, as x*x - v*x + 1
+    is irreducible; so x*x - v*x*y + y*y is anisotropic, takes every
+    nonzero value, and takes a non-square at some (1, y), while Q(0) = 1:
+    the products at y = 0 and at that y give U(s0,+) and U(s0,-).
+    For the exempt self-pair e = 0 and X = I, the class Z(1) at trace 2,
+    which the family -i*i - 2 never hits (-1 is a non-square there); that
+    pair is counted in ``zero_trace_self_pairs_exempt``.  Each product is
+    checked directly (its determinant, the class of X*B**-1 and its own
+    class), and the count is the distinct family traces other than the
+    witnesses' trace 2*s0 plus the witness classes, at least (q+3)/2.
     """
     name = "odd_char_bounds"
     q = F.q
     if q % 2 == 0 or q <= 3:
         raise ValueError("odd-characteristic check requires odd q > 3")
-    mul, add, sub, neg, sq = F._mul, F._add, F._sub, F._neg, F._sq
+    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
     table = class_table(F)
     u_labels = [l for l in table.labels() if l.kind == "U"]
     w_labels = [l for l in table.labels() if l.kind == "W"]
@@ -782,9 +794,6 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if len(ts) < (q + 1) // 2 or not fam <= ts:
             return _fail(name, q, details, part="upper_upper_traces", pair=pair,
                          traces=sorted(ts))
-        if len(keys) < half_plus:
-            return _fail(name, q, details, part="upper_upper_bound", pair=pair,
-                         classes=len(keys))
         details["uu_pairs"] += 1
 
     for l1, l2 in itertools.product(u_labels, w_labels):
@@ -796,6 +805,9 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
 
     two, neg1 = add[1][1], neg[1]
     upper_family = [(1, i, 0, 1) for i in range(q)]
+    # per W(v), the least y with Q(y) = 1 - v*y + y*y a non-square
+    ys = {l.x: next(y for y in range(q) if not sq[add[sub[1][mul[l.x][y]]][mul[y][y]]])
+          for l in w_labels}
     for j, l1 in enumerate(w_labels):
         w = l1.x
         conjugates = _conjugates(F, upper_family, (0, 1, neg1, w))
@@ -808,22 +820,29 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
             if (i := _agreeing(got, want)) < q:
                 return _fail(name, q, details, part="companion_companion_family", pair=pair,
                              i=i, expected=want[i], direct=got[i])
-            if len(set(got)) < (q + 1) // 2:
+            if len(ts := set(got)) < (q + 1) // 2:
                 return _fail(name, q, details, part="companion_companion_traces", pair=pair,
-                             traces=sorted(set(got)))
-            keys = _scan_keys(F, l1, l2)
-            if w == 0 and v == 0:
+                             traces=sorted(ts))
+            s0 = neg1 if add[v][w] != 0 else 1
+            e = sub[mul[s0][w]][v]
+            xs = []
+            for y in (0, ys[v]):  # X = s0*I + k*N with k = s0*e/Q(y)
+                k = mul[mul[s0][e]][inv[add[sub[1][mul[v][y]]][mul[y][y]]]]
+                ky = mul[k][y]
+                xs.append((sub[s0][ky], k, neg[mul[ky][y]], add[s0][ky]))
+            wit = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)] if e else [ClassLabel("Z", 1)]
+            if not e:
                 details["zero_trace_self_pairs_exempt"] += 1
-            else:
-                s0 = neg1 if add[v][w] != 0 else 1
-                wit = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)]
-                if not all(l in keys for l in wit):
-                    return _fail(name, q, details, part="companion_companion_witnesses",
-                                 pair=pair, witnesses=[str(l) for l in wit],
-                                 found=sorted(str(e.label) for e in _entries(F, keys)))
-            if len(keys) < half_plus:
+            keys = _class_keys(F, xs, (1, 0, 0, 1))
+            if (any(sub[mul[a][d]][mul[b][c]] != 1 for a, b, c, d in xs)
+                    or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)):
+                return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
+                             witnesses=[str(l) for l in wit], products=[list(x) for x in xs],
+                             found=sorted(str(en.label) for en in _entries(F, keys)))
+            classes = len(ts - {add[s0][s0]}) + len(keys)
+            if classes < half_plus:
                 return _fail(name, q, details, part="companion_companion_bound", pair=pair,
-                             classes=len(keys))
+                             classes=classes)
             details["ww_pairs"] += 1
 
     return CheckResult(name, q, True, None, details)

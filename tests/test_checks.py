@@ -2,6 +2,7 @@
 resolutions, determinism, and fault injection (a perturbed closed form must
 flip the corresponding check with a counterexample)."""
 
+import dataclasses
 import itertools
 import random
 
@@ -540,10 +541,12 @@ def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
     assert r.counterexample == payload
 
 
-@pytest.mark.parametrize("q", [8, 16])
+@pytest.mark.parametrize("q", [8, 16, 7, 9])
 def test_even_bounds_scan_only_upper_companion_pairs(q, monkeypatch):
     # the families' traces bound every pair's class count, so the only scans
-    # left are the U x W ones that show the trace w missing, one per W class
+    # left are the U x W ones that show the trace w missing (even q), one per
+    # W class, and for odd q the U x U and U x W pairs: the W x W witnesses
+    # are two direct products, not a scan
     scanned = []
     scan = checks._scan_keys
 
@@ -552,6 +555,122 @@ def test_even_bounds_scan_only_upper_companion_pairs(q, monkeypatch):
         return scan(F, la, lb)
 
     monkeypatch.setattr(checks, "_scan_keys", recording_scan)
-    r = check_even_char_bounds(oracles.field_for(q))
-    assert r.passed
-    assert scanned == [("U", "W")] * r.details["irreducible_classes"]
+    if q % 2 == 0:
+        r = check_even_char_bounds(oracles.field_for(q))
+        assert r.passed
+        assert scanned == [("U", "W")] * r.details["irreducible_classes"]
+    else:
+        r = check_odd_char_bounds(oracles.field_for(q))
+        assert r.passed
+        assert scanned == [("U", "U")] * r.details["uu_pairs"] + [("U", "W")] * r.details["uw_pairs"]
+
+
+def _u_minus(key) -> bool:
+    return isinstance(key, tuple) and key[0] == "U" and not key[2]
+
+
+# scans that lose what a char-bounds part needs, for the pairs of the kinds
+# given: U(s,-) (a U x U witness), every D or W class (the traces), all but
+# q - 2 classes, or one class gained (the trace w that U x W must miss)
+SCAN_FAULTS = {
+    "drop_u_minus": ("UU", lambda F, lb, keys: frozenset(k for k in keys if not _u_minus(k))),
+    "drop_traces": ("UU", lambda F, lb, keys: frozenset(k for k in keys if not isinstance(k, int))),
+    "q_minus_2_classes": ("UW", lambda F, lb, keys: frozenset(range(F.q - 2))),
+    "add_w": ("UW", lambda F, lb, keys: keys | {lb.x}),
+}
+
+
+@pytest.mark.parametrize("check,q,fault,payload", [
+    ("odd_char_bounds", 7, "drop_u_minus",
+     {"part": "upper_upper_witnesses", "pair": ["U(1,+)", "U(1,+)"],
+      "witnesses": ["U(1,+)", "U(1,-)"], "found": ["D(3)", "U(1,+)", "U(6,+)", "W(0)"]}),
+    ("odd_char_bounds", 9, "drop_u_minus",
+     {"part": "upper_upper_witnesses", "pair": ["U(1,+)", "U(1,+)"],
+      "witnesses": ["U(1,+)", "U(1,-)", "Z(1)"],
+      "found": ["D(3)", "U(1,+)", "U(2,+)", "W(5)", "W(8)", "Z(1)"]}),
+    ("odd_char_bounds", 7, "drop_traces",
+     {"part": "upper_upper_traces", "pair": ["U(1,+)", "U(1,+)"], "traces": [2, 5]}),
+    ("odd_char_bounds", 9, "drop_traces",
+     {"part": "upper_upper_traces", "pair": ["U(1,+)", "U(1,+)"], "traces": [1, 2]}),
+    ("odd_char_bounds", 7, "q_minus_2_classes",
+     {"part": "upper_companion_bound", "pair": ["U(1,+)", "W(0)"], "classes": 5}),
+    ("odd_char_bounds", 9, "q_minus_2_classes",
+     {"part": "upper_companion_bound", "pair": ["U(1,+)", "W(4)"], "classes": 7}),
+    ("even_char_bounds", 8, "add_w",
+     {"part": "upper_companion_trace_exclusion", "w": 1, "traces": list(range(8))}),
+    ("even_char_bounds", 16, "add_w",
+     {"part": "upper_companion_trace_exclusion", "w": 3, "traces": list(range(16))}),
+])
+def test_char_bounds_scan_fault_injection(check, q, fault, payload, monkeypatch):
+    kinds, spoil = SCAN_FAULTS[fault]
+    real = checks._scan_keys
+
+    def evil(F, la, lb):
+        keys = real(F, la, lb)
+        return spoil(F, lb, keys) if la.kind + lb.kind == kinds else keys
+
+    monkeypatch.setattr(checks, "_scan_keys", evil)
+    r = ALL_CHECKS[check](oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == payload
+
+
+# the W x W witness products X mislabelled: U(s,-) lost from X's classes
+# (members with a nonzero lower-left entry, which no U x U witness has),
+# or each trace of X * B**-1 moved by 1, so A = X * B**-1 leaves W(w)
+WITNESS_FAULTS = {
+    "drop_u_minus": lambda F, xs, b4, keys: (
+        {k for k in keys if not _u_minus(k)} if any(x[2] for x in xs) else keys),
+    "move_factor_trace": lambda F, xs, b4, keys: (
+        keys if b4 == (1, 0, 0, 1) else {F._add[k][1] for k in keys}),
+}
+
+
+@pytest.mark.parametrize("q,fault,pair,witnesses,products_,found", [
+    (7, "drop_u_minus", ["W(0)", "W(3)"], ["U(6,+)", "U(6,-)"],
+     [[6, 3, 0, 6], [2, 4, 3, 3]], ["U(6,+)"]),
+    (9, "drop_u_minus", ["W(4)", "W(4)"], ["U(2,+)", "U(2,-)"],
+     [[2, 8, 0, 2], [5, 6, 3, 8]], ["U(2,+)"]),
+    # the exempt self-pair of W(0): X = I, whose class Z(1) is kept
+    (7, "move_factor_trace", ["W(0)", "W(0)"], ["Z(1)"],
+     [[1, 0, 0, 1], [1, 0, 0, 1]], ["Z(1)"]),
+    (9, "move_factor_trace", ["W(4)", "W(4)"], ["U(2,+)", "U(2,-)"],
+     [[2, 8, 0, 2], [5, 6, 3, 8]], ["U(2,+)", "U(2,-)"]),
+])
+def test_companion_witness_fault_injection(q, fault, pair, witnesses, products_, found,
+                                           monkeypatch):
+    real, spoil = checks._class_keys, WITNESS_FAULTS[fault]
+    monkeypatch.setattr(checks, "_class_keys",
+                        lambda F, xs, b4: spoil(F, xs, b4, real(F, xs, b4)))
+    r = check_odd_char_bounds(oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == {"part": "companion_companion_witnesses", "pair": pair,
+                                "witnesses": witnesses, "products": products_, "found": found}
+
+
+@pytest.mark.parametrize("q,witness", [
+    (7, ["U(1,+)", "U(1,+)"]), (8, ["U(1,+)", "W(1)"]), (9, ["U(1,+)", "U(1,-)"]),
+])
+def test_min_bounds_fault_injection(q, witness, monkeypatch):
+    # one class too many, from the minimum and then from the equality pair's
+    # own report: each part must name the count, the bound and the pair
+    F = oracles.field_for(q)
+    expected = check_min_class_bounds(F).details["expected"]
+    real_min, real_report = checks.min_product_classes, checks.product_report
+    with monkeypatch.context() as m:
+        m.setattr(checks, "min_product_classes",
+                  lambda F: (real_min(F)[0] + 1, real_min(F)[1]))
+        r = check_min_class_bounds(F)
+    assert not r.passed
+    assert r.counterexample == {"part": "minimum", "minimum": expected + 1,
+                                "expected": expected, "witness": witness}
+
+    def report(F, la, lb):
+        rep = real_report(F, la, lb)
+        return dataclasses.replace(rep, num_classes=rep.num_classes + 1)
+
+    monkeypatch.setattr(checks, "product_report", report)
+    r = check_min_class_bounds(F)
+    assert not r.passed
+    assert r.counterexample == {"part": "equality_witness", "pair": witness,
+                                "classes": expected + 1, "expected": expected}

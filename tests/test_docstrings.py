@@ -5,7 +5,8 @@ imports exactly its __all__), and every private top-level function is
 used by library code, and every field table a function binds to a local
 name is read in it, so neither a reference, an import, a helper nor a
 table binding outlives the code it serves (helpers only tests need live
-in tests/oracles.py)."""
+in tests/oracles.py); and every failure part of the checks is named by a
+test, so no failure path goes untested."""
 
 import ast
 import re
@@ -128,3 +129,29 @@ def test_every_field_table_binding_is_read():
                     unread.append(f"{path.name}: {fn.name} binds {name} = F.{table}")
     assert bound, "no field table binding found; the lint is stale"
     assert not unread
+
+
+# failure parts that no test can reach: each fails only when the field
+# tables are wrong, since the part before it has pinned what it counts
+UNREACHABLE_PARTS = {
+    "upper_companion_family_size": "even: the family i*i + w, i != 0, agreed, and squaring is "
+                                   "a bijection in characteristic 2",
+    "companion_companion_traces": "the family agreed: v*w*(i*i + 1) covers GF(q) for even q, "
+                                  "-i*i + i*(w - v) + w*v - 2 takes (q + 1)/2 values for odd q",
+    "companion_companion_bound": "odd: the witnesses and traces parts give (q + 1)/2 - 1 + 2; "
+                                 "the exempt pair's -i*i - 2 hits 2 only if -1 is a square",
+}
+# a part as a test names it: {"part": "name", ...} or ["part"] == "name"
+PART_REF = re.compile(r'"part"(?::|\]\s*==)\s*"(\w+)"')
+
+
+def test_every_failure_part_is_named_by_a_test():
+    tree = ast.parse((Path(sl2q.__file__).parent / "checks.py").read_text())
+    parts = {node.value.value for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "part"
+             and isinstance(node.value, ast.Constant)}
+    assert parts, "no part literal found; the lint is stale"
+    named = {name for path in Path(__file__).parent.glob("test_*.py") if path != Path(__file__)
+             for name in PART_REF.findall(path.read_text())}
+    assert set(UNREACHABLE_PARTS) <= parts - named, "an exception is stale"
+    assert parts - named - set(UNREACHABLE_PARTS) == set()

@@ -43,6 +43,7 @@ LARGE_Q_DIGESTS = {
     (729, "value_set_counts"): "3c9173463390d0fc5ea7f27a531beceba55924d9fe594534e67b1df572c40c21",
     (1019, "value_set_counts"): "e135775bb8e4a88fe4641767c6eaa1cd57730411d4bc585862595e71677afc3a",
     (257, "odd_char_bounds"): "2f6a1be280f20d81b8263d8d4eb09e93f0d3101f0be5df592718c5ded1e6efb1",
+    (509, "odd_char_bounds"): "98d02a7f6d1a44c1e2eb2d4895b289bf6d460b196bbe0cb7cf56d8df3a2b7b33",
 }
 
 
@@ -80,7 +81,7 @@ def test_verify_to_32_report_unchanged():
         assert [(r["q"], r["check"]) for r in report["results"] if not r["passed"]] == [
             (5, "value_set_counts")]
         assert json.loads(Path("v/manifest.json").read_text())["checksums"] == {
-            "report.json": "7ffc2b776aa065890cc6481099c9268385b3fd071cd708b3fd6811176e0d3207",
+            "report.json": "0ae72a9001f522d22af2a005a18ea5eded6235913b2e8e325e41627c042bb0ab",
             "min_classes.csv": "9248f5a2674414ece07420a45c1ffbbeef53f76904e96fd1ee52979b34a7dda3",
         }
 
