@@ -34,11 +34,15 @@ loop, which draws nothing, so the parameters are drawn in the same order.
 The witness families of the coverage and char_bounds checks are
 conjugated once per first factor and traced against each second factor
 (``_family_traces``); distinct traces are distinct classes, so a family's
-traces bound a pair's class count from below.  Only min_class_bounds, the
-U x W pairs of both char_bounds checks and odd_char_bounds' U x U pairs
-scan pairs, with the row scans of products.py; odd_char_bounds' W x W
-pairs get their two repeated-eigenvalue witnesses from two direct
-products each, so min_class_bounds is the one scan of those pairs.
+traces bound a pair's class count from below.  split_trace_coverage checks
+once per D class that every conjugate of its two families is affine in the
+family index, so it traces only the members 0 and 1 against each second
+factor: two traces fix a pair's q, in O(q*q) per q rather than O(q**3).
+Only min_class_bounds, the U x W pairs of both char_bounds checks and
+odd_char_bounds' U x U pairs scan pairs, with the row scans of
+products.py; odd_char_bounds' W x W pairs get their two
+repeated-eigenvalue witnesses from two direct products each, so
+min_class_bounds is the one scan of those pairs.
 
 Every value set of a binary quadratic form (the square/non-square mix, the
 two-variable trace image, the norm forms and the U x U witness values) is
@@ -606,10 +610,22 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
     """Products of a diagonalizable (split) class with any noncentral class
     cover every trace, so such a product meets at least q classes.
 
-    For every (D, noncentral) pair the conjugator families [[i,i-1],[1,1]]
-    and [[1,i],[0,1]] give q direct products A**C * B, whose traces are
-    checked against the linear expressions the families produce and shown
-    to cover all q traces.
+    For A = diag(r, s), s = 1/r, the conjugator families [[i,i-1],[1,1]]
+    and [[1,i],[0,1]] give the conjugates
+
+        A**C = [[s + i*(r-s), (i-1)*(r-s)], [i*(s-r), r + i*(s-r)]],
+        A**C = [[r, i*(r-s)], [0, s]],
+
+    each entry affine in i.  So every member is T(i) = T(0) + i*(T(1) -
+    T(0)), which is checked over all q members of both families once per D
+    class (part ``family_affine``).  The trace is linear, so for every
+    second factor B the q direct products A**C * B have the traces
+    t0 + i*(t1 - t0), fixed by the members 0 and 1.  Per (D, noncentral)
+    pair, (t0, t1 - t0) must equal the base and the nonzero slope the
+    family produces (part ``pair_line``): a D(u) or U(x) representative
+    against the first family, B = [[0,1],[-1,w]] of W(w) against the
+    second (traces s*w + i*(s-r)).  A nonzero slope makes the q traces all
+    of GF(q).
     """
     name = "split_trace_coverage"
     q = F.q
@@ -620,7 +636,6 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
     details = {"split_classes": len(splits), "pairs": 0}
     if not splits:
         return CheckResult(name, q, True, None, details)  # vacuous: q < 4
-    full = frozenset(range(q))
 
     upper_family = [(1, i, 0, 1) for i in range(q)]
     other_family = [(i, sub[i][1], 1, 1) for i in range(q)]
@@ -629,6 +644,12 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
         s = inv[r]
         a4 = (r, 0, 0, s)
         upper, other = _conjugates(F, upper_family, a4), _conjugates(F, other_family, a4)
+        for family, Ts in (("[[i,i-1],[1,1]]", other), ("[[1,i],[0,1]]", upper)):
+            rows = [(add[t0], mul[sub[t1][t0]]) for t0, t1 in zip(*Ts[:2])]
+            line = [tuple(at[m[i]] for at, m in rows) for i in range(q)]
+            if (i := _agreeing(Ts, line)) < q:
+                return _fail(name, q, details, part="family_affine", split=str(ea.label),
+                             family=family, i=i, expected=list(line[i]), direct=list(Ts[i]))
         for eb in noncentral:
             lb = eb.label
             b4 = (eb.rep.a, eb.rep.b, eb.rep.c, eb.rep.d)
@@ -640,14 +661,10 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
                 Ts, slope, base = other, mul[sub[r][s]][sub[u][v]], add[mul[u][s]][mul[v][r]]
             else:
                 Ts, slope, base = other, neg[mul[sub[r][s]][eb.rep.b]], mul[lb.x][add[r][s]]
-            expect = [add[mul[slope][i]][base] for i in range(q)]
-            got = _family_traces(F, Ts, b4)
-            if (i := _agreeing(got, expect)) < q:
-                return _fail(name, q, details, pair=[str(ea.label), str(lb)],
-                             family_index=i, expected=expect[i], direct=got[i])
-            if set(got) != full:
-                return _fail(name, q, details, pair=[str(ea.label), str(lb)],
-                             family_traces=sorted(set(got)))
+            t0, t1 = _family_traces(F, Ts[:2], b4)
+            if (got := [t0, sub[t1][t0]]) != [base, slope] or not slope:
+                return _fail(name, q, details, part="pair_line", pair=[str(ea.label), str(lb)],
+                             expected=[base, slope], direct=got)
             details["pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
@@ -759,7 +776,10 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     pair is counted in ``zero_trace_self_pairs_exempt``.  Each product is
     checked directly (its determinant, the class of X*B**-1 and its own
     class), and the count is the distinct family traces other than the
-    witnesses' trace 2*s0 plus the witness classes, at least (q+3)/2.
+    witnesses' trace 2*s0 plus the witness classes, at least (q+3)/2.  That
+    bound is asserted with the witnesses, as it cannot fail once they and
+    the (q+1)/2 family traces hold: (q+1)/2 - 1 + 2 classes, or for the
+    exempt pair (q+1)/2 + 1, since -i*i - 2 never hits its trace 2.
     """
     name = "odd_char_bounds"
     q = F.q
@@ -771,7 +791,6 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     w_labels = [l for l in table.labels() if l.kind == "W"]
     details = {"uu_pairs": 0, "uw_pairs": 0, "ww_pairs": 0,
                "witness_sets_without_nonsquare": 0, "zero_trace_self_pairs_exempt": 0}
-    half_plus = (q + 3) // 2
 
     for l1, l2 in itertools.combinations_with_replacement(u_labels, 2):
         pair = [str(l1), str(l2)]
@@ -835,14 +854,11 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                 details["zero_trace_self_pairs_exempt"] += 1
             keys = _class_keys(F, xs, (1, 0, 0, 1))
             if (any(sub[mul[a][d]][mul[b][c]] != 1 for a, b, c, d in xs)
-                    or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)):
+                    or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)
+                    or len(ts - {add[s0][s0]}) + len(keys) < (q + 3) // 2):
                 return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
                              witnesses=[str(l) for l in wit], products=[list(x) for x in xs],
                              found=sorted(str(en.label) for en in _entries(F, keys)))
-            classes = len(ts - {add[s0][s0]}) + len(keys)
-            if classes < half_plus:
-                return _fail(name, q, details, part="companion_companion_bound", pair=pair,
-                             classes=classes)
             details["ww_pairs"] += 1
 
     return CheckResult(name, q, True, None, details)

@@ -1,17 +1,17 @@
 """Independent brute-force oracles the tests freeze expected values from.
 
 Kept deliberately naive: field tables filled entry by entry, polynomial
-factor search by exhaustive products, orbits by conjugating with every group element or by closure under
-transvections, class products by double enumeration or by labelling every
-product with a fixed second factor, and quadratic-form value sets over every
-point.  None of them share logic with the code paths they check, with one
-exception: ``_class_members`` builds, member by member, the cuts whose rows
-the library's scan walks, and takes the non-split torus members from the
-library.  It cuts a U class against every
-kind of second factor, while the library puts a U factor second and so
-walks a cut filtered by square class only against a U factor.  Those cuts
-are checked against whole orbits
-(test_class_cuts_meet_every_centralizer_orbit).
+factor search by exhaustive products, orbits by conjugating with every
+group element or by closure under transvections, class products by double
+enumeration or by labelling every product with a fixed second factor,
+quadratic-form value sets over every point, and witness-family traces
+member by member.  None of them share logic with the code paths they
+check, with one exception: ``_class_members`` builds, member by member,
+the cuts whose rows the library's scan walks, and takes the non-split
+torus members from the library.  It cuts a U class against every kind of
+second factor, while the library puts a U factor second and so walks a
+cut filtered by square class only against a U factor.  Those cuts are
+checked against whole orbits (test_class_cuts_meet_every_centralizer_orbit).
 ``field_for`` is the library's own field lookup, re-exported so every test
 reaches a field by q the same way; test_field.py checks it against literal
 values.
@@ -229,6 +229,21 @@ def double_product_tuples(F: Field, A: Mat2, B: Mat2) -> set[tuple]:
     orb_a = full_orbit(F, A)
     orb_b = full_orbit(F, B)
     return {_mul4(mul, add, x, y) for x in orb_a for y in orb_b}
+
+
+def split_family_traces(F: Field, r: int, B: tuple, upper: bool) -> list[int]:
+    """trace(C**-1 * diag(r, 1/r) * C * B) for the q members C of a witness
+    family of split_trace_coverage, [[1,i],[0,1]] when `upper`, else
+    [[i,i-1],[1,1]], in order of i; each member by two naive products,
+    where the check reads every trace off the members i = 0 and 1."""
+    mul, add, sub, neg = F._mul, F._add, F._sub, F._neg
+    a4 = (r, 0, 0, F._inv[r])
+    out = []
+    for i in range(F.q):
+        c4 = (1, i, 0, 1) if upper else (i, sub[i][1], 1, 1)
+        p = _mul4(mul, add, _conj4(mul, add, neg, c4, a4), B)
+        out.append(add[p[0]][p[3]])
+    return out
 
 
 def square_mix_exceptions(F: Field) -> list[tuple[int, int, list[int]]]:

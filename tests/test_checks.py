@@ -20,6 +20,7 @@ from sl2q.checks import (
     check_even_char_bounds,
     check_min_class_bounds,
     check_odd_char_bounds,
+    check_split_trace_coverage,
     check_trace_formulas,
     check_value_set_counts,
     run_checks,
@@ -487,10 +488,16 @@ def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monk
 
 # the witness-family checks: a conjugate with one entry moved by 1 (entry k
 # of C**-1 * A * C, for the conjugators C and factors A that `hit` picks)
-# must fail at the first family member it spoils, with the exact payload
+# must fail at the first family member it spoils, with the exact payload;
+# split_trace_coverage draws each family's line through its members 0 and
+# 1, so a spoiled member 0 or 1 fails at member 2
 HITS = {
     "off_diagonal_2": lambda C, A: 2 in (C[1], C[2]),
+    "upper_0": lambda C, A: C[2] == 0 and C[1] == 0,
+    "upper_1": lambda C, A: C[2] == 0 and C[1] == 1,
     "upper_2": lambda C, A: C[2] == 0 and C[1] == 2,
+    "other_0": lambda C, A: C[2] == 1 and C[0] == 0,
+    "other_1": lambda C, A: C[2] == 1 and C[0] == 1,
     "diagonal_2": lambda C, A: C[1] == C[2] == 0 and C[0] == 2,
     "companion_factor": lambda C, A: A[0] == 0 and 2 in (C[1], C[2]),
 }
@@ -498,17 +505,23 @@ HITS = {
 
 @pytest.mark.parametrize("check,q,k,hit,payload", [
     ("split_trace_coverage", 8, 0, "off_diagonal_2",
-     {"pair": ["D(2)", "D(2)"], "family_index": 3, "expected": 4, "direct": 6}),
+     {"part": "family_affine", "split": "D(2)", "family": "[[i,i-1],[1,1]]", "i": 3,
+      "expected": [7, 5, 1, 3], "direct": [6, 5, 1, 3]}),
     ("split_trace_coverage", 9, 0, "off_diagonal_2",
-     {"pair": ["D(3)", "D(3)"], "family_index": 0, "expected": 2, "direct": 5}),
+     {"part": "family_affine", "split": "D(3)", "family": "[[i,i-1],[1,1]]", "i": 2,
+      "expected": [2, 6, 6, 0], "direct": [0, 6, 6, 0]}),
     ("split_trace_coverage", 8, 2, "off_diagonal_2",
-     {"pair": ["D(2)", "U(1,+)"], "family_index": 3, "expected": 5, "direct": 4}),
+     {"part": "family_affine", "split": "D(2)", "family": "[[i,i-1],[1,1]]", "i": 3,
+      "expected": [7, 5, 1, 3], "direct": [7, 5, 0, 3]}),
     ("split_trace_coverage", 9, 2, "off_diagonal_2",
-     {"pair": ["D(3)", "U(1,+)"], "family_index": 0, "expected": 0, "direct": 1}),
+     {"part": "family_affine", "split": "D(3)", "family": "[[i,i-1],[1,1]]", "i": 2,
+      "expected": [0, 6, 8, 0], "direct": [0, 6, 6, 0]}),
     ("split_trace_coverage", 8, 2, "upper_2",
-     {"pair": ["D(2)", "W(1)"], "family_index": 2, "expected": 3, "direct": 2}),
+     {"part": "family_affine", "split": "D(2)", "family": "[[1,i],[0,1]]", "i": 2,
+      "expected": [2, 5, 0, 6], "direct": [2, 5, 1, 6]}),
     ("split_trace_coverage", 9, 2, "upper_2",
-     {"pair": ["D(3)", "W(4)"], "family_index": 2, "expected": 4, "direct": 5}),
+     {"part": "family_affine", "split": "D(3)", "family": "[[1,i],[0,1]]", "i": 2,
+      "expected": [3, 3, 0, 6], "direct": [3, 3, 1, 6]}),
     ("even_char_bounds", 8, 2, "off_diagonal_2",
      {"part": "upper_upper_family", "i": 2, "expected": 4, "direct": 5}),
     ("even_char_bounds", 16, 2, "off_diagonal_2",
@@ -527,6 +540,18 @@ HITS = {
     ("odd_char_bounds", 25, 2, "companion_factor",
      {"part": "companion_companion_family", "pair": ["W(7)", "W(7)"], "i": 2,
       "expected": 17, "direct": 18}),
+    ("split_trace_coverage", 9, 1, "upper_1",
+     {"part": "family_affine", "split": "D(3)", "family": "[[1,i],[0,1]]", "i": 2,
+      "expected": [3, 5, 0, 6], "direct": [3, 3, 0, 6]}),
+    ("split_trace_coverage", 127, 1, "upper_0",
+     {"part": "family_affine", "split": "D(2)", "family": "[[1,i],[0,1]]", "i": 2,
+      "expected": [2, 2, 0, 64], "direct": [2, 3, 0, 64]}),
+    ("split_trace_coverage", 25, 0, "other_0",
+     {"part": "family_affine", "split": "D(2)", "family": "[[i,i-1],[1,1]]", "i": 2,
+      "expected": [0, 4, 2, 4], "direct": [1, 4, 2, 4]}),
+    ("split_trace_coverage", 127, 3, "other_1",
+     {"part": "family_affine", "split": "D(2)", "family": "[[i,i-1],[1,1]]", "i": 2,
+      "expected": [67, 65, 124, 1], "direct": [67, 65, 124, 126]}),
 ])
 def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
     real, spoils = checks._conjugates, HITS[hit]
@@ -539,6 +564,67 @@ def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
     r = ALL_CHECKS[check](oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == payload
+
+
+# second factors by kind, from their class table representatives
+FACTORS = {
+    "companion": lambda B: B[0] == 0,
+    "diagonal": lambda B: B[1] == B[2] == 0,
+    "upper": lambda B: B[2] == 0 and B[1] != 0,
+}
+
+
+@pytest.mark.parametrize("q,kind,j,payload", [
+    (8, "companion", 1, {"pair": ["D(2)", "W(1)"], "expected": [6, 4], "direct": [6, 5]}),
+    (9, "diagonal", 0, {"pair": ["D(3)", "D(3)"], "expected": [2, 2], "direct": [0, 1]}),
+    (25, "upper", 1, {"pair": ["D(2)", "U(1,+)"], "expected": [0, 1], "direct": [0, 2]}),
+    (127, "companion", 0, {"pair": ["D(2)", "W(0)"], "expected": [0, 62], "direct": [1, 61]}),
+])
+def test_split_pair_line_fault_injection(q, kind, j, payload, monkeypatch):
+    # the trace of family member j (0 or 1) against every second factor of
+    # one kind moved by 1: the pair's (t0, t1 - t0) leaves the family's
+    # (base, slope) at the first such pair
+    real, spoils = checks._family_traces, FACTORS[kind]
+
+    def evil(F, Ts, B):
+        out = real(F, Ts, B)
+        if spoils(B):
+            out[j] = F._add[out[j]][1]
+        return out
+
+    monkeypatch.setattr(checks, "_family_traces", evil)
+    r = check_split_trace_coverage(oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == {"part": "pair_line", **payload}
+
+
+# Tier-1 runs q <= 49, `-m slow` the q up to 128
+@pytest.mark.parametrize("q", [q if q <= 49 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in prime_powers_up_to(128) if q >= 4])
+def test_split_lines_match_member_traces(q, monkeypatch):
+    # split_trace_coverage traces the members 0 and 1 of a witness family
+    # per (D, noncentral) pair; the line through them must be the pair's q
+    # traces, computed member by member, and cover GF(q)
+    F = oracles.field_for(q)
+    add, sub, mul = F._add, F._sub, F._mul
+    real, lines = checks._family_traces, []
+
+    def recording(F, Ts, B):
+        t0, t1 = out = real(F, Ts, B)
+        lines.append([add[t0][mul[i][sub[t1][t0]]] for i in range(q)])
+        return out
+
+    monkeypatch.setattr(checks, "_family_traces", recording)
+    r = check_split_trace_coverage(F)
+    assert r.passed
+    entries = checks.class_table(F).entries
+    pairs = [(ea.label.x, eb) for ea in entries if ea.label.kind == "D"
+             for eb in entries if eb.label.kind != "Z"]
+    assert len(lines) == len(pairs) == r.details["pairs"]
+    for line, (x, eb) in zip(lines, pairs):
+        B = (eb.rep.a, eb.rep.b, eb.rep.c, eb.rep.d)
+        assert line == oracles.split_family_traces(F, x, B, eb.label.kind == "W"), (x, eb.label)
+        assert sorted(line) == list(range(q))
 
 
 @pytest.mark.parametrize("q", [8, 16, 7, 9])

@@ -138,8 +138,6 @@ UNREACHABLE_PARTS = {
                                    "a bijection in characteristic 2",
     "companion_companion_traces": "the family agreed: v*w*(i*i + 1) covers GF(q) for even q, "
                                   "-i*i + i*(w - v) + w*v - 2 takes (q + 1)/2 values for odd q",
-    "companion_companion_bound": "odd: the witnesses and traces parts give (q + 1)/2 - 1 + 2; "
-                                 "the exempt pair's -i*i - 2 hits 2 only if -1 is a square",
 }
 # a part as a test names it: {"part": "name", ...} or ["part"] == "name"
 PART_REF = re.compile(r'"part"(?::|\]\s*==)\s*"(\w+)"')

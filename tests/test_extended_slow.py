@@ -35,8 +35,10 @@ def test_full_suite_to_49():
     assert failures == [(5, "value_set_counts")]
 
 
-# the same digests at seed 0 for the value-set checks at large q, taken from
-# the brute-force enumerations that checks._form_values replaced
+# the same digests at seed 0 at large q: the value-set checks' taken from
+# the brute-force enumerations that checks._form_values replaced,
+# odd_char_bounds' from its W x W scans and split_trace_coverage's from its
+# q traces per pair, before the closed-form witnesses and the two-member lines
 LARGE_Q_DIGESTS = {
     (257, "value_set_counts"): "af44f252892654c757b5b0b7dbaa2743cf50f1bfc9e1f3c79c124ac39cbb89c2",
     (509, "value_set_counts"): "5a9b81732b6449ee1bc8bc58a1b1736e46d21b24b5f9131bed13f5f5c11b13a7",
@@ -44,6 +46,8 @@ LARGE_Q_DIGESTS = {
     (1019, "value_set_counts"): "e135775bb8e4a88fe4641767c6eaa1cd57730411d4bc585862595e71677afc3a",
     (257, "odd_char_bounds"): "2f6a1be280f20d81b8263d8d4eb09e93f0d3101f0be5df592718c5ded1e6efb1",
     (509, "odd_char_bounds"): "98d02a7f6d1a44c1e2eb2d4895b289bf6d460b196bbe0cb7cf56d8df3a2b7b33",
+    (257, "split_trace_coverage"): "7629101f0ca2f9ae93a8004cb723a307ee57194074fd85934ac63c0c71f19cb5",
+    (509, "split_trace_coverage"): "0e45f5b23b5d6d7bf261976ab06ebdf914caea97b780cdc078941e1c0d9ef149",
 }
 
 
@@ -65,7 +69,7 @@ def test_check_results_unchanged(key):
 
 
 @pytest.mark.parametrize("q,check", LARGE_Q_DIGESTS)
-def test_large_q_value_set_results_unchanged(q, check):
+def test_large_q_check_results_unchanged(q, check):
     [r] = run_checks(oracles.field_for(q), [check])
     assert result_digest(r) == LARGE_Q_DIGESTS[q, check]
 
