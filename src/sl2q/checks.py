@@ -39,16 +39,40 @@ once per D class that every conjugate of its two families is affine in the
 family index, so it traces only the members 0 and 1 against each second
 factor: two traces fix a pair's q, in O(q*q) per q rather than O(q**3).
 Only min_class_bounds, the U x W pairs of both char_bounds checks and
-odd_char_bounds' U x U pairs scan pairs, with the row scans of
-products.py; odd_char_bounds' W x W pairs get their two
-repeated-eigenvalue witnesses from two direct products each, so
+odd_char_bounds' U x U pairs scan pairs; odd_char_bounds' W x W pairs get
+their two repeated-eigenvalue witnesses from two direct products each, so
 min_class_bounds is the one scan of those pairs.
 
+This module owns the row scan (``_scan_keys``), the independent oracle of
+every closed form in products.py, which itself enumerates nothing.  The
+product of two classes commutes, since X*Y = Y*(Y**-1*X*Y), so a scan
+orders each pair once: a U factor goes second unless both are U, and of a
+D and a W factor the D one goes second.  The first factor's class is then
+scanned from its label, row by row.  Its members solve a + d = t and
+ad - bc = 1 (for a U class, in one square class); conjugating by the
+centralizer of B fixes B, so a cut that meets every orbit of that
+centralizer suffices, and each cut falls into rows that share their trace
+against B:
+
+* B = diag(r, 1/r), for D x D and W x D: one row per a, of trace
+  a*r + d/r, with 1 to 3 members (about q when bc = 0);
+* B = [[s,u],[0,s]], for D x U, W x U and U x U: tr(X*B) = s*t + u*c
+  depends on c alone, one row per c; only here is the first factor a U
+  class, whose members the cut keeps by square class;
+* B = [[0,1],[-1,w]], for W x W: one row per M of trace t in the field
+  {xI + yB}, of trace w*m0 + (w*w - 2)*m1, with at most two members;
+* a central factor: one row, its representative.
+
+A row of trace other than +-2 gives its class's key, that trace, and only
+the members of rows of trace +-2 are built and keyed one by one.  A scan
+costs O(q) table lookups per pair.  Per field it caches only a table of
+square roots, besides the class table.
+
 Every value set of a binary quadratic form (the square/non-square mix, the
-two-variable trace image, the norm forms and the U x U witness values) is
-read off one point per line by ``_form_values``: f(x*v) = x*x*f(v), so the
-form's values at the q + 1 points (1, y) and (0, 1) fix the set, in O(q)
-rather than over all O(q*q) points.
+two-variable trace image and the norm forms) is read off one point per
+line by ``_form_values``: f(x*v) = x*x*f(v), so the form's values at the
+q + 1 points (1, y) and (0, 1) fix the set, in O(q) rather than over all
+O(q*q) points.
 
 Two closed forms each have a competing sign variant; the checks settle
 them against direct computation and record the outcome instead of silently
@@ -74,11 +98,13 @@ from .classes import ClassLabel, _class_keys, _roots_of_one, class_table, irredu
 from .field import Field
 from .matrices import enumerate_sl2
 from .products import (
+    _central_keys,
     _closed_form_count,
+    _edge_traces,
     _entries,
-    _scan_keys,
     _semisimple_keys,
     _unipotent_keys,
+    _upper_upper_keys,
     label_trace,
     min_product_classes,
     product_report,
@@ -361,6 +387,216 @@ def _form_values(F: Field, gs) -> set:
 
 def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
     return CheckResult(name, q, False, payload, details)
+
+
+# ---------------------------------------------------------------------------
+# the row scan: each product recomputed from one factor's class members, the
+# independent oracle of the closed forms in products.py
+# ---------------------------------------------------------------------------
+
+def _positions(xs: list, x) -> list[int]:
+    # every index of x in xs, found by list.index at C speed
+    out, i = [], -1
+    try:
+        while True:
+            i = xs.index(x, i + 1)
+            out.append(i)
+    except ValueError:
+        return out
+
+
+def _diagonal_rows(F: Field, t: int, r: int, edges) -> tuple[list, list]:
+    """Rows of the D or W class of trace t against B = diag(r, 1/r).
+
+    Conjugating by diag(x, 1/x) fixes B and scales b by x*x, so the members
+    with b in {0, 1, nu} ({0, 1} for even q) meet every orbit of its
+    centralizer.  They fall into rows a = 0 .. q-1: d = t - a, and
+    bc = ad - 1 =: k gives (a, 1, k, d), (a, nu, k/nu, d) and, when k = 0,
+    every (a, 0, c, d).  tr(X*B) = a*r + d/r is the same along a row.
+
+    Returns the trace of each row and the members of the rows whose trace
+    is in ``edges``.
+    """
+    q = F.q
+    mul, add, sub, inv = F._mul, F._add, F._sub, F._inv
+    mr, mri, st = mul[r], mul[inv[r]], sub[t]
+    taus = [add[mr[a]][mri[st[a]]] for a in range(q)]
+    nu = F.least_nonsquare
+    members: list[tuple] = []
+    for e in edges:
+        for a in _positions(taus, e):
+            d = st[a]
+            k = sub[mul[a][d]][1]
+            if not k:
+                members += [(a, 0, c, d) for c in range(q)]
+            members.append((a, 1, k, d))
+            if nu is not None:
+                members.append((a, nu, mul[k][inv[nu]], d))
+    return taus, members
+
+
+def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> tuple[list, list]:
+    """Rows of the class of trace t against B = [[s,u],[0,s]].
+
+    Conjugating by [[1,x],[0,1]] fixes B and c, and shifts a by x*c, so the
+    members with c = 0 (a an eigenvalue of the class, every b) or with
+    a = 0 and c != 0 (b = -1/c) meet every orbit of its centralizer.
+    tr(X*B) = s*t + u*c depends on c alone: each c != 0 is a row of one
+    member, and c = 0 is one row of trace s*t, in which b runs over every
+    element.
+
+    Returns the row traces and the members of a U class ``want`` (all
+    members when None) in the rows whose trace is in ``edges``: the square
+    class of -c, or of b when c = 0, is ``want``.
+    """
+    q = F.q
+    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
+    cs = [c for c in range(1, q) if want is None or sq[neg[c]] == want]
+    st, mu = mul[s][t], mul[u]
+    ast = add[st]
+    taus = [ast[mu[c]] for c in cs]
+    members = [(0, neg[inv[cs[i]]], cs[i], t) for e in edges for i in _positions(taus, e)]
+    entry = class_table(F).by_trace[t]
+    if entry.label.kind != "W":
+        taus.append(st)
+        if st in edges:
+            r = entry.rep.a  # an eigenvalue: a D or Z representative is diagonal
+            members += [(a, b, 0, sub[t][a]) for a in sorted({r, inv[r]})
+                        for b in range(q) if want is None or (b and sq[b] == want)]
+    return taus, members
+
+
+def _torus_rows(F: Field, t: int, w: int) -> list[tuple]:
+    """The M = m0*I + m1*B of trace t in K = {xI + yB}, B = [[0,1],[-1,w]]
+    (x**2 - w*x + 1 irreducible): the rows of the non-split torus cut, see
+    :func:`_torus_members`."""
+    q = F.q
+    mul, sub, inv = F._mul, F._sub, F._inv
+    mw = mul[w]
+    if q % 2:
+        half = inv[F._add[1][1]]
+        return [(mul[sub[t][mw[m1]]][half], m1) for m1 in range(q)]
+    m1 = mul[t][inv[w]]
+    return [(m0, m1) for m0 in range(q)]
+
+
+def _square_roots(F: Field) -> list[int]:
+    # root[x*x] = x for the largest such code x; 0 at the non-squares
+    got = F._cache.get("square_roots")
+    if got is None:
+        got = F._cache["square_roots"] = [0] * F.q
+        for x in range(F.q):
+            got[F._mul[x][x]] = x
+    return got
+
+
+def _torus_members(F: Field, w: int, rows: list[tuple]) -> list[tuple]:
+    """Determinant-one matrices of the given rows of :func:`_torus_rows`:
+    at least one in every orbit of the centralizer of B = [[0,1],[-1,w]]
+    (x**2 - w*x + 1 irreducible) on the class of trace t, when the rows are
+    all of those of trace t.
+
+    K = {xI + yB} is a field of order q**2 whose norm is the determinant,
+    N(x + yB) = x**2 + w*x*y + y**2, and s = [[1,0],[w,-1]] inverts B by
+    conjugation.  Every matrix is X = M + V*s with M, V in K uniquely, and
+    tr X = tr M, det X = N(M) - N(V).  The centralizer of B is the norm-one
+    group of K; conjugating by h in it fixes M and maps V to h**2 * V.  So
+    for each M of trace t one V per coset of the squared norm-one group on
+    the circle of norm N(M) - 1 suffices: V = 0 when N(M) = 1, else one V
+    for even q (every element of the odd-order norm-one group is a square)
+    and two for odd q, the second being the first times g / conj(g) =
+    g**2 / N(g) for some g of non-square norm.  That is at most 2q members
+    for odd q and q for even q, against a class of order q**2.
+
+    V*s*B = V*[[0,1],[1,0]] has trace 0 for every V in K, so
+    tr(X*B) = tr(M*B) = w*m0 + (w*w - 2)*m1: all members of a row share
+    their trace against B.
+    """
+    q = F.q
+    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
+    mw = mul[w]
+    w2m1 = sub[mw[w]][1]
+
+    def norm(x: int, y: int) -> int:
+        return add[add[mul[x][x]][mw[mul[x][y]]]][mul[y][y]]
+
+    def kmul(x: tuple, y: tuple) -> tuple:
+        return (sub[mul[x[0]][y[0]]][mul[x[1]][y[1]]],
+                add[add[mul[x[0]][y[1]]][mul[x[1]][y[0]]]][mw[mul[x[1]][y[1]]]])
+
+    def coeffs(e: tuple) -> tuple:
+        # V = x*e adds x*(e0 + w*e1) to a, -x*e1 to b, x*(w*e0 + (w^2-1)*e1) to c
+        return add[e[0]][mw[e[1]]], e[1], add[mw[e[0]]][mul[w2m1][e[1]]]
+
+    root = _square_roots(F)
+    if q % 2:
+        # N(x + B) takes (q + 1)/2 distinct nonzero values, more than there
+        # are nonzero squares, so the search always stops
+        g = next((x, 1) for x in range(q) if not sq[norm(x, 1)])
+        ign = inv[norm(*g)]
+        gg = kmul(g, g)
+        omega = (mul[gg[0]][ign], mul[gg[1]][ign])
+        # norm n = x^2 is met by x and x*omega, n = x^2 * N(g) by x*g and x*g*omega
+        on_squares = [coeffs((1, 0)), coeffs(omega)]
+        off_squares = [coeffs(g), coeffs(kmul(g, omega))]
+    else:
+        on_squares, ign, off_squares = [coeffs((1, 0))], 0, []
+    out: list[tuple] = []
+    for m0, m1 in rows:
+        d0 = add[m0][mw[m1]]
+        n = sub[add[add[mul[m0][m0]][mw[mul[m0][m1]]]][mul[m1][m1]]][1]  # N(M) - 1
+        if not n:
+            out.append((m0, m1, neg[m1], d0))
+            continue
+        if sq[n]:
+            x, es = root[n], on_squares
+        else:
+            x, es = root[mul[n][ign]], off_squares
+        for ea, eb, ec in es:
+            xa = mul[ea][x]
+            out.append((add[m0][xa], sub[m1][mul[eb][x]], sub[mul[ec][x]][m1], sub[d0][xa]))
+    return out
+
+
+def _companion_rows(F: Field, t: int, w: int, edges) -> tuple[list, list]:
+    """Rows of the W class of trace t against B = [[0,1],[-1,w]]: the rows M
+    of :func:`_torus_rows`, one trace w*m0 + (w*w - 2)*m1 each.
+
+    Returns the row traces and the members of the rows whose trace is in
+    ``edges``.
+    """
+    mul, add, sub = F._mul, F._add, F._sub
+    mw = mul[w]
+    rows = _torus_rows(F, t, w)
+    mk = mul[sub[mw[w]][add[1][1]]]
+    taus = [add[mw[m0]][mk[m1]] for m0, m1 in rows]
+    return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
+
+
+def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+    """Class keys of the product of la's and lb's classes, with the
+    operands ordered and the first one's class scanned by rows against the
+    canonical representative B of the second, as the module docstring sets
+    out; the checks and the tests recompute every closed form with it.  Only
+    the members of rows of trace +-2 are keyed one by one, by
+    :func:`_class_keys`; a central factor gives one member, the
+    representative of the first factor's class.
+    """
+    if (la.kind == "U" and lb.kind != "U") or (la.kind, lb.kind) == ("D", "W"):
+        la, lb = lb, la
+    b4 = class_table(F).rep(lb)[:4]  # the entries a, b, c, d
+    edges = _edge_traces(F)
+    t = label_trace(F, la)
+    if la.kind == "Z" or lb.kind == "Z":
+        taus, members = [], [class_table(F).rep(la)[:4]]
+    elif lb.kind == "D":
+        taus, members = _diagonal_rows(F, t, b4[0], edges)
+    elif lb.kind == "U":
+        want = la.square if la.kind == "U" else None
+        taus, members = _upper_rows(F, t, b4[0], b4[1], want, edges)
+    else:
+        taus, members = _companion_rows(F, t, lb.x, edges)
+    return frozenset(set(taus).difference(edges)).union(_class_keys(F, members, b4))
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +924,6 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     if q % 2:
         raise ValueError("even-characteristic check requires even q")
     mul, add, inv = F._mul, F._add, F._inv
-    u_label = ClassLabel("U", 1)
     w_labels = [l for l in class_table(F).labels() if l.kind == "W"]
     details = {"irreducible_classes": len(w_labels), "pairs": 0}
     full = frozenset(range(q))
@@ -716,7 +951,7 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if len(set(got)) != q - 1:
             return _fail(name, q, details, part="upper_companion_family_size",
                          w=w, size=len(set(got)))
-        ts = {e.trace for e in _entries(F, _scan_keys(F, u_label, lw))}
+        ts = {e.trace for e in _entries(F, _scan_keys(F, ClassLabel("U", 1), lw))}
         if ts != full - {w}:
             return _fail(name, q, details, part="upper_companion_trace_exclusion",
                          w=w, traces=sorted(ts))
@@ -746,15 +981,19 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     """Odd q > 3: the product bounds for pairs drawn from the
     repeated-eigenvalue (U) and irreducible (W) families.
 
-    U x U: the traces 2rt - u*w*i*i give at least (q+1)/2 values, and
-    mapping the upper-triangular witnesses [[rt, rw*y*y + tu*x*x],[0, rt]]
-    to their classes yields two distinct same-trace classes inside the
-    product, so at least (q+3)/2 classes: two at the trace 2rt and one at
-    each of the (q-1)/2 or more other traces.  The witness value set
-    usually holds a square and a non-square; at q = 5 with both
-    off-diagonal parameters non-square it is all squares ({0,1,4}), and the
+    U x U: the product of U(r, .) and U(t, .), with off-diagonal
+    parameters u and w, is read off products._upper_upper_keys, which must
+    equal the scan.  Its classes at the trace 2rt, those of the
+    upper-triangular products [[rt, r*w + t*u*x], [0, rt]] over the nonzero
+    squares x, must be at least two (part ``upper_upper_witnesses``), and
+    its traces, 2rt and 2rt - u*w*x over the same x, at least (q+1)/2 (part
+    ``upper_upper_traces``): so at least (q+3)/2 classes, two at the trace
+    2rt and one at each of the (q-1)/2 or more other traces.  The values
+    r*w + t*u*x usually hold a square and a non-square; at q = 5 with both
+    off-diagonal parameters non-square they are a square and 0, and the
     two classes are then the central one plus the square variant -- the
-    count of such pairs is recorded in ``witness_sets_without_nonsquare``.
+    count of pairs whose product lacks U(rt, -) is recorded in
+    ``witness_sets_without_nonsquare``.
 
     U x W: at least q-1 classes.
 
@@ -794,23 +1033,15 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
 
     for l1, l2 in itertools.combinations_with_replacement(u_labels, 2):
         pair = [str(l1), str(l2)]
-        r, u = l1.x, table.rep(l1).b
-        t, w = l2.x, table.rep(l2).b
-        rw, tu = mul[r][w], mul[t][u]
-        # the value set of rw*y*y + tu*x*x over x, y != 0, from its points (x, 1)
-        wit = _form_values(F, [add[rw][mul[tu][mul[x][x]]] for x in range(1, q)])
-        if not any(not sq[v] for v in wit):
-            details["witness_sets_without_nonsquare"] += 1
-        rt = mul[r][t]
-        wit_keys = _class_keys(F, [(rt, v, 0, rt) for v in wit], (1, 0, 0, 1))
-        keys = _scan_keys(F, l1, l2)
-        if len(wit_keys) < 2 or not wit_keys <= keys:
+        keys, scan = _upper_upper_keys(F, l1, l2), _scan_keys(F, l1, l2)
+        rt = mul[l1.x][l2.x]
+        details["witness_sets_without_nonsquare"] += ClassLabel("U", rt, False) not in keys
+        wit = {k for k in keys if not isinstance(k, int) and k[1] == rt}  # Z(rt), U(rt, +-)
+        if keys != scan or len(wit) < 2:
             return _fail(name, q, details, part="upper_upper_witnesses", pair=pair,
-                         witnesses=sorted(str(e.label) for e in _entries(F, wit_keys)),
-                         found=sorted(str(e.label) for e in _entries(F, keys)))
-        ts = {e.trace for e in _entries(F, keys)}
-        fam = {sub[add[rt][rt]][mul[mul[u][w]][mul[i][i]]] for i in range(q)}
-        if len(ts) < (q + 1) // 2 or not fam <= ts:
+                         witnesses=sorted(str(e.label) for e in _entries(F, wit)),
+                         found=sorted(str(e.label) for e in _entries(F, scan)))
+        if len(ts := {e.trace for e in _entries(F, keys)}) < (q + 1) // 2:
             return _fail(name, q, details, part="upper_upper_traces", pair=pair,
                          traces=sorted(ts))
         details["uu_pairs"] += 1
@@ -850,8 +1081,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                 ky = mul[k][y]
                 xs.append((sub[s0][ky], k, neg[mul[ky][y]], add[s0][ky]))
             wit = [ClassLabel("U", s0, True), ClassLabel("U", s0, False)] if e else [ClassLabel("Z", 1)]
-            if not e:
-                details["zero_trace_self_pairs_exempt"] += 1
+            details["zero_trace_self_pairs_exempt"] += not e
             keys = _class_keys(F, xs, (1, 0, 0, 1))
             if (any(sub[mul[a][d]][mul[b][c]] != 1 for a, b, c, d in xs)
                     or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)
@@ -868,52 +1098,40 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     """The group-wide minimum product class count and its optimality
     witness.
 
-    Central times anything collapses to a single class: Z(r) x C is r*C,
-    whose label is read off C's and compared with the scan (part
-    ``central_pair``).  Over noncentral pairs the minimum is exactly q-1
-    for even q, attained by the repeated-eigenvalue class against an
+    Central times anything collapses to a single class: Z(r) x C is r*C
+    (products._central_keys).  Over noncentral pairs the minimum is exactly
+    q-1 for even q, attained by the repeated-eigenvalue class against an
     irreducible class; exactly (q+3)/2 for odd q > 3, attained by the two
     square classes of eigenvalue-1 upper triangulars when q = 1 mod 4 and
     by the square one against itself otherwise; and exactly 2 for q = 3.
 
-    The minimum counts every pair with a D or W factor by closed forms
-    (products._semisimple_keys for two D or W classes,
-    products._unipotent_keys for a U class against one, and the counts
-    products._closed_form_count takes from them).  Every such pair is also
-    scanned, and a difference in the classes or the count fails the part
-    ``semisimple_formula`` or ``unipotent_formula``.
+    The minimum counts every pair by closed forms (products._semisimple_keys
+    for two D or W classes, products._unipotent_keys for a U class against
+    one, and the counts products._closed_form_count takes from them;
+    products._upper_upper_keys for two U classes).  Every such pair, and
+    every pair with a central factor, is also scanned, and a difference in
+    the classes or the count fails the part ``central_pair``,
+    ``semisimple_formula``, ``unipotent_formula`` or
+    ``upper_upper_formula``.
     """
     name = "min_class_bounds"
     q = F.q
     table = class_table(F)
     details: dict = {}
 
-    # Z(r) x C is the class r*C: of trace r*t for a D or W class, Z(rs) for
-    # Z(s), and since r*[[s,u],[0,s]] = [[rs,ru],[0,rs]], U(rs, sigma) for
-    # U(s, sigma) when r is a square, else U(rs, -sigma)
-    mul, sq = F._mul, F._sq
+    # the closed form and count of every pair with a central factor and of
+    # every pair the minimum counts, each against the scan of that pair
     central = [l for l in table.labels() if l.kind == "Z"]
-    for lz, entry in itertools.product(central, table.entries):
-        r, l = lz.x, entry.label
-        if l.kind in ("D", "W"):
-            want = mul[r][entry.trace]
-        else:  # a Z label's flag is always +
-            want = ClassLabel(l.kind, mul[r][l.x], l.kind == "Z" or l.square == sq[r])
-        keys = _scan_keys(F, lz, l)
-        if keys != {want}:
-            return _fail(name, q, details, part="central_pair", pair=[str(lz), str(l)],
-                         expected=[str(e.label) for e in _entries(F, {want})],
-                         found=sorted(str(e.label) for e in _entries(F, keys)))
-
-    # min_product_classes counts every pair with a D or W factor by the
-    # closed forms; the scan recomputes each such pair
     semisimple = [l for l in table.noncentral_labels() if l.kind in ("D", "W")]
     unipotent = [l for l in table.noncentral_labels() if l.kind == "U"]
     formula_pairs = itertools.chain(
+        (("central_pair", _central_keys, lz, l) for lz in central for l in table.labels()),
         (("semisimple_formula", _semisimple_keys, la, lb)
          for la, lb in itertools.combinations_with_replacement(semisimple, 2)),
         (("unipotent_formula", _unipotent_keys, la, lb)
-         for la in unipotent for lb in semisimple))
+         for la in unipotent for lb in semisimple),
+        (("upper_upper_formula", _upper_upper_keys, la, lb)
+         for la, lb in itertools.combinations_with_replacement(unipotent, 2)))
     for part, kernel, la, lb in formula_pairs:
         formula, scan = kernel(F, la, lb), _scan_keys(F, la, lb)
         count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
@@ -928,14 +1146,11 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     details["witness"] = [str(witness[0]), str(witness[1])]
 
     if q % 2 == 0:
-        expected = q - 1
-        pair = (ClassLabel("U", 1), ClassLabel("W", irreducible_traces(F)[0]))
+        expected, pair = q - 1, (ClassLabel("U", 1), ClassLabel("W", irreducible_traces(F)[0]))
     elif q == 3:
-        expected = 2
-        pair = None
+        expected, pair = 2, None
     else:
-        expected = (q + 3) // 2
-        pair = (ClassLabel("U", 1, True), ClassLabel("U", 1, q % 4 != 1))
+        expected, pair = (q + 3) // 2, (ClassLabel("U", 1, True), ClassLabel("U", 1, q % 4 != 1))
     details["expected"] = expected
 
     if min_val != expected:

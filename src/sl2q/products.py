@@ -1,4 +1,4 @@
-"""Products of conjugacy classes.
+"""Products of conjugacy classes, each read off a closed form.
 
 The product of two conjugacy classes is closed under conjugation, hence a
 union of whole classes.  These helpers compute which classes appear, how
@@ -16,39 +16,24 @@ class, so it keys every D and W class; a Z or U class is keyed by its label
 tuple, equal to its ClassLabel.  A set's length is its class count, and
 :func:`_entries` is the one place a product's labels are made.
 
-The product of two classes commutes, since X*Y = Y*(Y**-1*X*Y), so a
-scan orders each pair once: a U factor goes second unless both are U, and
-of a D and a W factor the D one goes second.  The first factor's class is
-then scanned from its label, row by row.  Its members solve a + d = t and
-ad - bc = 1 (for a U class, in one square class); conjugating by the
-centralizer of B fixes B, so a cut that meets every orbit of that
-centralizer suffices, and each cut falls into rows that share their trace
-against B:
+No class is enumerated: each pair kind has one closed form, read off the
+labels and traces with its proof in its docstring, and
+:func:`_product_keys` picks it.
 
-* B = diag(r, 1/r), for D x D and W x D: one row per a, of trace
-  a*r + d/r, with 1 to 3 members (about q when bc = 0);
-* B = [[s,u],[0,s]], for D x U, W x U and U x U: tr(X*B) = s*t + u*c
-  depends on c alone, one row per c; only here is the first factor a U
-  class, whose members the cut keeps by square class;
-* B = [[0,1],[-1,w]], for W x W: one row per M of trace t in the field
-  {xI + yB}, of trace w*m0 + (w*w - 2)*m1, with at most two members;
-* a central factor: one row, its representative.
+* a central factor, Z(r) x C: the one class r*C, in O(1)
+  (:func:`_central_keys`);
+* two D or W classes: :func:`_semisimple_keys`, in O(q);
+* a U class against a D or W class: :func:`_unipotent_keys`, in O(q);
+* two U classes: :func:`_upper_upper_keys`, in O(q).
 
-A row of trace other than +-2 gives its class's key, that trace, and only
-the members of rows of trace +-2 are built and keyed one by one
-(:func:`_scan_keys`).  A scan costs O(q) table lookups per pair.  Per field
-only the class table and a table of square roots are cached.
-
-A pair with a D or W factor and no central one needs no enumeration: its
-product is read off the traces and labels, as a set in O(q) and as a count
-in O(1) (:func:`_semisimple_keys` for two D or W classes,
-:func:`_unipotent_keys` for a U class against one, each with its proof,
-and :func:`_closed_form_count`).  Only the pairs with a central factor (one
-member each) and the U x U pairs, at most 10 per field, are scanned.  So
-the minimum over all pairs costs O(q^2) constant-time counts: 0.001 s at
-q = 64, 0.02 s at q = 256, 0.24 s at q = 1019 and 0.18 s at q = 1024 (one
-core, Python 3.11).  The checks in checks.py and the tests scan every pair
-on purpose, so that they recompute the closed forms rather than trust them.
+A pair with a D or W factor is also counted in O(1)
+(:func:`_closed_form_count`), and a U x U pair by the size of its set.
+So the minimum over all pairs costs O(q^2) constant-time counts and at most
+10 sets of O(q): 0.001 s at q = 64, 0.02 s at q = 256, 0.24 s at q = 1019
+and 0.18 s at q = 1024 (one core, Python 3.11).  Per field only the class
+table is cached.  The checks in checks.py recompute every closed form with
+a row scan of one factor's class, on purpose, so that they recompute the
+closed forms rather than trust them.
 """
 
 from __future__ import annotations
@@ -56,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classes import ClassEntry, ClassLabel, _class_keys, _roots_of_one, class_table, classify
+from .classes import ClassEntry, ClassLabel, _roots_of_one, class_table, classify
 from .field import Field
 from .matrices import Mat2, _same_field, det
 
@@ -105,217 +90,8 @@ class ProductReport:
 
 def _edge_traces(F: Field) -> list[int]:
     """The traces 2s, s*s == 1: the only traces that hold more than one
-    class (Z(s) and the U(s, +-)), so the only rows a scan labels member by
-    member."""
+    class (Z(s) and the U(s, +-)), so the only ones that key no class."""
     return [F._add[s][s] for s in _roots_of_one(F)]
-
-
-def _positions(xs: list, x) -> list[int]:
-    # every index of x in xs, found by list.index at C speed
-    out, i = [], -1
-    try:
-        while True:
-            i = xs.index(x, i + 1)
-            out.append(i)
-    except ValueError:
-        return out
-
-
-def _diagonal_rows(F: Field, t: int, r: int, edges) -> tuple[list, list]:
-    """Rows of the D or W class of trace t against B = diag(r, 1/r).
-
-    Conjugating by diag(x, 1/x) fixes B and scales b by x*x, so the members
-    with b in {0, 1, nu} ({0, 1} for even q) meet every orbit of its
-    centralizer.  They fall into rows a = 0 .. q-1: d = t - a, and
-    bc = ad - 1 =: k gives (a, 1, k, d), (a, nu, k/nu, d) and, when k = 0,
-    every (a, 0, c, d).  tr(X*B) = a*r + d/r is the same along a row.
-
-    Returns the trace of each row and the members of the rows whose trace
-    is in ``edges``.
-    """
-    q = F.q
-    mul, add, sub, inv = F._mul, F._add, F._sub, F._inv
-    mr, mri, st = mul[r], mul[inv[r]], sub[t]
-    taus = [add[mr[a]][mri[st[a]]] for a in range(q)]
-    nu = F.least_nonsquare
-    members: list[tuple] = []
-    for e in edges:
-        for a in _positions(taus, e):
-            d = st[a]
-            k = sub[mul[a][d]][1]
-            if not k:
-                members += [(a, 0, c, d) for c in range(q)]
-            members.append((a, 1, k, d))
-            if nu is not None:
-                members.append((a, nu, mul[k][inv[nu]], d))
-    return taus, members
-
-
-def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> tuple[list, list]:
-    """Rows of the class of trace t against B = [[s,u],[0,s]].
-
-    Conjugating by [[1,x],[0,1]] fixes B and c, and shifts a by x*c, so the
-    members with c = 0 (a an eigenvalue of the class, every b) or with
-    a = 0 and c != 0 (b = -1/c) meet every orbit of its centralizer.
-    tr(X*B) = s*t + u*c depends on c alone: each c != 0 is a row of one
-    member, and c = 0 is one row of trace s*t, in which b runs over every
-    element.
-
-    Returns the row traces and the members of a U class ``want`` (all
-    members when None) in the rows whose trace is in ``edges``: the square
-    class of -c, or of b when c = 0, is ``want``.
-    """
-    q = F.q
-    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
-    cs = [c for c in range(1, q) if want is None or sq[neg[c]] == want]
-    st, mu = mul[s][t], mul[u]
-    ast = add[st]
-    taus = [ast[mu[c]] for c in cs]
-    members = [(0, neg[inv[cs[i]]], cs[i], t) for e in edges for i in _positions(taus, e)]
-    entry = class_table(F).by_trace[t]
-    if entry.label.kind != "W":
-        taus.append(st)
-        if st in edges:
-            r = entry.rep.a  # an eigenvalue: a D or Z representative is diagonal
-            members += [(a, b, 0, sub[t][a]) for a in sorted({r, inv[r]})
-                        for b in range(q) if want is None or (b and sq[b] == want)]
-    return taus, members
-
-
-def _torus_rows(F: Field, t: int, w: int) -> list[tuple]:
-    """The M = m0*I + m1*B of trace t in K = {xI + yB}, B = [[0,1],[-1,w]]
-    (x**2 - w*x + 1 irreducible): the rows of the non-split torus cut, see
-    :func:`_torus_members`."""
-    q = F.q
-    mul, sub, inv = F._mul, F._sub, F._inv
-    mw = mul[w]
-    if q % 2:
-        half = inv[F._add[1][1]]
-        return [(mul[sub[t][mw[m1]]][half], m1) for m1 in range(q)]
-    m1 = mul[t][inv[w]]
-    return [(m0, m1) for m0 in range(q)]
-
-
-def _square_roots(F: Field) -> list[int]:
-    # root[x*x] = x for the largest such code x; 0 at the non-squares
-    got = F._cache.get("square_roots")
-    if got is None:
-        got = F._cache["square_roots"] = [0] * F.q
-        for x in range(F.q):
-            got[F._mul[x][x]] = x
-    return got
-
-
-def _torus_members(F: Field, w: int, rows: list[tuple]) -> list[tuple]:
-    """Determinant-one matrices of the given rows of :func:`_torus_rows`:
-    at least one in every orbit of the centralizer of B = [[0,1],[-1,w]]
-    (x**2 - w*x + 1 irreducible) on the class of trace t, when the rows are
-    all of those of trace t.
-
-    K = {xI + yB} is a field of order q**2 whose norm is the determinant,
-    N(x + yB) = x**2 + w*x*y + y**2, and s = [[1,0],[w,-1]] inverts B by
-    conjugation.  Every matrix is X = M + V*s with M, V in K uniquely, and
-    tr X = tr M, det X = N(M) - N(V).  The centralizer of B is the norm-one
-    group of K; conjugating by h in it fixes M and maps V to h**2 * V.  So
-    for each M of trace t one V per coset of the squared norm-one group on
-    the circle of norm N(M) - 1 suffices: V = 0 when N(M) = 1, else one V
-    for even q (every element of the odd-order norm-one group is a square)
-    and two for odd q, the second being the first times g / conj(g) =
-    g**2 / N(g) for some g of non-square norm.  That is at most 2q members
-    for odd q and q for even q, against a class of order q**2.
-
-    V*s*B = V*[[0,1],[1,0]] has trace 0 for every V in K, so
-    tr(X*B) = tr(M*B) = w*m0 + (w*w - 2)*m1: all members of a row share
-    their trace against B.
-    """
-    q = F.q
-    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
-    mw = mul[w]
-    w2m1 = sub[mw[w]][1]
-
-    def norm(x: int, y: int) -> int:
-        return add[add[mul[x][x]][mw[mul[x][y]]]][mul[y][y]]
-
-    def kmul(x: tuple, y: tuple) -> tuple:
-        return (sub[mul[x[0]][y[0]]][mul[x[1]][y[1]]],
-                add[add[mul[x[0]][y[1]]][mul[x[1]][y[0]]]][mw[mul[x[1]][y[1]]]])
-
-    def coeffs(e: tuple) -> tuple:
-        # V = x*e adds x*(e0 + w*e1) to a, -x*e1 to b, x*(w*e0 + (w^2-1)*e1) to c
-        return add[e[0]][mw[e[1]]], e[1], add[mw[e[0]]][mul[w2m1][e[1]]]
-
-    root = _square_roots(F)
-    if q % 2:
-        # N(x + B) takes (q + 1)/2 distinct nonzero values, more than there
-        # are nonzero squares, so the search always stops
-        g = next((x, 1) for x in range(q) if not sq[norm(x, 1)])
-        ign = inv[norm(*g)]
-        gg = kmul(g, g)
-        omega = (mul[gg[0]][ign], mul[gg[1]][ign])
-        # norm n = x^2 is met by x and x*omega, n = x^2 * N(g) by x*g and x*g*omega
-        on_squares = [coeffs((1, 0)), coeffs(omega)]
-        off_squares = [coeffs(g), coeffs(kmul(g, omega))]
-    else:
-        on_squares, ign, off_squares = [coeffs((1, 0))], 0, []
-    out: list[tuple] = []
-    for m0, m1 in rows:
-        d0 = add[m0][mw[m1]]
-        n = sub[add[add[mul[m0][m0]][mw[mul[m0][m1]]]][mul[m1][m1]]][1]  # N(M) - 1
-        if not n:
-            out.append((m0, m1, neg[m1], d0))
-            continue
-        if sq[n]:
-            x, es = root[n], on_squares
-        else:
-            x, es = root[mul[n][ign]], off_squares
-        for ea, eb, ec in es:
-            xa = mul[ea][x]
-            out.append((add[m0][xa], sub[m1][mul[eb][x]], sub[mul[ec][x]][m1], sub[d0][xa]))
-    return out
-
-
-def _companion_rows(F: Field, t: int, w: int, edges) -> tuple[list, list]:
-    """Rows of the W class of trace t against B = [[0,1],[-1,w]]: the rows M
-    of :func:`_torus_rows`, one trace w*m0 + (w*w - 2)*m1 each.
-
-    Returns the row traces and the members of the rows whose trace is in
-    ``edges``.
-    """
-    mul, add, sub = F._mul, F._add, F._sub
-    mw = mul[w]
-    rows = _torus_rows(F, t, w)
-    mk = mul[sub[mw[w]][add[1][1]]]
-    taus = [add[mw[m0]][mk[m1]] for m0, m1 in rows]
-    return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
-
-
-def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of la's and lb's classes, with the
-    operands ordered and the first one's class scanned by rows against the
-    canonical representative B of the second, as the module docstring sets
-    out; the checks and the tests recompute the closed forms with it.  Only
-    the members of rows of trace +-2 are keyed one by one, by
-    :func:`_class_keys`; a central factor gives one member, the
-    representative of the first factor's class.
-    """
-    if (la.kind == "U" and lb.kind != "U") or (la.kind, lb.kind) == ("D", "W"):
-        la, lb = lb, la
-    table = class_table(F)
-    rb = table.rep(lb)
-    b4 = (rb.a, rb.b, rb.c, rb.d)
-    edges = _edge_traces(F)
-    t = label_trace(F, la)
-    if la.kind == "Z" or lb.kind == "Z":
-        ra = table.rep(la)
-        taus, members = [], [(ra.a, ra.b, ra.c, ra.d)]
-    elif lb.kind == "D":
-        taus, members = _diagonal_rows(F, t, rb.a, edges)
-    elif lb.kind == "U":
-        want = la.square if la.kind == "U" else None
-        taus, members = _upper_rows(F, t, rb.a, rb.b, want, edges)
-    else:
-        taus, members = _companion_rows(F, t, lb.x, edges)
-    return frozenset(set(taus).difference(edges)).union(_class_keys(F, members, b4))
 
 
 def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
@@ -411,28 +187,103 @@ def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     return frozenset(out)
 
 
-def _closed_form_count(F: Field, la: ClassLabel, lb: ClassLabel, ta: int, tb: int) -> int:
-    """len(_product_keys(F, la, lb)) for noncentral classes of traces ta
-    and tb, not both of kind U, in O(1).
+def _central_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+    """Class keys of the product of a central class Z(r) and a class C, in
+    either operand order, read off the labels in O(1): the one class r*C.
 
-    With k roots of one (1 for even q, 2 for odd), a U class gives q
-    classes against a D class and q - 1 against a W class
-    (:func:`_unipotent_keys`).  Two D or W classes give their q - k
-    classes, k*k U classes, and for each r with t_b = r*t_a a Z(r), less
-    the k U(r, .) when they are of kind W (:func:`_semisimple_keys`).
+    Z(r)*C = {r*X : X in C} is a class, as r*I commutes with every
+    conjugator.  r*X has trace r*t, which keys the D or W class of a D or
+    W class C; r*Z(s) is Z(rs); and r*[[s,u],[0,s]] = [[rs,ru],[0,rs]], so
+    U(s, sigma) goes to U(rs, sigma) when r is a square and to
+    U(rs, -sigma) otherwise.
+    """
+    if la.kind != "Z":
+        la, lb = lb, la
+    r, mul = la.x, F._mul
+    if lb.kind in ("D", "W"):
+        return frozenset({mul[r][label_trace(F, lb)]})
+    # a Z label's flag is always +
+    return frozenset({ClassLabel(lb.kind, mul[r][lb.x], lb.kind == "Z" or lb.square == F._sq[r])})
+
+
+def _upper_upper_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+    """Class keys of the product of two U classes, read off their labels in
+    O(q).  With representatives [[r,u],[0,r]] of la = U(r, sigma) and
+    Y = [[s,w],[0,s]] of lb, the product holds:
+
+    * every trace 2rs - u*w*x over the nonzero squares x, but -2rs;
+    * U(-rs, sigma if s is a square, else -sigma), when -2rs is one of
+      those traces;
+    * for each nonzero square x, with v = r*w + s*u*x, Z(rs) if v = 0, else
+      U(rs, square class of v).
+
+    Fix Y and take X = [[r,u],[0,r]] conjugated by every C = [[a,b],[c,d]]
+    of determinant one, which gives every class of the product.  That
+    conjugate is [[r + u*c*d, u*d*d], [-u*c*c, r - u*c*d]], so P = X**C * Y
+    has lower-left entry -s*u*c*c and trace 2rs - u*w*c*c
+    (``trace_form_upper_upper`` in checks.py).
+
+    * c != 0: every c != 0 occurs (a = 0, b = -1/c), so P's traces are
+      2rs - u*w*x over the nonzero squares x = c*c, never 2rs.  As rs*rs
+      is 1, the traces +-2rs are the only ones of the Z and U classes, so
+      a trace other than -2rs keys its D or W class.  P is not scalar, as
+      its lower-left entry is nonzero; at the trace -2rs (odd q only, since
+      -2rs = 2rs for even q) it lies in U(-rs, .) with the square class of
+      minus that entry, s*u*c*c, which is that of s*u.
+    * c = 0: then a*d = 1, and P = [[rs, v], [0, rs]] with
+      v = r*w + s*u*d*d over the nonzero squares d*d: the scalar Z(rs) when
+      v = 0, else U(rs, square class of v).
+
+    No case split on q is needed: at q = 5, U(1,+) * U(1,+) has v in
+    {1 + 1, 1 + 4} = {2, 0}, so Z(1) and U(1,-) but no U(1,+).
+    """
+    table = class_table(F)
+    r, u, s, w = la.x, table.rep(la).b, lb.x, table.rep(lb).b
+    mul, add, sub, neg, sq = F._mul, F._add, F._sub, F._neg, F._sq
+    rs = mul[r][s]
+    two_rs, uw, rw, su = add[rs][rs], mul[u][w], mul[r][w], mul[s][u]
+    squares = [x for x in range(1, F.q) if sq[x]]
+    out: set = {sub[two_rs][mul[uw][x]] for x in squares}
+    if neg[two_rs] in out:  # the trace -2rs keys no class: it is U(-rs, .)
+        out ^= {neg[two_rs], ClassLabel("U", neg[rs], sq[s] == sq[u])}
+    vs = {add[rw][mul[su][x]] for x in squares}
+    out.update(ClassLabel("U", rs, sq[v]) if v else ClassLabel("Z", rs) for v in vs)
+    return frozenset(out)
+
+
+def _closed_form_count(F: Field, la: ClassLabel, lb: ClassLabel, ta: int, tb: int) -> int:
+    """len(_product_keys(F, la, lb)) for classes of traces ta and tb: in
+    O(1), but for a U x U pair the size of its O(q) set
+    (:func:`_upper_upper_keys`), as the count at the trace 2rs turns on the
+    square classes of an affine image of the squares.
+
+    A central factor gives its one class (:func:`_central_keys`).  With k
+    roots of one (1 for even q, 2 for odd), a U class gives q classes
+    against a D class and q - 1 against a W class (:func:`_unipotent_keys`).
+    Two D or W classes give their q - k classes, k*k U classes, and for
+    each r with t_b = r*t_a a Z(r), less the k U(r, .) when they are of
+    kind W (:func:`_semisimple_keys`).
     """
     q = F.q
-    if la.kind == "U" or lb.kind == "U":
-        return q - (la.kind == "W" or lb.kind == "W")
-    k = 2 if q % 2 else 1
-    inverse = (tb == ta) + (k == 2 and tb == F._neg[ta])
-    return q - k + k * k + inverse * (1 if la.kind == "D" else 1 - k)
+    if la.kind in "DW" and lb.kind in "DW":
+        k = 2 if q % 2 else 1
+        inverse = (tb == ta) + (k == 2 and tb == F._neg[ta])
+        return q - k + k * k + inverse * (1 if la.kind == "D" else 1 - k)
+    kinds = la.kind + lb.kind
+    if "Z" in kinds:
+        return 1
+    if kinds == "UU":
+        return len(_upper_upper_keys(F, la, lb))
+    return q - ("W" in kinds)
 
 
 def _product_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+    # the one closed form for the pair's kinds
     kinds = {la.kind, lb.kind}
-    if "Z" in kinds or kinds == {"U"}:
-        return _scan_keys(F, la, lb)
+    if "Z" in kinds:
+        return _central_keys(F, la, lb)
+    if kinds == {"U"}:
+        return _upper_upper_keys(F, la, lb)
     if "U" in kinds:
         return _unipotent_keys(F, la, lb)
     return _semisimple_keys(F, la, lb)
@@ -482,20 +333,15 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     pairs, with the first witness pair in table order.
 
     Products are symmetric in their operands, so unordered pairs suffice.
-    Pairs with a D or W factor are counted by the closed forms
-    (:func:`_closed_form_count`), from traces computed once; only the U x U
-    pairs, at most 10, are scanned.
+    Every pair is counted by the closed forms (:func:`_closed_form_count`),
+    from traces computed once: in O(1), but for the U x U pairs, at most 10,
+    in O(q).
     """
     noncentral = [(e.label, e.trace) for e in class_table(F).entries if e.label.kind != "Z"]
-    best_n: int | None = None
-    best_pair: tuple[ClassLabel, ClassLabel] | None = None
+    best = None
     for i, (la, ta) in enumerate(noncentral):
         for lb, tb in noncentral[i:]:
-            if la.kind == "U" and lb.kind == "U":
-                n = len(_scan_keys(F, la, lb))
-            else:
-                n = _closed_form_count(F, la, lb, ta, tb)
-            if best_n is None or n < best_n:
-                best_n, best_pair = n, (la, lb)
-    assert best_n is not None and best_pair is not None
-    return best_n, best_pair
+            n = _closed_form_count(F, la, lb, ta, tb)
+            if best is None or n < best[0]:
+                best = n, (la, lb)
+    return best

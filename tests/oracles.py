@@ -7,10 +7,11 @@ enumeration or by labelling every product with a fixed second factor,
 quadratic-form value sets over every point, and witness-family traces
 member by member.  None of them share logic with the code paths they
 check, with one exception: ``_class_members`` builds, member by member,
-the cuts whose rows the library's scan walks, and takes the non-split
-torus members from the library.  It cuts a U class against every kind of
-second factor, while the library puts a U factor second and so walks a
-cut filtered by square class only against a U factor.  Those cuts are
+the cuts whose rows the row scan of sl2q.checks walks (the oracle the
+checks hold the closed forms of sl2q.products to), and takes the
+non-split torus members from that scan.  It cuts a U class against every
+kind of second factor, while the scan puts a U factor second and so walks
+a cut filtered by square class only against a U factor.  Those cuts are
 checked against whole orbits (test_class_cuts_meet_every_centralizer_orbit).
 ``field_for`` is the library's own field lookup, re-exported so every test
 reaches a field by q the same way; test_field.py checks it against literal
@@ -24,7 +25,8 @@ import itertools
 from sl2q.classes import ClassLabel
 from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
 from sl2q.matrices import Mat2, enumerate_sl2
-from sl2q.products import _torus_members, _torus_rows, label_trace
+from sl2q.checks import _torus_members, _torus_rows
+from sl2q.products import label_trace
 
 
 _KIND_ORDER = {"Z": 0, "D": 1, "U": 2, "W": 3}
@@ -300,7 +302,7 @@ def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tup
     """Members (a, b, c, d) of the noncentral labelled class, read off its
     label, that meet every orbit of the centralizer of the noncentral
     second factor ``against`` at its canonical representative: the cuts
-    whose rows the library's scan walks, built member by member.
+    whose rows the checks' scan walks, built member by member.
 
     They solve a + d = t and ad - bc = 1 for the class trace t; a U class
     keeps those whose square class of -c (of b when c = 0) matches its own.
@@ -310,7 +312,7 @@ def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tup
       conjugating by diag(x, 1/x) scales b by a square;
     * U ([[s,u],[0,s]]): c = 0, or a = 0 with c != 0, since conjugating
       by [[1,x],[0,1]] fixes c and shifts a by x*c;
-    * W ([[0,1],[-1,w]]): every row of the library's non-split torus cut.
+    * W ([[0,1],[-1,w]]): every row of the scan's non-split torus cut.
     """
     t = label_trace(F, label)
     if against.kind == "W":

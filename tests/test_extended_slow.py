@@ -99,9 +99,9 @@ def test_minimum_bounds_to_64():
 
 @pytest.mark.parametrize("q", [1019, 1024])
 def test_minimum_at_largest_fields(q):
-    # every pair with a D or W factor is counted by the closed forms and
-    # only the U x U pairs are scanned, so even the largest fields take
-    # under a second
+    # every pair with a D or W factor is counted in O(1) by the closed
+    # forms and each U x U pair by its O(q) kernel, so even the largest
+    # fields take under a second
     value, (la, lb) = min_product_classes(oracles.field_for(q))
     assert value == expected_minimum(q)
     assert "U" in (la.kind, lb.kind)

@@ -1,10 +1,11 @@
 """Class products: the directly enumerated class against the orbit oracles,
 every pair against the fixed-factor oracle, the fixed-factor product
-against double enumeration, the closed forms for pairs with a D or W
-factor against the scan, and the headline minimum values."""
+against double enumeration, every closed form against the row scan of
+sl2q.checks, and the headline minimum values."""
 
 import contextlib
 import io
+import itertools
 import json
 import random
 from pathlib import Path
@@ -14,17 +15,19 @@ import pytest
 import oracles
 import sl2q
 from oracles import _class_members, _conj4
-from sl2q import products
+from sl2q import checks, products
+from sl2q.checks import _scan_keys
 from sl2q.classes import ClassLabel, class_table, classify
 from sl2q.field import make_field, prime_factors, prime_powers_up_to
 from sl2q.matrices import Mat2, enumerate_sl2, mat
 from sl2q.products import (
+    _central_keys,
     _closed_form_count,
     _entries,
     _product_keys,
-    _scan_keys,
     _semisimple_keys,
     _unipotent_keys,
+    _upper_upper_keys,
     class_product_labels,
     label_trace,
     min_product_classes,
@@ -77,8 +80,8 @@ def test_class_cuts_meet_every_centralizer_orbit(q):
 def test_products_match_fixed_factor_oracle(q):
     # every ordered pair, central classes included: the centralizer cuts
     # must lose no class and no trace of the actual products, both through
-    # the library (closed form for D and W pairs) and through the scan that
-    # the checks use for every pair.  Both give class keys: the trace of a
+    # the library (a closed form for every pair kind) and through the scan
+    # that the checks use for every pair.  Both give class keys: the trace of a
     # class of trace other than +-2, the label of a Z or U class
     F = oracles.field_for(q)
     table = class_table(F)
@@ -102,7 +105,8 @@ def test_products_match_fixed_factor_oracle(q):
 
 
 def assert_formula_matches_scan(F, kernel, pairs):
-    # the key set, and the count min_product_classes takes in O(1)
+    # the key set, and the count min_product_classes takes from
+    # _closed_form_count (in O(q) for a U x U pair, else in O(1))
     for la, lb in pairs:
         scan = _scan_keys(F, la, lb)
         assert kernel(F, la, lb) == scan, (F.q, la, lb)
@@ -178,23 +182,27 @@ def test_unipotent_formula_matches_scan_at_largest_fields(q):
     assert_formula_matches_scan(F, _unipotent_keys, unipotent_pairs(F))
 
 
-@pytest.mark.parametrize("q", [16, 25])
-def test_min_scans_only_unipotent_pairs(q, monkeypatch):
-    # every pair with a D or W factor is counted by the closed forms: the
-    # minimum scans the U x U pairs and no other
-    scanned = []
-    scan = products._scan_keys
+# Tier-1 runs q <= 49, `-m slow` the q up to 128 and the four largest fields
+SCAN_QS = ([q if q <= 49 else pytest.param(q, marks=pytest.mark.slow) for q in prime_powers_up_to(128)]
+           + [pytest.param(q, marks=pytest.mark.slow) for q in (509, 512, 1019, 1024)])
 
-    def recording_scan(F, la, lb):
-        scanned.append((la, lb))
-        return scan(F, la, lb)
 
-    monkeypatch.setattr(products, "_scan_keys", recording_scan)
+@pytest.mark.parametrize("q", SCAN_QS)
+def test_upper_upper_formula_matches_scan(q):
+    # every ordered pair of U classes: the kernel reads both operands off
+    # their representatives, and the scan keeps their order
     F = oracles.field_for(q)
     us = [l for l in class_table(F).noncentral_labels() if l.kind == "U"]
-    min_product_classes(F)
-    assert scanned == [(la, lb) for i, la in enumerate(us) for lb in us[i:]]
-    assert len(scanned) == (10 if q % 2 else 1)
+    assert_formula_matches_scan(F, _upper_upper_keys, itertools.product(us, repeat=2))
+
+
+@pytest.mark.parametrize("q", SCAN_QS)
+def test_central_formula_matches_scan(q):
+    # every ordered pair with a Z factor: one class, r*C
+    F = oracles.field_for(q)
+    labels = class_table(F).labels()
+    assert_formula_matches_scan(F, _central_keys, [
+        (la, lb) for la, lb in itertools.product(labels, repeat=2) if "Z" in la.kind + lb.kind])
 
 
 @pytest.mark.parametrize("q", [8, 9])
@@ -205,11 +213,11 @@ def test_scan_orders_each_pair_once(q, monkeypatch):
     # cut filters by square class only for U x U
     calls = []
     for name in ("_diagonal_rows", "_upper_rows", "_companion_rows"):
-        def recording(F, t, *args, name=name, real=getattr(products, name)):
+        def recording(F, t, *args, name=name, real=getattr(checks, name)):
             calls.append((name, t, args))
             return real(F, t, *args)
 
-        monkeypatch.setattr(products, name, recording)
+        monkeypatch.setattr(checks, name, recording)
     F = oracles.field_for(q)
     labels = class_table(F).noncentral_labels()
     edges = {label_trace(F, l) for l in labels if l.kind == "U"}
