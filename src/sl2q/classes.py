@@ -26,21 +26,41 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .field import Field
+from .field import MAX_FIELD_SIZE, Field
 from .matrices import Mat2, det, mat, sl2_order
 
 _LABEL_RE = re.compile(r"^([ZDUW])\((\d+)(?:,([+-]))?\)$")
+_KINDS = ("Z", "D", "U", "W")
+
+# str() of each label made so far of one of the four kinds, an int code below
+# MAX_FIELD_SIZE and a bool flag, keyed by the label: so never more than
+# 8 * MAX_FIELD_SIZE texts
+_LABEL_TEXT: dict = {}
 
 
 class ClassLabel(NamedTuple):
+    """A class label.  Its text is formatted on its first str() and then,
+    for a label of a field, read from the cache ``_LABEL_TEXT``."""
+
     kind: str
     x: int
     square: bool = True
 
     def __str__(self) -> str:
+        # a code equal to an int but of another type (5.0, True) prints
+        # otherwise, so only an int code reads the cache; an equal flag has
+        # the same truth value, so it prints the same sign
+        exact = type(self.x) is int
+        if exact and (text := _LABEL_TEXT.get(self)) is not None:
+            return text
         if self.kind == "U":
-            return f"U({self.x},{'+' if self.square else '-'})"
-        return f"{self.kind}({self.x})"
+            text = f"U({self.x},{'+' if self.square else '-'})"
+        else:
+            text = f"{self.kind}({self.x})"
+        if (exact and type(self.square) is bool and self.kind in _KINDS
+                and 0 <= self.x < MAX_FIELD_SIZE):
+            _LABEL_TEXT[self] = text
+        return text
 
     @staticmethod
     def parse(text: str) -> "ClassLabel":
@@ -65,7 +85,12 @@ class ClassEntry:
 class ClassTable:
     """All conjugacy classes over GF(q) in deterministic order: central,
     then D, U, W families, each by ascending code, U(s,+) before U(s,-).
-    This is the one class order; reports list their labels in it."""
+    This is the one class order; reports list their labels in it.
+
+    The per-position tuples ``entry_keys``, ``entry_labels`` and
+    ``entry_traces`` and the set ``semisimple_traces`` are built on first
+    use, by the first product read off the table: building the table and
+    counting products (``min_product_classes``) makes none of them."""
 
     q: int
     entries: tuple[ClassEntry, ...]
@@ -89,6 +114,27 @@ class ClassTable:
             if e.label.kind != "U":
                 out[e.trace] = e
         return out
+
+    @cached_property
+    def entry_keys(self) -> tuple:
+        """Each entry's class key, in table order: its trace for a D or W
+        class, its label for a Z or U class (see products.py).  No two
+        entries share a key."""
+        return tuple(e.label if e.label.kind in "ZU" else e.trace for e in self.entries)
+
+    @cached_property
+    def entry_labels(self) -> tuple[ClassLabel, ...]:
+        return tuple(e.label for e in self.entries)
+
+    @cached_property
+    def entry_traces(self) -> tuple[int, ...]:
+        return tuple(e.trace for e in self.entries)
+
+    @cached_property
+    def semisimple_traces(self) -> frozenset[int]:
+        """Every trace but the 2s with s*s == 1: the keys of the D and W
+        classes."""
+        return frozenset(e.trace for e in self.entries if e.label.kind in "DW")
 
     def __len__(self) -> int:
         return len(self.entries)

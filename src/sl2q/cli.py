@@ -22,7 +22,7 @@ from .classes import ClassLabel, class_table, classify
 from .field import (MAX_FIELD_SIZE, Field, field_for, find_modulus, make_field, prime_power,
                     prime_powers_up_to)
 from .matrices import det, from_literal
-from .products import CSV_HEADER, csv_line, min_product_classes, product_report
+from .products import CSV_HEADER, ProductReport, csv_line, min_product_classes, product_report
 
 # time-derived values are excluded from report checksums so that cached and
 # fresh runs compare byte-identical
@@ -210,18 +210,19 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
     """Product reports for every noncentral class pair, all q <= qmax."""
     if out_path:
         _check_dir(Path(out_path).parent)
+    # each report is kept as its output row only, not with its O(q) labels
+    row = ProductReport.to_json if fmt == "json" else ProductReport.csv_row
     reports = []
     for q in prime_powers_up_to(qmax):
         F = _field(q)
         labels = class_table(F).noncentral_labels()
-        reports += [product_report(F, la, lb)
+        reports += [row(product_report(F, la, lb))
                     for la, lb in itertools.combinations_with_replacement(labels, 2)]
     if fmt == "json":
-        text = json.dumps({"version": __version__, "qmax": qmax,
-                           "reports": [r.to_json() for r in reports]},
+        text = json.dumps({"version": __version__, "qmax": qmax, "reports": reports},
                           indent=1, sort_keys=True) + "\n"
     else:
-        text = "\n".join([CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
+        text = "\n".join([CSV_HEADER, *reports]) + "\n"
     if out_path:
         _atomic_write(Path(out_path), text)
         click.echo(f"wrote {len(reports)} reports to {out_path}")

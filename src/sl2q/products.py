@@ -14,7 +14,15 @@ class-invariant.
 A product is a frozenset of class keys.  A trace other than +-2 fixes its
 class, so it keys every D and W class; a Z or U class is keyed by its label
 tuple, equal to its ClassLabel.  A set's length is its class count, and
-:func:`_entries` is the one place a product's labels are made.
+:func:`_mask` is the one place a set is read back into classes: one pass of
+the set's ``__contains__`` over the table's per-position keys
+(``ClassTable.entry_keys``) gives a mask in table order, through which
+``itertools.compress`` reads the labels and traces of the classes hit
+(``ClassTable.entry_labels``, ``entry_traces``).  Every trace but +-2 is one
+frozenset per table (``ClassTable.semisimple_traces``), and the D, W and U
+closed forms return a union or difference of it.  Those columns are built
+on the first product of a table, and each label's text (``ClassLabel``) on
+its first str().
 
 No class is enumerated: each pair kind has one closed form, read off the
 labels and traces with its proof in its docstring, and
@@ -31,17 +39,19 @@ A pair with a D or W factor is also counted in O(1)
 So the minimum over all pairs costs O(q^2) constant-time counts and at most
 10 sets of O(q): 0.001 s at q = 64, 0.02 s at q = 256, 0.24 s at q = 1019
 and 0.18 s at q = 1024 (one core, Python 3.11).  Per field only the class
-table is cached.  The checks in checks.py recompute every closed form with
-a row scan of one factor's class, on purpose, so that they recompute the
-closed forms rather than trust them.
+table is cached, with the columns above.  The checks in checks.py
+recompute every closed form with a row scan of one factor's class, on
+purpose, so that they recompute the closed forms rather than trust them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import or_
 
-from .classes import ClassEntry, ClassLabel, _roots_of_one, class_table, classify
+from .classes import ClassEntry, ClassLabel, ClassTable, _roots_of_one, class_table, classify
 from .field import Field
 from .matrices import Mat2, _same_field, det
 
@@ -122,16 +132,17 @@ def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
       triangular with eigenvalues in GF(q); so tr(u*Y) != t_b and no r*u
       appears.
     """
-    ta, tb = label_trace(F, la), label_trace(F, lb)
-    out = set(range(F.q)).difference(_edge_traces(F))
+    table = class_table(F)
+    ta, tb = table.entry(la).trace, table.entry(lb).trace
     squares = (True,) if F.q % 2 == 0 else (True, False)
+    out = []
     for r in _roots_of_one(F):
         inverse = tb == F._mul[r][ta]  # C_b = r*C_a**-1
         if inverse:
-            out.add(ClassLabel("Z", r))
+            out.append(ClassLabel("Z", r))
         if not (inverse and la.kind == "W"):
-            out.update(ClassLabel("U", r, s) for s in squares)
-    return frozenset(out)
+            out += (ClassLabel("U", r, s) for s in squares)
+    return table.semisimple_traces.union(out)
 
 
 def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
@@ -177,14 +188,14 @@ def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     """
     if la.kind != "U":
         la, lb = lb, la
-    r, tb = la.x, label_trace(F, lb)
+    table = class_table(F)
+    r, tb = la.x, table.entry(lb).trace
     mul, sub, sq, two = F._mul, F._sub, F._sq, F._add[1][1]
-    out = set(range(F.q)).difference(_edge_traces(F))
+    out = table.semisimple_traces
     if lb.kind == "W":
-        out.discard(mul[r][tb])
-    out.update(ClassLabel("U", s, la.square == sq[sub[tb][mul[two][mul[r][s]]]])
-               for s in _roots_of_one(F))
-    return frozenset(out)
+        out = out - {mul[r][tb]}
+    return out.union(ClassLabel("U", s, la.square == sq[sub[tb][mul[two][mul[r][s]]]])
+                     for s in _roots_of_one(F))
 
 
 def _central_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
@@ -295,7 +306,9 @@ def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
     _same_field(F, A, B)
     if det(F, A) != 1 or det(F, B) != 1:
         raise ValueError("class products are defined for determinant-one matrices")
-    return frozenset(e.label for e in _entries(F, _product_keys(F, classify(F, A), classify(F, B))))
+    table = class_table(F)
+    keys = _product_keys(F, classify(F, A), classify(F, B))
+    return frozenset(compress(table.entry_labels, _mask(table, keys)))
 
 
 def label_trace(F: Field, label: ClassLabel) -> int:
@@ -303,10 +316,28 @@ def label_trace(F: Field, label: ClassLabel) -> int:
     return class_table(F).entry(label).trace
 
 
+def _mask(table: ClassTable, keys) -> list[bool]:
+    """For each table entry in order, whether its trace or its label is in
+    ``keys``.
+
+    Entries have distinct keys (``ClassTable.entry_keys``), so when as many
+    entries as keys match their own key, every key is an entry key: then no
+    key is a trace +-2 (which only Z and U entries have) or a D or W label,
+    and the one pass over the entry keys is the whole answer.  Otherwise a
+    key names no class by itself (a set spoiled with a trace +-2, a D or W
+    label or a stray value), and every trace and label is looked up.
+    """
+    mask = list(map(keys.__contains__, table.entry_keys))
+    if mask.count(True) != len(keys):
+        mask = list(map(or_, map(keys.__contains__, table.entry_traces),
+                        map(keys.__contains__, table.entry_labels)))
+    return mask
+
+
 def _entries(F: Field, keys) -> list[ClassEntry]:
-    # the classes of a set of keys in table order; no Z or U class has a
-    # trace key (+-2), and no D or W class a label key
-    return [e for e in class_table(F).entries if e.trace in keys or e.label in keys]
+    # the classes of a set of keys in table order
+    table = class_table(F)
+    return list(compress(table.entries, _mask(table, keys)))
 
 
 def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> ProductReport:
@@ -320,12 +351,11 @@ def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> Produc
     t0 = time.perf_counter()
     keys = _product_keys(F, label_a, label_b)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    hits = _entries(F, keys)
-    traces = tuple(sorted({e.trace for e in hits}))
-    return ProductReport(
-        F.q, F.p, F.m, F.modulus, label_a, label_b,
-        len(hits), tuple(e.label for e in hits), traces, elapsed,
-    )
+    mask = _mask(table, keys)
+    labels = tuple(compress(table.entry_labels, mask))
+    traces = tuple(sorted(set(compress(table.entry_traces, mask))))
+    return ProductReport(F.q, F.p, F.m, F.modulus, label_a, label_b,
+                         len(labels), labels, traces, elapsed)
 
 
 def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from oracles import _conj4
+from sl2q import classes
 from sl2q.classes import (
     ClassEntry,
     ClassLabel,
@@ -15,10 +16,17 @@ from sl2q.classes import (
     classify,
     irreducible_traces,
 )
-from sl2q.field import make_field, prime_powers_up_to
+from sl2q.field import MAX_FIELD_SIZE, make_field, prime_powers_up_to
 from sl2q.matrices import Mat2, enumerate_sl2, mat, sl2_order
 
 ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def reference_text(label: ClassLabel) -> str:
+    # a label's text, formatted afresh
+    if label.kind == "U":
+        return f"U({label.x},{'+' if label.square else '-'})"
+    return f"{label.kind}({label.x})"
 
 
 @pytest.mark.parametrize("q", ORACLE_QS + [11, 13, 16, 25, 27, 32])
@@ -43,12 +51,23 @@ def test_table_order_and_traces(q):
     # the table's own order is the reference order reports are listed in,
     # and each entry's trace is its representative's; the per-trace index
     # holds each D or W entry at its trace and Z(s) at 2s, so the W traces
-    # are the irreducible ones
+    # are the irreducible ones.  Its per-position columns are the entries'
+    # keys, labels and traces, no two entries share a key, and each label's
+    # text is the one formatted afresh and parses back to the label
     F = oracles.field_for(q)
     table = class_table(F)
     assert table.labels() == sorted(table.labels(), key=oracles.label_sort_key)
     for e in table.entries:
         assert e.trace == F._add[e.rep.a][e.rep.d], e.label
+        assert str(e.label) == reference_text(e.label), e.label
+        assert ClassLabel.parse(str(e.label)) == e.label
+    assert table.entry_labels == tuple(table.labels())
+    assert table.entry_traces == tuple(e.trace for e in table.entries)
+    assert table.entry_keys == tuple(e.label if e.label.kind in "ZU" else e.trace
+                                     for e in table.entries)
+    assert len(set(table.entry_keys)) == len(table)
+    edges = {e.trace for e in table.entries if e.label.kind in "ZU"}
+    assert table.semisimple_traces == set(range(q)) - edges
     by_trace = table.by_trace
     assert len(by_trace) == q
     for e in table.entries:
@@ -141,11 +160,41 @@ def test_classify_requires_unit_determinant():
 
 
 def test_label_string_round_trip():
-    for text in ("Z(1)", "D(2)", "U(1,+)", "U(4,-)", "W(0)", "W(13)"):
+    for text in ("Z(1)", "D(2)", "U(1,+)", "U(4,-)", "W(0)", "W(13)", "D(5000)", "W(1024)"):
         assert str(ClassLabel.parse(text)) == text
+        assert str(ClassLabel.parse(text)) == text  # again, once a text may be cached
     for bad in ("U(1)", "Z(1,+)", "X(2)", "D(-1)", "W"):
         with pytest.raises(ValueError):
             ClassLabel.parse(bad)
+
+
+def test_label_text_never_crosses_types():
+    # a label equal to a cached one but with another type of code or flag
+    # gets its own text, before and after the int label is cached
+    for _ in range(2):
+        for label in (ClassLabel("D", 5.0), ClassLabel("Z", True), ClassLabel("U", 1, 1),
+                      ClassLabel("U", 1, 0), ClassLabel("U", 1, 2), ClassLabel("W", 7, False),
+                      ClassLabel("D", 5), ClassLabel("Z", 1), ClassLabel("U", 1, True),
+                      ClassLabel("U", 1, False)):
+            assert str(label) == reference_text(label), label
+    assert str(ClassLabel("D", 5.0)) == "D(5.0)" and str(ClassLabel("Z", True)) == "Z(True)"
+
+
+def test_label_text_cache_bounded():
+    # the cache holds only labels of the four kinds with an int code below
+    # MAX_FIELD_SIZE and a bool flag, each with its own text
+    for q in prime_powers_up_to(64):
+        for label in class_table(oracles.field_for(q)).labels():
+            str(label)
+    for label in (ClassLabel.parse("D(5000)"), ClassLabel("D", 5.0), ClassLabel("U", 1, 2),
+                  ClassLabel("X", 3), ClassLabel("D", -1), ClassLabel("W", MAX_FIELD_SIZE)):
+        str(label)
+    cache = classes._LABEL_TEXT
+    assert len(cache) <= 8 * MAX_FIELD_SIZE
+    for label, text in cache.items():
+        assert label.kind in ("Z", "D", "U", "W") and type(label.x) is int, label
+        assert 0 <= label.x < MAX_FIELD_SIZE and type(label.square) is bool, label
+        assert text == reference_text(label), label
 
 
 def test_table_lookup_errors():

@@ -38,6 +38,12 @@ ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
 GATE_QS = [q for q in range(2, 26) if len(prime_factors(q)) == 1]
 
 
+def filter_entries(table, keys):
+    # the reference selection: every entry whose trace or label is a key,
+    # in table order
+    return [e for e in table.entries if e.trace in keys or e.label in keys]
+
+
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_generator_orbits_match_full_enumeration(q):
     # the transvection closure, which the fixed-factor gate takes as each
@@ -96,6 +102,7 @@ def test_products_match_fixed_factor_oracle(q):
                 ints = {k for k in keys if isinstance(k, int)}
                 assert not ints & edges and keys - ints <= edge_labels, (ea.label, eb.label)
                 entries = _entries(F, keys)
+                assert entries == filter_entries(table, keys), (ea.label, eb.label)
                 assert len(entries) == len(keys), (ea.label, eb.label)
                 assert {e.label for e in entries} == labels, (ea.label, eb.label)
             report = product_report(F, ea.label, eb.label)
@@ -357,6 +364,73 @@ def test_min_product_classes(q, expected):
     assert value == expected
     assert la.kind != "Z" and lb.kind != "Z"
     assert product_report(F, la, lb).num_classes == value
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25])
+def test_entries_exact_for_spoiled_keys(q, monkeypatch):
+    # a key set spoiled with a trace +-2, a D or W label (its trace in the
+    # set or not) or a stray value selects what the reference filter
+    # selects, through _entries (the checks' failure payloads) and through
+    # the product readers
+    F = oracles.field_for(q)
+    table = class_table(F)
+    edges = sorted({e.trace for e in table.entries if e.label.kind in "ZU"})
+    semisimple = [e.label for e in table.entries if e.label.kind in "DW"]
+    strays = [q, q + 7, -1, None, "junk", ClassLabel("D", 5000), ClassLabel("W", q)]
+    rng = random.Random(q)
+    labels = table.labels()
+    for _ in range(12):
+        la, lb = rng.choice(labels), rng.choice(labels)
+        keys = _product_keys(F, la, lb)
+        kept = set(rng.sample(sorted(keys, key=str), len(keys) // 2))
+        spoilers = [*edges, rng.choice(semisimple), rng.choice(semisimple), *strays]
+        spoiled = [keys | {x} for x in spoilers] + [kept | set(rng.sample(spoilers, 3)),
+                                                    set(strays), set()]
+        for bad in spoiled:
+            expected = filter_entries(table, bad)
+            assert _entries(F, bad) == expected, (la, lb, bad - keys)
+            monkeypatch.setattr(products, "_product_keys", lambda *_: frozenset(bad))
+            assert class_product_labels(F, table.rep(la), table.rep(lb)) == {
+                e.label for e in expected}
+            report = product_report(F, la, lb)
+            assert report.labels == tuple(e.label for e in expected)
+            assert report.traces == tuple(sorted({e.trace for e in expected}))
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("q", [*prime_powers_up_to(16), 121, 125, 128, 169])
+def test_report_matches_reference(q):
+    # labels, traces and count against the reference filter over the same
+    # keys: every ordered pair up to q = 16, 200 seeded pairs on the larger
+    # fields
+    F = oracles.field_for(q)
+    table = class_table(F)
+    labels = table.labels()
+    if q <= 16:
+        pairs = list(itertools.product(labels, repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(200)]
+    for la, lb in pairs:
+        hits = filter_entries(table, _product_keys(F, la, lb))
+        report = product_report(F, la, lb)
+        assert report.labels == tuple(e.label for e in hits), (la, lb)
+        assert report.traces == tuple(sorted({e.trace for e in hits})), (la, lb)
+        assert report.num_classes == len(hits), (la, lb)
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (5, 2)])
+def test_class_table_alone_builds_no_report_columns(p, m):
+    # building a table and counting products, all that field_tables and
+    # min_sweep do, pay for none of the per-position data a report reads
+    F = make_field.__wrapped__(p, m)  # a fresh field, not the cached one
+    table = class_table(F)
+    min_product_classes(F)
+    report_data = {"entry_keys", "entry_labels", "entry_traces", "semisimple_traces"}
+    assert not report_data & vars(table).keys()
+    nc = table.noncentral_labels()
+    product_report(F, nc[0], nc[-1])
+    assert report_data <= vars(table).keys()
 
 
 def test_products_cache_no_members():
