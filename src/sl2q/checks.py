@@ -1105,33 +1105,42 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     square classes of eigenvalue-1 upper triangulars when q = 1 mod 4 and
     by the square one against itself otherwise; and exactly 2 for q = 3.
 
-    The minimum counts every pair by closed forms (products._semisimple_keys
-    for two D or W classes, products._unipotent_keys for a U class against
-    one, and the counts products._closed_form_count takes from them;
-    products._upper_upper_keys for two U classes).  Every such pair, and
-    every pair with a central factor, is also scanned, and a difference in
-    the classes or the count fails the part ``central_pair``,
+    Every pair's closed form (products._central_keys for a central factor,
+    products._semisimple_keys for two D or W classes,
+    products._unipotent_keys for a U class against one,
+    products._upper_upper_keys for two U classes) and its count
+    (products._closed_form_count) are compared with the pair's scan, and a
+    difference in the classes or the count fails the part ``central_pair``,
     ``semisimple_formula``, ``unipotent_formula`` or
-    ``upper_upper_formula``.
+    ``upper_upper_formula``.  The minimum counts only the pairs with a U
+    factor that can attain it (its docstring proves which); the least
+    scanned count over every unordered noncentral pair, with its first pair
+    in table order, must equal its value and witness, or the part
+    ``minimum_census`` fails.
     """
     name = "min_class_bounds"
     q = F.q
     table = class_table(F)
     details: dict = {}
 
-    # the closed form and count of every pair with a central factor and of
-    # every pair the minimum counts, each against the scan of that pair
-    central = [l for l in table.labels() if l.kind == "Z"]
-    semisimple = [l for l in table.noncentral_labels() if l.kind in ("D", "W")]
-    unipotent = [l for l in table.noncentral_labels() if l.kind == "U"]
+    # the closed form and count of every pair, each against the scan of
+    # that pair
+    labels = table.labels()
+    central = [l for l in labels if l.kind == "Z"]
+    semisimple = [l for l in labels if l.kind in ("D", "W")]
+    unipotent = [l for l in labels if l.kind == "U"]
     formula_pairs = itertools.chain(
-        (("central_pair", _central_keys, lz, l) for lz in central for l in table.labels()),
+        (("central_pair", _central_keys, lz, l) for lz in central for l in labels),
         (("semisimple_formula", _semisimple_keys, la, lb)
          for la, lb in itertools.combinations_with_replacement(semisimple, 2)),
         (("unipotent_formula", _unipotent_keys, la, lb)
          for la in unipotent for lb in semisimple),
         (("upper_upper_formula", _upper_upper_keys, la, lb)
          for la, lb in itertools.combinations_with_replacement(unipotent, 2)))
+    # the census: the least verified count of a noncentral pair, with the
+    # table positions of its first pair in table order
+    position = {l: i for i, l in enumerate(labels)}
+    census = (float("inf"),)
     for part, kernel, la, lb in formula_pairs:
         formula, scan = kernel(F, la, lb), _scan_keys(F, la, lb)
         count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
@@ -1140,6 +1149,11 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                          formula_only=sorted(str(e.label) for e in _entries(F, formula - scan)),
                          scan_only=sorted(str(e.label) for e in _entries(F, scan - formula)),
                          count=count, classes=len(scan))
+        if part != "central_pair":
+            i, j = position[la], position[lb]
+            key = (count, i, j) if i < j else (count, j, i)
+            if key < census:
+                census = key
 
     min_val, witness = min_product_classes(F)
     details["min_classes"] = min_val
@@ -1162,6 +1176,11 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if n != expected:
             return _fail(name, q, details, part="equality_witness",
                          pair=details["equality_pair"], classes=n, expected=expected)
+    least, i, j = census
+    if (min_val, witness) != (least, (labels[i], labels[j])):
+        return _fail(name, q, details, part="minimum_census", minimum=min_val,
+                     witness=details["witness"], census=least,
+                     census_witness=[str(labels[i]), str(labels[j])])
     return CheckResult(name, q, True, None, details)
 
 

@@ -13,6 +13,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -57,12 +58,13 @@ def _check_dir(path: Path) -> None:
         raise click.UsageError(f"cannot write to directory {path}: {p} is not a writable directory")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    # the chunks are written as they come, so a caller can make them one by one
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -107,7 +109,7 @@ def _cache_load(path: Path, key: dict) -> CheckResult | None:
 
 
 def _cache_store(path: Path, key: dict, result: CheckResult) -> None:
-    _atomic_write(path, json.dumps({"key": key, "result": result.to_json()}, indent=1, sort_keys=True))
+    _atomic_write(path, [json.dumps({"key": key, "result": result.to_json()}, indent=1, sort_keys=True)])
 
 
 def _check_job(args: tuple) -> CheckResult:
@@ -210,24 +212,38 @@ def cmd_sweep(qmax: int, fmt: str, out_path: str | None):
     """Product reports for every noncentral class pair, all q <= qmax."""
     if out_path:
         _check_dir(Path(out_path).parent)
-    # each report is kept as its output row only, not with its O(q) labels
-    row = ProductReport.to_json if fmt == "json" else ProductReport.csv_row
-    reports = []
-    for q in prime_powers_up_to(qmax):
-        F = _field(q)
-        labels = class_table(F).noncentral_labels()
-        reports += [row(product_report(F, la, lb))
-                    for la, lb in itertools.combinations_with_replacement(labels, 2)]
     if fmt == "json":
-        text = json.dumps({"version": __version__, "qmax": qmax, "reports": reports},
-                          indent=1, sort_keys=True) + "\n"
+        # the document's text around its reports, from json itself: each
+        # report is one more level in, so two more spaces on each line
+        head, tail = json.dumps({"version": __version__, "qmax": qmax, "reports": [None]},
+                                indent=1, sort_keys=True).split("null")
+        sep = ",\n  "
+
+        def row(report: ProductReport) -> str:
+            return json.dumps(report.to_json(), indent=1, sort_keys=True).replace("\n", "\n  ")
     else:
-        text = "\n".join([CSV_HEADER, *reports]) + "\n"
+        head, tail, sep, row = CSV_HEADER + "\n", "", "\n", ProductReport.csv_row
+    count = 0
+
+    def chunks():
+        # each report is written as it is made, so one is held at a time
+        nonlocal count
+        yield head
+        for q in prime_powers_up_to(qmax):
+            F = _field(q)
+            labels = class_table(F).noncentral_labels()
+            for la, lb in itertools.combinations_with_replacement(labels, 2):
+                yield (sep if count else "") + row(product_report(F, la, lb))
+                count += 1
+        yield tail + "\n"
+
     if out_path:
-        _atomic_write(Path(out_path), text)
-        click.echo(f"wrote {len(reports)} reports to {out_path}")
+        _atomic_write(Path(out_path), chunks())
+        click.echo(f"wrote {count} reports to {out_path}")
     else:
-        click.echo(text, nl=False)
+        stdout = click.get_text_stream("stdout")
+        stdout.writelines(chunks())
+        stdout.flush()
 
 
 @main.command("verify")
@@ -333,8 +349,8 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
             min_rows.append(f"{r.q},{r.details['min_classes']}")
     csv_text = "\n".join(min_rows) + "\n"
 
-    _atomic_write(out / "report.json", json.dumps(report, indent=1, sort_keys=True) + "\n")
-    _atomic_write(out / "min_classes.csv", csv_text)
+    _atomic_write(out / "report.json", [json.dumps(report, indent=1, sort_keys=True) + "\n"])
+    _atomic_write(out / "min_classes.csv", [csv_text])
     manifest = {
         "version": __version__,
         "command": command,
@@ -346,7 +362,7 @@ def cmd_verify(ctx, qmax: int, check_names: str | None, seed: int, out_dir: str,
             "min_classes.csv": hashlib.sha256(csv_text.encode()).hexdigest(),
         },
     }
-    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    _atomic_write(out / "manifest.json", [json.dumps(manifest, indent=1, sort_keys=True) + "\n"])
     click.echo(f"report in {out}/  ({'all passed' if all_passed else 'FAILURES'})")
     if not all_passed:
         ctx.exit(1)

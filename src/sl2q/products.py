@@ -36,12 +36,15 @@ labels and traces with its proof in its docstring, and
 
 A pair with a D or W factor is also counted in O(1)
 (:func:`_closed_form_count`), and a U x U pair by the size of its set.
-So the minimum over all pairs costs O(q^2) constant-time counts and at most
-10 sets of O(q): 0.001 s at q = 64, 0.02 s at q = 256, 0.24 s at q = 1019
-and 0.18 s at q = 1024 (one core, Python 3.11).  Per field only the class
-table is cached, with the columns above.  The checks in checks.py
-recompute every closed form with a row scan of one factor's class, on
-purpose, so that they recompute the closed forms rather than trust them.
+Those counts show that only a pair with a U factor can attain the minimum
+over noncentral pairs (:func:`min_product_classes` proves it), so the
+minimum counts at most 10 U x U sets of O(q) and 4 U x W pairs in O(1),
+in O(q) per field: 0.08 ms at q = 64, 0.3 ms at q = 256, 5.4 ms at
+q = 1019 and 1.1 ms at q = 1024 (one core, Python 3.11).  Per field only
+the class table is cached, with the columns above.  The checks in
+checks.py recompute every closed form with a row scan of one factor's
+class, on purpose, so that they recompute the closed forms rather than
+trust them.
 """
 
 from __future__ import annotations
@@ -362,15 +365,33 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     """Minimum number of classes in a product over unordered noncentral
     pairs, with the first witness pair in table order.
 
-    Products are symmetric in their operands, so unordered pairs suffice.
-    Every pair is counted by the closed forms (:func:`_closed_form_count`),
-    from traces computed once: in O(1), but for the U x U pairs, at most 10,
-    in O(q).
+    Products are symmetric in their operands, so unordered pairs suffice,
+    each with its first factor not after its second in table order (Z, D,
+    U, W).  Only pairs with a U factor can attain the minimum.  With k
+    roots of one (1 for even q, 2 for odd), :func:`_closed_form_count`
+    gives:
+
+    * two D or W classes: q - k + k*k + inverse*delta, with inverse <= k
+      the number of r (r*r == 1) with t_b = r*t_a, and delta = 1 for a D
+      first factor, 1 - k for a W one.  For k = 1 that is at least q; for
+      k = 2 it is q + 2 +- inverse with inverse <= 2, at least q too;
+    * a U class against a D class: q; against a W class: q - 1.
+
+    Every q >= 2 has a U(1, +) class and at least one W class, so the
+    minimum is at most q - 1, and no pair without a U factor, nor a U x D
+    pair, reaches it.  So for each U class U_i in table order the loop
+    counts U_i against every U_j, j >= i, and then against the first W
+    class: the surviving pairs in the table order of the all-pairs loop.
+    Every later U_i x W pair counts the same q - 1, so none can be a first
+    witness under the strict ``<``.  That is at most 14 counts (2 for even
+    q), the at most 10 U x U ones of O(q) and the rest O(1).
     """
-    noncentral = [(e.label, e.trace) for e in class_table(F).entries if e.label.kind != "Z"]
+    entries = class_table(F).entries
+    unipotent = [(e.label, e.trace) for e in entries if e.label.kind == "U"]
+    first_w = next((e.label, e.trace) for e in entries if e.label.kind == "W")
     best = None
-    for i, (la, ta) in enumerate(noncentral):
-        for lb, tb in noncentral[i:]:
+    for i, (la, ta) in enumerate(unipotent):
+        for lb, tb in (*unipotent[i:], first_w):
             n = _closed_form_count(F, la, lb, ta, tb)
             if best is None or n < best[0]:
                 best = n, (la, lb)

@@ -13,6 +13,9 @@ non-split torus members from that scan.  It cuts a U class against every
 kind of second factor, while the scan puts a U factor second and so walks
 a cut filtered by square class only against a U factor.  Those cuts are
 checked against whole orbits (test_class_cuts_meet_every_centralizer_orbit).
+``min_over_all_pairs`` counts every noncentral pair by the library's
+closed-form count: it checks which pairs the minimum counts, not the
+counts, which the scan checks.
 ``field_for`` is the library's own field lookup, re-exported so every test
 reaches a field by q the same way; test_field.py checks it against literal
 values.
@@ -22,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 
-from sl2q.classes import ClassLabel
+from sl2q.classes import ClassLabel, class_table
 from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
 from sl2q.matrices import Mat2, enumerate_sl2
 from sl2q.checks import _torus_members, _torus_rows
-from sl2q.products import label_trace
+from sl2q.products import _closed_form_count, label_trace
 
 
 _KIND_ORDER = {"Z": 0, "D": 1, "U": 2, "W": 3}
@@ -231,6 +234,21 @@ def double_product_tuples(F: Field, A: Mat2, B: Mat2) -> set[tuple]:
     orb_a = full_orbit(F, A)
     orb_b = full_orbit(F, B)
     return {_mul4(mul, add, x, y) for x in orb_a for y in orb_b}
+
+
+def min_over_all_pairs(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
+    """The minimum class count over every unordered noncentral pair, with
+    its first witness in table order: each pair counted by the closed forms
+    (``_closed_form_count``), where min_product_classes counts only the
+    pairs with a U factor that can attain it."""
+    noncentral = [(e.label, e.trace) for e in class_table(F).entries if e.label.kind != "Z"]
+    best = None
+    for i, (la, ta) in enumerate(noncentral):
+        for lb, tb in noncentral[i:]:
+            n = _closed_form_count(F, la, lb, ta, tb)
+            if best is None or n < best[0]:
+                best = n, (la, lb)
+    return best
 
 
 def split_family_traces(F: Field, r: int, B: tuple, upper: bool) -> list[int]:

@@ -879,3 +879,26 @@ def test_min_bounds_fault_injection(q, witness, monkeypatch):
     assert not r.passed
     assert r.counterexample == {"part": "equality_witness", "pair": witness,
                                 "classes": expected + 1, "expected": expected}
+
+
+@pytest.mark.parametrize("q,minimum,witness", [
+    pytest.param(3, 2, ["U(1,+)", "U(1,+)"], id="3-witness0"),
+    pytest.param(4, 3, ["U(1,+)", "W(2)"], id="4-witness1"),
+    pytest.param(7, 5, ["U(1,+)", "U(1,+)"], id="7-witness0"),
+    pytest.param(8, 7, ["U(1,+)", "W(1)"], id="8-witness1"),
+    pytest.param(9, 6, ["U(1,+)", "U(1,-)"], id="9-witness2"),
+])
+def test_min_census_fault_injection(q, minimum, witness, monkeypatch):
+    # the right value with a later witness, U(1,+) against the last W class,
+    # passes the bound and the equality pair but not the census of every
+    # scanned pair
+    F = oracles.field_for(q)
+    last_w = checks.class_table(F).noncentral_labels()[-1]
+    real_min = checks.min_product_classes
+    monkeypatch.setattr(checks, "min_product_classes",
+                        lambda F: (real_min(F)[0], (ClassLabel("U", 1), last_w)))
+    r = check_min_class_bounds(F)
+    assert not r.passed
+    assert r.counterexample == {"part": "minimum_census", "minimum": minimum,
+                                "witness": ["U(1,+)", str(last_w)], "census": minimum,
+                                "census_witness": witness}

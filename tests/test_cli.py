@@ -188,6 +188,34 @@ def test_sweep_json_unchanged(runner):
         "bc3c81ebc366a21e22812933ceeeb4f24d9840c30a26af40ff28aeba4cb0479c")
 
 
+@pytest.mark.parametrize("qmax", [2, 9, 16])
+def test_sweep_streams_the_one_shot_text(runner, qmax):
+    # each report is written as it is made; the text is the one-shot dump
+    # of the whole document (CSV: the header and rows joined), on stdout
+    # and in the file
+    def one_shot(text, fmt):
+        if fmt == "json":
+            return json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+        return "\n".join(text.splitlines()) + "\n"
+
+    n = sum(k * (k + 1) // 2 for q in prime_powers_up_to(qmax)
+            for k in [len(cli.class_table(make_field(*prime_power(q))).noncentral_labels())])
+    with runner.isolated_filesystem():
+        for fmt in ("json", "csv"):
+            res = runner.invoke(main, ["sweep", "--qmax", str(qmax), "--format", fmt])
+            assert res.exit_code == 0, res.output
+            assert res.output == one_shot(res.output, fmt)
+            res = runner.invoke(main, ["sweep", "--qmax", str(qmax), "--format", fmt,
+                                       "--out", "s.out"])
+            assert res.output == f"wrote {n} reports to s.out\n"
+            text = Path("s.out").read_text()
+            assert text == one_shot(text, fmt)
+            if fmt == "json":
+                assert len(json.loads(text)["reports"]) == n
+            else:
+                assert len(text.splitlines()) == 1 + n
+
+
 def test_verify_cache_reuse_and_determinism(runner):
     with runner.isolated_filesystem():
         r1 = runner.invoke(main, ["verify", "--qmax", "4", "--out", "v1"])

@@ -99,9 +99,9 @@ def test_minimum_bounds_to_64():
 
 @pytest.mark.parametrize("q", [1019, 1024])
 def test_minimum_at_largest_fields(q):
-    # every pair with a D or W factor is counted in O(1) by the closed
-    # forms and each U x U pair by its O(q) kernel, so even the largest
-    # fields take under a second
+    # only pairs with a U factor can attain the minimum: at most 10 U x U
+    # pairs, each by its O(q) kernel, and 4 U x W pairs in O(1), so even the
+    # largest fields take a few milliseconds
     value, (la, lb) = min_product_classes(oracles.field_for(q))
     assert value == expected_minimum(q)
     assert "U" in (la.kind, lb.kind)

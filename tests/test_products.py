@@ -260,6 +260,39 @@ def test_min_matches_scan_of_every_pair(q):
     assert min_product_classes(F) == best
 
 
+# Tier-1 runs q <= 128, `-m slow` every prime power up to 1024 (about 17 s)
+@pytest.mark.parametrize("q", [q if q <= 128 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in prime_powers_up_to(1024)])
+def test_min_matches_all_pairs_oracle(q):
+    # the pairs with a U factor that can attain the minimum give the value
+    # and first witness of counting every unordered noncentral pair
+    F = oracles.field_for(q)
+    assert min_product_classes(F) == oracles.min_over_all_pairs(F)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 127, 128])
+def test_min_counts_only_unipotent_pairs(q, monkeypatch):
+    # 14 counted pairs (2 for even q), each with a U first factor,
+    # and no D or W closed form built
+    F = oracles.field_for(q)
+    counted = []
+    real = products._closed_form_count
+
+    def spy(F, la, lb, ta, tb):
+        counted.append((la, lb))
+        return real(F, la, lb, ta, tb)
+
+    def forbidden(*args):
+        raise AssertionError("the minimum built a D or W closed form")
+
+    monkeypatch.setattr(products, "_closed_form_count", spy)
+    monkeypatch.setattr(products, "_semisimple_keys", forbidden)
+    monkeypatch.setattr(products, "_unipotent_keys", forbidden)
+    min_product_classes(F)
+    assert len(counted) == (2 if q % 2 == 0 else 14)
+    assert all(la.kind == "U" and lb.kind in "UW" for la, lb in counted)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_products_match_double_enumeration(q):
     F = oracles.field_for(q)
