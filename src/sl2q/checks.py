@@ -45,6 +45,9 @@ min_class_bounds is the one scan of those pairs.
 
 This module owns the row scan (``_scan_keys``), the independent oracle of
 every closed form in products.py, which itself enumerates nothing.  The
+checks read each closed form through ``products._product_keys``, the one
+dispatcher that ``product_report`` (and so ``eta`` and ``sweep``) serves,
+so a fault in what the library prints is a fault the checks see.  The
 product of two classes commutes, since X*Y = Y*(Y**-1*X*Y), so a scan
 orders each pair once: a U factor goes second unless both are U, and of a
 D and a W factor the D one goes second.  The first factor's class is then
@@ -97,18 +100,7 @@ from typing import Callable
 from .classes import ClassLabel, _class_keys, _roots_of_one, class_table, irreducible_traces
 from .field import Field
 from .matrices import enumerate_sl2
-from .products import (
-    _central_keys,
-    _closed_form_count,
-    _edge_traces,
-    _entries,
-    _semisimple_keys,
-    _unipotent_keys,
-    _upper_upper_keys,
-    label_trace,
-    min_product_classes,
-    product_report,
-)
+from .products import _entries, _product_keys, label_trace, min_product_classes, product_report
 
 FORMULA_EXHAUSTIVE_LIMIT = 9
 ODD_VALUE_SET_EXHAUSTIVE_LIMIT = 13
@@ -389,6 +381,11 @@ def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
     return CheckResult(name, q, False, payload, details)
 
 
+def _label_texts(F: Field, keys) -> list[str]:
+    # the labels of a set of keys as sorted text, for a failure payload
+    return sorted(str(e.label) for e in _entries(F, keys))
+
+
 # ---------------------------------------------------------------------------
 # the row scan: each product recomputed from one factor's class members, the
 # independent oracle of the closed forms in products.py
@@ -571,6 +568,12 @@ def _companion_rows(F: Field, t: int, w: int, edges) -> tuple[list, list]:
     mk = mul[sub[mw[w]][add[1][1]]]
     taus = [add[mw[m0]][mk[m1]] for m0, m1 in rows]
     return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
+
+
+def _edge_traces(F: Field) -> list[int]:
+    """The traces 2s, s*s == 1: the only traces that hold more than one
+    class (Z(s) and the U(s, +-)), so the only ones that key no class."""
+    return [F._add[s][s] for s in _roots_of_one(F)]
 
 
 def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
@@ -982,10 +985,11 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     repeated-eigenvalue (U) and irreducible (W) families.
 
     U x U: the product of U(r, .) and U(t, .), with off-diagonal
-    parameters u and w, is read off products._upper_upper_keys, which must
-    equal the scan.  Its classes at the trace 2rt, those of the
-    upper-triangular products [[rt, r*w + t*u*x], [0, rt]] over the nonzero
-    squares x, must be at least two (part ``upper_upper_witnesses``), and
+    parameters u and w, is read through products._product_keys (the
+    products._upper_upper_keys closed form), which must equal the scan.
+    Its classes at the trace 2rt, those of the upper-triangular products
+    [[rt, r*w + t*u*x], [0, rt]] over the nonzero squares x, must be at
+    least two (part ``upper_upper_witnesses``), and
     its traces, 2rt and 2rt - u*w*x over the same x, at least (q+1)/2 (part
     ``upper_upper_traces``): so at least (q+3)/2 classes, two at the trace
     2rt and one at each of the (q-1)/2 or more other traces.  The values
@@ -1033,14 +1037,13 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
 
     for l1, l2 in itertools.combinations_with_replacement(u_labels, 2):
         pair = [str(l1), str(l2)]
-        keys, scan = _upper_upper_keys(F, l1, l2), _scan_keys(F, l1, l2)
+        keys, scan = _product_keys(F, l1, l2), _scan_keys(F, l1, l2)
         rt = mul[l1.x][l2.x]
         details["witness_sets_without_nonsquare"] += ClassLabel("U", rt, False) not in keys
         wit = {k for k in keys if not isinstance(k, int) and k[1] == rt}  # Z(rt), U(rt, +-)
         if keys != scan or len(wit) < 2:
             return _fail(name, q, details, part="upper_upper_witnesses", pair=pair,
-                         witnesses=sorted(str(e.label) for e in _entries(F, wit)),
-                         found=sorted(str(e.label) for e in _entries(F, scan)))
+                         witnesses=_label_texts(F, wit), found=_label_texts(F, scan))
         if len(ts := {e.trace for e in _entries(F, keys)}) < (q + 1) // 2:
             return _fail(name, q, details, part="upper_upper_traces", pair=pair,
                          traces=sorted(ts))
@@ -1088,7 +1091,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                     or len(ts - {add[s0][s0]}) + len(keys) < (q + 3) // 2):
                 return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
                              witnesses=[str(l) for l in wit], products=[list(x) for x in xs],
-                             found=sorted(str(en.label) for en in _entries(F, keys)))
+                             found=_label_texts(F, keys))
             details["ww_pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
@@ -1105,53 +1108,50 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     square classes of eigenvalue-1 upper triangulars when q = 1 mod 4 and
     by the square one against itself otherwise; and exactly 2 for q = 3.
 
-    Every pair's closed form (products._central_keys for a central factor,
-    products._semisimple_keys for two D or W classes,
-    products._unipotent_keys for a U class against one,
-    products._upper_upper_keys for two U classes) and its count
-    (products._closed_form_count) are compared with the pair's scan, and a
-    difference in the classes or the count fails the part ``central_pair``,
-    ``semisimple_formula``, ``unipotent_formula`` or
-    ``upper_upper_formula``.  The minimum counts only the pairs with a U
-    factor that can attain it (its docstring proves which); the least
-    scanned count over every unordered noncentral pair, with its first pair
-    in table order, must equal its value and witness, or the part
-    ``minimum_census`` fails.
+    Every pair's closed form is read through products._product_keys, the
+    dispatcher that product_report serves, and compared with the pair's
+    scan; equal sets have equal counts.  A difference fails the part named
+    for the kernel that serves the pair: ``central_pair``
+    (products._central_keys, a central factor), ``semisimple_formula``
+    (products._semisimple_keys, two D or W classes), ``unipotent_formula``
+    (products._unipotent_keys, a U class against one) or
+    ``upper_upper_formula`` (products._upper_upper_keys, two U classes).
+    The minimum counts only the pairs with a U factor that can attain it
+    (its docstring proves which); the least scanned count over every
+    unordered noncentral pair, with its first pair in table order, must
+    equal its value and witness, or the part ``minimum_census`` fails.
     """
     name = "min_class_bounds"
     q = F.q
     table = class_table(F)
     details: dict = {}
 
-    # the closed form and count of every pair, each against the scan of
-    # that pair
+    # the served closed form of every pair against the scan of that pair,
+    # named by the kernel that _product_keys picks for its kinds
     labels = table.labels()
     central = [l for l in labels if l.kind == "Z"]
     semisimple = [l for l in labels if l.kind in ("D", "W")]
     unipotent = [l for l in labels if l.kind == "U"]
     formula_pairs = itertools.chain(
-        (("central_pair", _central_keys, lz, l) for lz in central for l in labels),
-        (("semisimple_formula", _semisimple_keys, la, lb)
+        (("central_pair", lz, l) for lz in central for l in labels),
+        (("semisimple_formula", la, lb)
          for la, lb in itertools.combinations_with_replacement(semisimple, 2)),
-        (("unipotent_formula", _unipotent_keys, la, lb)
-         for la in unipotent for lb in semisimple),
-        (("upper_upper_formula", _upper_upper_keys, la, lb)
+        (("unipotent_formula", la, lb) for la in unipotent for lb in semisimple),
+        (("upper_upper_formula", la, lb)
          for la, lb in itertools.combinations_with_replacement(unipotent, 2)))
     # the census: the least verified count of a noncentral pair, with the
     # table positions of its first pair in table order
     position = {l: i for i, l in enumerate(labels)}
     census = (float("inf"),)
-    for part, kernel, la, lb in formula_pairs:
-        formula, scan = kernel(F, la, lb), _scan_keys(F, la, lb)
-        count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
-        if formula != scan or count != len(scan):
+    for part, la, lb in formula_pairs:
+        formula, scan = _product_keys(F, la, lb), _scan_keys(F, la, lb)
+        if formula != scan:
             return _fail(name, q, details, part=part, pair=[str(la), str(lb)],
-                         formula_only=sorted(str(e.label) for e in _entries(F, formula - scan)),
-                         scan_only=sorted(str(e.label) for e in _entries(F, scan - formula)),
-                         count=count, classes=len(scan))
+                         formula_only=_label_texts(F, formula - scan),
+                         scan_only=_label_texts(F, scan - formula), classes=len(scan))
         if part != "central_pair":
-            i, j = position[la], position[lb]
-            key = (count, i, j) if i < j else (count, j, i)
+            n, i, j = len(scan), position[la], position[lb]
+            key = (n, i, j) if i < j else (n, j, i)
             if key < census:
                 census = key
 

@@ -34,17 +34,19 @@ labels and traces with its proof in its docstring, and
 * a U class against a D or W class: :func:`_unipotent_keys`, in O(q);
 * two U classes: :func:`_upper_upper_keys`, in O(q).
 
-A pair with a D or W factor is also counted in O(1)
-(:func:`_closed_form_count`), and a U x U pair by the size of its set.
-Those counts show that only a pair with a U factor can attain the minimum
-over noncentral pairs (:func:`min_product_classes` proves it), so the
-minimum counts at most 10 U x U sets of O(q) and 4 U x W pairs in O(1),
-in O(q) per field: 0.08 ms at q = 64, 0.3 ms at q = 256, 5.4 ms at
-q = 1019 and 1.1 ms at q = 1024 (one core, Python 3.11).  Per field only
-the class table is cached, with the columns above.  The checks in
-checks.py recompute every closed form with a row scan of one factor's
-class, on purpose, so that they recompute the closed forms rather than
-trust them.
+The docstrings of :func:`_semisimple_keys` and :func:`_unipotent_keys`
+also count the classes of every noncentral pair with a D or W factor.
+Those counts show that only a pair with a U factor can attain the
+minimum over noncentral pairs (:func:`min_product_classes` proves it),
+so the minimum builds at most 10 U x U sets of O(q), counted by their
+size, and takes each U x W count, q - 1, from the proof, in O(q) per
+field: 0.08 ms at q = 64, 0.2 to 0.3 ms at q = 256, 5 to 6 ms at
+q = 1019 and 1.1 ms at q = 1024 (best of 20 calls, one core, Python
+3.11).  Per field only the
+class table is cached, with the columns above.  The checks in checks.py
+read every closed form through :func:`_product_keys`, as the library
+serves it, and recompute it with a row scan of one factor's class, on
+purpose, so that they check the closed forms rather than trust them.
 """
 
 from __future__ import annotations
@@ -101,17 +103,18 @@ class ProductReport:
                         self.num_classes, len(self.traces), f"{self.elapsed_ms:.3f}")
 
 
-def _edge_traces(F: Field) -> list[int]:
-    """The traces 2s, s*s == 1: the only traces that hold more than one
-    class (Z(s) and the U(s, +-)), so the only ones that key no class."""
-    return [F._add[s][s] for s in _roots_of_one(F)]
-
-
 def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     """Class keys of the product of two noncentral D or W classes, read
     off their traces in O(q): every trace other than +-2 (every D and W
     class), Z(r) exactly when t_b = r*t_a, and every U(r, +-) unless
     t_b = r*t_a and both are of kind W (r*r == 1).
+
+    With k roots of one (1 for even q, 2 for odd) there are q - k D and W
+    classes and k*k U classes, so the product has
+    q - k + k*k + inverse*delta classes, with inverse <= k the number of r
+    with t_b = r*t_a, and delta = 1 for a D first factor (Z(r) gained) and
+    1 - k for a W one (Z(r) gained, the k U(r, .) lost); r*C_a has the kind
+    of C_a, so the first factor's kind is the pair's.
 
     Neither trace is 2r, and a trace other than 2r fixes its class, so
     r*C_a is the class of trace r*t_a and C_b is self-inverse
@@ -265,32 +268,6 @@ def _upper_upper_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     return frozenset(out)
 
 
-def _closed_form_count(F: Field, la: ClassLabel, lb: ClassLabel, ta: int, tb: int) -> int:
-    """len(_product_keys(F, la, lb)) for classes of traces ta and tb: in
-    O(1), but for a U x U pair the size of its O(q) set
-    (:func:`_upper_upper_keys`), as the count at the trace 2rs turns on the
-    square classes of an affine image of the squares.
-
-    A central factor gives its one class (:func:`_central_keys`).  With k
-    roots of one (1 for even q, 2 for odd), a U class gives q classes
-    against a D class and q - 1 against a W class (:func:`_unipotent_keys`).
-    Two D or W classes give their q - k classes, k*k U classes, and for
-    each r with t_b = r*t_a a Z(r), less the k U(r, .) when they are of
-    kind W (:func:`_semisimple_keys`).
-    """
-    q = F.q
-    if la.kind in "DW" and lb.kind in "DW":
-        k = 2 if q % 2 else 1
-        inverse = (tb == ta) + (k == 2 and tb == F._neg[ta])
-        return q - k + k * k + inverse * (1 if la.kind == "D" else 1 - k)
-    kinds = la.kind + lb.kind
-    if "Z" in kinds:
-        return 1
-    if kinds == "UU":
-        return len(_upper_upper_keys(F, la, lb))
-    return q - ("W" in kinds)
-
-
 def _product_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     # the one closed form for the pair's kinds
     kinds = {la.kind, lb.kind}
@@ -368,31 +345,32 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     Products are symmetric in their operands, so unordered pairs suffice,
     each with its first factor not after its second in table order (Z, D,
     U, W).  Only pairs with a U factor can attain the minimum.  With k
-    roots of one (1 for even q, 2 for odd), :func:`_closed_form_count`
-    gives:
+    roots of one (1 for even q, 2 for odd), the kernels' docstrings count:
 
-    * two D or W classes: q - k + k*k + inverse*delta, with inverse <= k
-      the number of r (r*r == 1) with t_b = r*t_a, and delta = 1 for a D
-      first factor, 1 - k for a W one.  For k = 1 that is at least q; for
-      k = 2 it is q + 2 +- inverse with inverse <= 2, at least q too;
-    * a U class against a D class: q; against a W class: q - 1.
+    * two D or W classes (:func:`_semisimple_keys`):
+      q - k + k*k + inverse*delta, with inverse <= k and delta = 1 or
+      1 - k.  For k = 1 that is at least q; for k = 2 it is
+      q + 2 +- inverse with inverse <= 2, at least q too;
+    * a U class against a D class: q; against a W class: q - 1
+      (:func:`_unipotent_keys`).
 
     Every q >= 2 has a U(1, +) class and at least one W class, so the
     minimum is at most q - 1, and no pair without a U factor, nor a U x D
     pair, reaches it.  So for each U class U_i in table order the loop
-    counts U_i against every U_j, j >= i, and then against the first W
-    class: the surviving pairs in the table order of the all-pairs loop.
-    Every later U_i x W pair counts the same q - 1, so none can be a first
-    witness under the strict ``<``.  That is at most 14 counts (2 for even
-    q), the at most 10 U x U ones of O(q) and the rest O(1).
+    counts U_i against every U_j, j >= i, by the size of its set, and then
+    against the first W class, as q - 1: the surviving pairs in the table
+    order of the all-pairs loop.  Every later U_i x W pair counts the same
+    q - 1, so none can be a first witness under the strict ``<``.  That is
+    at most 10 U x U sets of O(q) (1 for even q), and no D or W closed
+    form is built.
     """
     entries = class_table(F).entries
-    unipotent = [(e.label, e.trace) for e in entries if e.label.kind == "U"]
-    first_w = next((e.label, e.trace) for e in entries if e.label.kind == "W")
+    unipotent = [e.label for e in entries if e.label.kind == "U"]
+    first_w = next(e.label for e in entries if e.label.kind == "W")
     best = None
-    for i, (la, ta) in enumerate(unipotent):
-        for lb, tb in (*unipotent[i:], first_w):
-            n = _closed_form_count(F, la, lb, ta, tb)
+    for i, la in enumerate(unipotent):
+        for lb in (*unipotent[i:], first_w):
+            n = F.q - 1 if lb.kind == "W" else len(_product_keys(F, la, lb))
             if best is None or n < best[0]:
                 best = n, (la, lb)
     return best

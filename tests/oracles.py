@@ -13,9 +13,10 @@ non-split torus members from that scan.  It cuts a U class against every
 kind of second factor, while the scan puts a U factor second and so walks
 a cut filtered by square class only against a U factor.  Those cuts are
 checked against whole orbits (test_class_cuts_meet_every_centralizer_orbit).
-``min_over_all_pairs`` counts every noncentral pair by the library's
-closed-form count: it checks which pairs the minimum counts, not the
-counts, which the scan checks.
+``pair_count`` counts a pair's classes by the counts that the docstrings
+of the D and W closed forms prove, in O(1), and a U x U pair by the size
+of its scan; ``min_over_all_pairs`` counts every noncentral pair by it,
+not by the library's own sets.
 ``field_for`` is the library's own field lookup, re-exported so every test
 reaches a field by q the same way; test_field.py checks it against literal
 values.
@@ -28,8 +29,8 @@ import itertools
 from sl2q.classes import ClassLabel, class_table
 from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
 from sl2q.matrices import Mat2, enumerate_sl2
-from sl2q.checks import _torus_members, _torus_rows
-from sl2q.products import _closed_form_count, label_trace
+from sl2q.checks import _scan_keys, _torus_members, _torus_rows
+from sl2q.products import label_trace
 
 
 _KIND_ORDER = {"Z": 0, "D": 1, "U": 2, "W": 3}
@@ -236,16 +237,41 @@ def double_product_tuples(F: Field, A: Mat2, B: Mat2) -> set[tuple]:
     return {_mul4(mul, add, x, y) for x in orb_a for y in orb_b}
 
 
+def pair_count(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
+    """The number of classes in the product of la's and lb's classes.
+
+    A central factor gives one class.  With k roots of one (1 for even q,
+    2 for odd), a U class gives q classes against a D class and q - 1
+    against a W class, and two D or W classes give
+    q - k + k*k + inverse*delta, with inverse the number of r (r*r == 1)
+    with t_b = r*t_a and delta = 1 for a D first factor, 1 - k for a W
+    one.  Two U classes are counted by their scan, as their count at the
+    trace 2rs turns on the square classes of an affine image of the
+    squares.
+    """
+    q, kinds = F.q, la.kind + lb.kind
+    if "Z" in kinds:
+        return 1
+    if kinds == "UU":
+        return len(_scan_keys(F, la, lb))
+    if "U" in kinds:
+        return q - ("W" in kinds)
+    k = 2 if q % 2 else 1
+    ta, tb = label_trace(F, la), label_trace(F, lb)
+    inverse = (tb == ta) + (k == 2 and tb == F._neg[ta])
+    return q - k + k * k + inverse * (1 if la.kind == "D" else 1 - k)
+
+
 def min_over_all_pairs(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     """The minimum class count over every unordered noncentral pair, with
-    its first witness in table order: each pair counted by the closed forms
-    (``_closed_form_count``), where min_product_classes counts only the
-    pairs with a U factor that can attain it."""
-    noncentral = [(e.label, e.trace) for e in class_table(F).entries if e.label.kind != "Z"]
+    its first witness in table order: each pair counted by ``pair_count``,
+    where min_product_classes counts only the pairs with a U factor that
+    can attain it."""
+    noncentral = class_table(F).noncentral_labels()
     best = None
-    for i, (la, ta) in enumerate(noncentral):
-        for lb, tb in noncentral[i:]:
-            n = _closed_form_count(F, la, lb, ta, tb)
+    for i, la in enumerate(noncentral):
+        for lb in noncentral[i:]:
+            n = pair_count(F, la, lb)
             if best is None or n < best[0]:
                 best = n, (la, lb)
     return best

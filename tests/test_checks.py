@@ -9,7 +9,7 @@ import random
 import pytest
 
 import oracles
-from sl2q import checks
+from sl2q import checks, products
 from sl2q.classes import ClassLabel
 from sl2q.field import prime_powers_up_to
 from sl2q.matrices import enumerate_sl2
@@ -422,20 +422,19 @@ def test_central_pair_fault_injection(q, kinds, pair, expected, found, monkeypat
     r = check_min_class_bounds(oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == {"part": "central_pair", "pair": pair,
-                                "formula_only": expected, "scan_only": found,
-                                "count": 1, "classes": 1}
+                                "formula_only": expected, "scan_only": found, "classes": 1}
 
 
 @pytest.mark.parametrize("q", [7, 8])
 def test_semisimple_formula_fault_injection(q, monkeypatch):
     # U(1,+) put back into the product of a W class with itself: the scan
-    # inside min_class_bounds must catch the closed form the minimum uses
-    real = checks._semisimple_keys
+    # inside min_class_bounds must catch the closed form the library serves
+    real = products._semisimple_keys
 
     def evil(F, la, lb):
         return real(F, la, lb) | {ClassLabel("U", 1, True)}
 
-    monkeypatch.setattr(checks, "_semisimple_keys", evil)
+    monkeypatch.setattr(products, "_semisimple_keys", evil)
     F = oracles.field_for(q)
     w = str(next(l for l in checks.class_table(F).labels() if l.kind == "W"))
     r = check_min_class_bounds(F)
@@ -448,15 +447,15 @@ def test_semisimple_formula_fault_injection(q, monkeypatch):
 
 @pytest.mark.parametrize("q", [7, 8])
 def test_unipotent_formula_fault_injection(q, monkeypatch):
-    # W(r*t_b) put back into U(r) x W: the scan inside min_class_bounds must
+    # every W class put into U(r) x W: the scan inside min_class_bounds must
     # catch the closed form, here at U(1,+) against the first W class
-    real = checks._unipotent_keys
+    real = products._unipotent_keys
 
     def evil(F, la, lb):  # a W class's key is its trace
         return real(F, la, lb) | {e.trace for e in checks.class_table(F).entries
                                   if e.label.kind == "W"}
 
-    monkeypatch.setattr(checks, "_unipotent_keys", evil)
+    monkeypatch.setattr(products, "_unipotent_keys", evil)
     F = oracles.field_for(q)
     w = str(next(l for l in checks.class_table(F).labels() if l.kind == "W"))
     r = check_min_class_bounds(F)
@@ -465,6 +464,28 @@ def test_unipotent_formula_fault_injection(q, monkeypatch):
     assert r.counterexample["pair"] == ["U(1,+)", w]
     assert r.counterexample["formula_only"] == [w]
     assert r.counterexample["scan_only"] == []
+
+
+def test_served_unipotent_fault_fails_min_class_bounds(monkeypatch):
+    # W(r*t_b), the one class the U(r) x W proof excludes, put back into
+    # the kernel that product_report serves: eta then prints 7 classes for
+    # U(1,+) x W(0) at q = 7, not 6.  The minimum and the equality witness
+    # there are U x U pairs that the fault leaves alone, so only the scan
+    # of the served closed form can catch it, at that pair
+    real = products._unipotent_keys
+
+    def evil(F, la, lb):
+        u, other = (la, lb) if la.kind == "U" else (lb, la)
+        keys = real(F, la, lb)
+        return keys | {F._mul[u.x][other.x]} if other.kind == "W" else keys
+
+    monkeypatch.setattr(products, "_unipotent_keys", evil)
+    F = oracles.field_for(7)
+    assert products.product_report(F, ClassLabel("U", 1), ClassLabel("W", 0)).num_classes == 7
+    r = check_min_class_bounds(F)
+    assert not r.passed
+    assert r.counterexample == {"part": "unipotent_formula", "pair": ["U(1,+)", "W(0)"],
+                                "formula_only": ["W(0)"], "scan_only": [], "classes": 6}
 
 
 # the U x U kernel spoiled: the class U(-rs, .) at the trace -2rs lost (odd
@@ -489,16 +510,16 @@ UPPER_UPPER_FAULTS = {
 def test_upper_upper_formula_fault_injection(q, fault, formula_only, scan_only, classes,
                                              monkeypatch):
     # the scan inside min_class_bounds must catch the spoiled kernel at the
-    # first U x U pair, U(1,+) with itself; the count the minimum takes,
-    # from products' own kernel, still agrees with the scan
-    real, spoil = checks._upper_upper_keys, UPPER_UPPER_FAULTS[fault]
-    monkeypatch.setattr(checks, "_upper_upper_keys",
+    # first U x U pair, U(1,+) with itself, before the minimum, which reads
+    # the same kernel, is compared
+    real, spoil = products._upper_upper_keys, UPPER_UPPER_FAULTS[fault]
+    monkeypatch.setattr(products, "_upper_upper_keys",
                         lambda F, la, lb: spoil(F, la, lb, real(F, la, lb)))
     r = check_min_class_bounds(oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == {"part": "upper_upper_formula", "pair": ["U(1,+)", "U(1,+)"],
                                 "formula_only": formula_only, "scan_only": scan_only,
-                                "count": classes, "classes": classes}
+                                "classes": classes}
 
 
 # the row kernel that scans a failing pair, and the part it fails, by the
@@ -529,7 +550,8 @@ def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monk
     # edge trace for even q, so those drop 1): min_class_bounds, which
     # compares every pair with a D or W factor with its closed form, must
     # fail at the first pair that kernel scans, with that trace's class as
-    # formula_only
+    # formula_only; count is the closed form's class count, one more than
+    # the spoiled scan's
     kernel, part = ROW_KERNELS[(pair[0][0], pair[1][0])]
     real = getattr(checks, kernel)
 
@@ -541,8 +563,7 @@ def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monk
     r = check_min_class_bounds(oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == {"part": part, "pair": pair,
-                                "formula_only": missing, "scan_only": [],
-                                "count": count, "classes": count - 1}
+                                "formula_only": missing, "scan_only": [], "classes": count - 1}
 
 
 # the witness-family checks: a conjugate with one entry moved by 1 (entry k
@@ -797,7 +818,7 @@ SCAN_FAULTS = {
 ])
 def test_char_bounds_scan_fault_injection(check, q, fault, payload, monkeypatch):
     kinds, spoil, kernel_too = SCAN_FAULTS[fault]
-    real, real_kernel = checks._scan_keys, checks._upper_upper_keys
+    real, real_kernel = checks._scan_keys, products._upper_upper_keys
 
     def evil(F, la, lb):
         keys = real(F, la, lb)
@@ -805,7 +826,7 @@ def test_char_bounds_scan_fault_injection(check, q, fault, payload, monkeypatch)
 
     monkeypatch.setattr(checks, "_scan_keys", evil)
     if kernel_too:
-        monkeypatch.setattr(checks, "_upper_upper_keys",
+        monkeypatch.setattr(products, "_upper_upper_keys",
                             lambda F, la, lb: spoil(F, lb, real_kernel(F, la, lb)))
     r = ALL_CHECKS[check](oracles.field_for(q))
     assert not r.passed

@@ -5,8 +5,9 @@ imports exactly its __all__), and every private top-level function is
 used by library code, and every field table a function binds to a local
 name is read in it, so neither a reference, an import, a helper nor a
 table binding outlives the code it serves (helpers only tests need live
-in tests/oracles.py); and every failure part of the checks is named by a
-test, so no failure path goes untested."""
+in tests/oracles.py); that tests/oracles.py imports no private name of
+sl2q.products, so no oracle leans on the code it checks; and every failure
+part of the checks is named by a test, so no failure path goes untested."""
 
 import ast
 import re
@@ -92,6 +93,15 @@ def test_every_private_function_is_used():
         if not any(name == fn.name and i not in own for name, i in refs):
             dead.append(fn.name)
     assert not dead
+
+
+def test_oracles_import_nothing_private_from_products():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "sl2q.products"
+             for alias in node.names]
+    assert names, "oracles.py imports nothing from sl2q.products; the lint is stale"
+    assert not [name for name in names if name.startswith("_")]
 
 
 # the arithmetic tables of a Field (_add, _mul, _sq, ...), not its cache

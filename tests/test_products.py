@@ -22,7 +22,6 @@ from sl2q.field import make_field, prime_factors, prime_powers_up_to
 from sl2q.matrices import Mat2, enumerate_sl2, mat
 from sl2q.products import (
     _central_keys,
-    _closed_form_count,
     _entries,
     _product_keys,
     _semisimple_keys,
@@ -112,13 +111,12 @@ def test_products_match_fixed_factor_oracle(q):
 
 
 def assert_formula_matches_scan(F, kernel, pairs):
-    # the key set, and the count min_product_classes takes from
-    # _closed_form_count (in O(q) for a U x U pair, else in O(1))
+    # the key set, and the count that the kernels' docstrings prove
+    # (oracles.pair_count), on which min_product_classes' shortcut rests
     for la, lb in pairs:
         scan = _scan_keys(F, la, lb)
         assert kernel(F, la, lb) == scan, (F.q, la, lb)
-        count = _closed_form_count(F, la, lb, label_trace(F, la), label_trace(F, lb))
-        assert count == len(scan), (F.q, la, lb)
+        assert oracles.pair_count(F, la, lb) == len(scan), (F.q, la, lb)
 
 
 def semisimple_pairs(F):
@@ -272,25 +270,24 @@ def test_min_matches_all_pairs_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64, 127, 128])
 def test_min_counts_only_unipotent_pairs(q, monkeypatch):
-    # 14 counted pairs (2 for even q), each with a U first factor,
-    # and no D or W closed form built
+    # 10 U x U sets built (1 for even q), and no D or W closed form
     F = oracles.field_for(q)
-    counted = []
-    real = products._closed_form_count
+    built = []
+    real = products._product_keys
 
-    def spy(F, la, lb, ta, tb):
-        counted.append((la, lb))
-        return real(F, la, lb, ta, tb)
+    def spy(F, la, lb):
+        built.append((la, lb))
+        return real(F, la, lb)
 
     def forbidden(*args):
         raise AssertionError("the minimum built a D or W closed form")
 
-    monkeypatch.setattr(products, "_closed_form_count", spy)
+    monkeypatch.setattr(products, "_product_keys", spy)
     monkeypatch.setattr(products, "_semisimple_keys", forbidden)
     monkeypatch.setattr(products, "_unipotent_keys", forbidden)
     min_product_classes(F)
-    assert len(counted) == (2 if q % 2 == 0 else 14)
-    assert all(la.kind == "U" and lb.kind in "UW" for la, lb in counted)
+    assert len(built) == (1 if q % 2 == 0 else 10)
+    assert all(la.kind == lb.kind == "U" for la, lb in built)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
