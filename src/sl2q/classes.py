@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .field import MAX_FIELD_SIZE, Field
-from .matrices import Mat2, det, mat, sl2_order
+from .matrices import Mat2, det, sl2_order
 
 _LABEL_RE = re.compile(r"^([ZDUW])\((\d+)(?:,([+-]))?\)$")
 _KINDS = ("Z", "D", "U", "W")
@@ -227,7 +227,9 @@ def class_table(F: Field) -> ClassTable:
 
     Sizes are the closed counts (central 1, D: q(q+1), U: (q*q-1)/2 for odd
     q and q*q-1 for even q, W: q(q-1)); the test suite validates them
-    against brute-force orbits for small q.
+    against brute-force orbits for small q.  The representatives' entries
+    are codes the field itself produced (its ranges and table entries), so
+    they are built as Mat2 unchecked, not through matrices.mat.
     """
     got = F._cache.get("class_table")
     if got is not None:
@@ -236,7 +238,7 @@ def class_table(F: Field) -> ClassTable:
     entries = []
 
     def put(label: ClassLabel, a: int, b: int, c: int, d: int, size: int) -> None:
-        entries.append(ClassEntry(label, mat(F, a, b, c, d), size, F._add[a][d]))
+        entries.append(ClassEntry(label, Mat2(a, b, c, d, q), size, F._add[a][d]))
 
     for r in _roots_of_one(F):
         put(ClassLabel("Z", r), r, 0, 0, r, 1)

@@ -62,6 +62,9 @@ from .matrices import Mat2, _same_field, det
 
 CSV_HEADER = "q,p,m,a,b,eta,n_traces,elapsed_ms"
 
+# the rank of a kind as the first operand of a closed form: Z, then U, then D or W
+_FIRST = {"Z": 0, "U": 1}
+
 
 def csv_line(*fields) -> str:
     # one CSV row, quoting a field that holds a comma (a U label) as csv.QUOTE_MINIMAL does
@@ -152,17 +155,18 @@ def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
 
 
 def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of a U class U(r, sigma) and a noncentral
-    D or W class of trace t_b, in either operand order, read off the labels
-    in O(q): every trace other than +-2, all but r*t_b when the other class
-    is of kind W; no Z class; and for each s with s*s == 1 the one class
+    """Class keys of the product of a U class U(r, sigma), taken first, and
+    a noncentral D or W class of trace t_b, read off the labels in O(q):
+    every trace other than +-2, all but r*t_b when the other class is of
+    kind W; no Z class; and for each s with s*s == 1 the one class
     U(s, sigma) if t_b - 2*r*s is a square, else U(s, -sigma) (always
     U(1, +) for even q, where every element is a square).  With k roots of
     one (1 for even q, 2 for odd) there are q - k D and W classes, so the
     product has q classes against a D class and q - 1 against a W class.
 
-    The order does not matter: X*Y = Y*(Y**-1*X*Y), so each of C_a*C_b and
-    C_b*C_a lies in the other.  Every nonzero nilpotent matrix is
+    The order does not matter, so :func:`_product_keys` puts the U class
+    first: X*Y = Y*(Y**-1*X*Y), so each of C_a*C_b and C_b*C_a lies in
+    the other.  Every nonzero nilpotent matrix is
     N = e*[[-a*c, a*a], [-c*c, a*c]] for some e != 0 and v = (a, c) != 0,
     and scaling v by x scales N by x*x.  So U(r, sigma) is the set of
     X = r*(I + N) with e in one square class: v = (1, 0) gives
@@ -192,8 +196,6 @@ def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
       that of r*e*(t_b - 2*r*s): sigma when t_b - 2*r*s is a square, and
       -sigma otherwise.
     """
-    if la.kind != "U":
-        la, lb = lb, la
     table = class_table(F)
     r, tb = la.x, table.entry(lb).trace
     mul, sub, sq, two = F._mul, F._sub, F._sq, F._add[1][1]
@@ -205,8 +207,9 @@ def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
 
 
 def _central_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of a central class Z(r) and a class C, in
-    either operand order, read off the labels in O(1): the one class r*C.
+    """Class keys of the product of a central class Z(r), taken first, and a
+    class C, read off the labels in O(1): the one class r*C (and C*Z(r) is
+    the same class, as :func:`_product_keys` relies on).
 
     Z(r)*C = {r*X : X in C} is a class, as r*I commutes with every
     conjugator.  r*X has trace r*t, which keys the D or W class of a D or
@@ -214,8 +217,6 @@ def _central_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     U(s, sigma) goes to U(rs, sigma) when r is a square and to
     U(rs, -sigma) otherwise.
     """
-    if la.kind != "Z":
-        la, lb = lb, la
     r, mul = la.x, F._mul
     if lb.kind in ("D", "W"):
         return frozenset({mul[r][label_trace(F, lb)]})
@@ -269,14 +270,14 @@ def _upper_upper_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
 
 
 def _product_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    # the one closed form for the pair's kinds
-    kinds = {la.kind, lb.kind}
-    if "Z" in kinds:
+    # the one closed form for the pair's kinds, with the operands ordered
+    # once: a Z factor first, else a U factor, as each kernel takes them
+    if _FIRST.get(lb.kind, 2) < _FIRST.get(la.kind, 2):
+        la, lb = lb, la
+    if la.kind == "Z":
         return _central_keys(F, la, lb)
-    if kinds == {"U"}:
-        return _upper_upper_keys(F, la, lb)
-    if "U" in kinds:
-        return _unipotent_keys(F, la, lb)
+    if la.kind == "U":
+        return (_upper_upper_keys if lb.kind == "U" else _unipotent_keys)(F, la, lb)
     return _semisimple_keys(F, la, lb)
 
 

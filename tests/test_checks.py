@@ -474,10 +474,9 @@ def test_served_unipotent_fault_fails_min_class_bounds(monkeypatch):
     # of the served closed form can catch it, at that pair
     real = products._unipotent_keys
 
-    def evil(F, la, lb):
-        u, other = (la, lb) if la.kind == "U" else (lb, la)
+    def evil(F, la, lb):  # the U class comes first
         keys = real(F, la, lb)
-        return keys | {F._mul[u.x][other.x]} if other.kind == "W" else keys
+        return keys | {F._mul[la.x][lb.x]} if lb.kind == "W" else keys
 
     monkeypatch.setattr(products, "_unipotent_keys", evil)
     F = oracles.field_for(7)
@@ -486,6 +485,35 @@ def test_served_unipotent_fault_fails_min_class_bounds(monkeypatch):
     assert not r.passed
     assert r.counterexample == {"part": "unipotent_formula", "pair": ["U(1,+)", "W(0)"],
                                 "formula_only": ["W(0)"], "scan_only": [], "classes": 6}
+
+
+@pytest.mark.parametrize("swapped,payload", [
+    pytest.param(("WU",), {"part": "unipotent_formula", "pair": ["W(0)", "U(1,+)"],
+                           "formula_only": ["U(1,+)", "W(0)"],
+                           "scan_only": ["D(2)", "W(3)", "W(4)"], "classes": 6},
+                 id="WU"),
+    pytest.param(("DZ", "UZ", "WZ", "DU", "WU"), {"part": "central_pair", "pair": ["D(2)", "Z(1)"],
+                                                  "formula_only": ["Z(1)"], "scan_only": ["D(2)"],
+                                                  "classes": 1},
+                 id="every-swap"),
+])
+def test_reversed_operand_order_fault_injection(swapped, payload, monkeypatch):
+    # the dispatcher's operand swap spoiled to `la, lb = lb, lb` for the
+    # given kinds of (la, lb): for W x U alone, eta then prints 5 classes
+    # for W(0) x U(1,+) at q = 7 and the right 6 the other way round; with
+    # every swap spoiled, the first central pair taken the other way round
+    # fails.  Only the reversed operand order reaches the swap
+    real = products._product_keys
+
+    def evil(F, la, lb):
+        if la.kind + lb.kind in swapped:
+            la, lb = lb, lb
+        return real(F, la, lb)
+
+    monkeypatch.setattr(checks, "_product_keys", evil)
+    r = check_min_class_bounds(oracles.field_for(7))
+    assert not r.passed
+    assert r.counterexample == payload
 
 
 # the U x U kernel spoiled: the class U(-rs, .) at the trace -2rs lost (odd

@@ -212,7 +212,7 @@ def test_characteristic_2_sub_is_add(m):
     assert F._sub is F._add
 
 
-@pytest.mark.parametrize("p, m", [(1019, 1), (31, 2), (2, 10)])
+@pytest.mark.parametrize("p, m", [(1019, 1), (31, 2), (2, 10), (3, 6), (5, 4), (7, 3)])
 def test_table_rows_exact_size_and_shared_entries(p, m):
     F = Field(p, m)
     q = F.q

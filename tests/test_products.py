@@ -21,7 +21,6 @@ from sl2q.classes import ClassLabel, class_table, classify
 from sl2q.field import make_field, prime_factors, prime_powers_up_to
 from sl2q.matrices import Mat2, enumerate_sl2, mat
 from sl2q.products import (
-    _central_keys,
     _entries,
     _product_keys,
     _semisimple_keys,
@@ -110,13 +109,28 @@ def test_products_match_fixed_factor_oracle(q):
             assert report.traces == tuple(sorted(traces)), (ea.label, eb.label)
 
 
+# the largest q whose scans Tier-1 compares; it counts each U x U pair there
+# by its orbit too
+TIER1_SCAN_QMAX = 49
+
+
 def assert_formula_matches_scan(F, kernel, pairs):
     # the key set, and the count that the kernels' docstrings prove
-    # (oracles.pair_count), on which min_product_classes' shortcut rests
+    # (oracles.pair_count), on which min_product_classes' shortcut rests.
+    # pair_count counts a U x U pair by its scan, so such a pair's count is
+    # compared with the fixed-factor oracle over its orbit instead, up to
+    # TIER1_SCAN_QMAX; above that, its key set alone
+    table = class_table(F)
     for la, lb in pairs:
         scan = _scan_keys(F, la, lb)
         assert kernel(F, la, lb) == scan, (F.q, la, lb)
-        assert oracles.pair_count(F, la, lb) == len(scan), (F.q, la, lb)
+        if la.kind == lb.kind == "U":
+            if F.q <= TIER1_SCAN_QMAX:
+                orbit = oracles.bfs_orbit(F, table.rep(la))
+                labels, _ = oracles.fixed_factor_product(F, orbit, table.rep(lb))
+                assert len(labels) == len(scan), (F.q, la, lb)
+        else:
+            assert oracles.pair_count(F, la, lb) == len(scan), (F.q, la, lb)
 
 
 def semisimple_pairs(F):
@@ -188,7 +202,8 @@ def test_unipotent_formula_matches_scan_at_largest_fields(q):
 
 
 # Tier-1 runs q <= 49, `-m slow` the q up to 128 and the four largest fields
-SCAN_QS = ([q if q <= 49 else pytest.param(q, marks=pytest.mark.slow) for q in prime_powers_up_to(128)]
+SCAN_QS = ([q if q <= TIER1_SCAN_QMAX else pytest.param(q, marks=pytest.mark.slow)
+            for q in prime_powers_up_to(128)]
            + [pytest.param(q, marks=pytest.mark.slow) for q in (509, 512, 1019, 1024)])
 
 
@@ -203,10 +218,12 @@ def test_upper_upper_formula_matches_scan(q):
 
 @pytest.mark.parametrize("q", SCAN_QS)
 def test_central_formula_matches_scan(q):
-    # every ordered pair with a Z factor: one class, r*C
+    # every ordered pair with a Z factor: one class, r*C.  _central_keys
+    # takes the Z factor first, so the pairs go through the dispatcher,
+    # which puts it there
     F = oracles.field_for(q)
     labels = class_table(F).labels()
-    assert_formula_matches_scan(F, _central_keys, [
+    assert_formula_matches_scan(F, _product_keys, [
         (la, lb) for la, lb in itertools.product(labels, repeat=2) if "Z" in la.kind + lb.kind])
 
 
