@@ -52,14 +52,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _digits_of(code: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        code, r = divmod(code, p)
-        out.append(r)
-    return out
-
-
 def _exact_row(n: int, values) -> list[int]:
     """A list of the n `values`, allocated at exactly n slots (a list grown
     from an iterator keeps about 10 % spare capacity)."""
@@ -119,7 +111,8 @@ def find_modulus(p: int, m: int) -> tuple[int, ...]:
     polynomial has a monic divisor of degree 1 .. m // 2; those trial
     divisors are listed once per search.
     """
-    divisors = [_digits_of(k, p, d) + [1] for d in range(1, m // 2 + 1) for k in range(p**d)]
+    divisors = [[*reversed(ds), 1] for d in range(1, m // 2 + 1)
+                for ds in itertools.product(range(p), repeat=d)]
     for coeffs in itertools.product(range(p), repeat=m):
         poly = list(coeffs) + [1]
         if not any(_poly_divides(p, f, poly) for f in divisors):
@@ -188,7 +181,7 @@ class Field:
         top = p ** (m - 1)
         r_multiples = multiples(sum(c * p**k for k, c in enumerate(self.modulus[:m])))
         times_x = [sub[y % top * p][r_multiples[y // top]] for y in elems]
-        digits = [_digits_of(y, p, m)[::-1] for y in elems]
+        digits = list(itertools.product(range(p), repeat=m))  # of each code, top digit first
 
         def powers(g: int) -> list[int]:
             g_multiples, out = multiples(g), [1]

@@ -3,6 +3,7 @@ resolutions, determinism, and fault injection (a perturbed closed form must
 flip the corresponding check with a counterexample)."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -218,6 +219,42 @@ def test_take_matches_sample_on_small_pools():
         assert checks._take(random.Random(n), range(n)) == random.Random(n).sample(range(n), 10), n
 
 
+def _fisher_yates(rng, values):
+    # the partial shuffle written out once, as the module docstring states it
+    vals, out = list(values), []
+    for n in range(len(vals), len(vals) - checks.TAKE, -1):
+        j = rng.getrandbits(n.bit_length())
+        while j >= n:
+            j = rng.getrandbits(n.bit_length())
+        out.append(vals[j])
+        vals[j] = vals[n - 1]
+    return out
+
+
+SAMPLER_POOL_SIZES = [3, checks.TAKE, checks.TAKE + 1, 24, 85, 86, 300, 1023]
+
+
+def test_take_rounds_match_repeated_take():
+    pools = [[7 * v + 2 for v in range(n)] for n in SAMPLER_POOL_SIZES]
+    copies = [pool[:] for pool in pools]
+    got = checks._take_rounds(random.Random(5), pools, 6)
+    rng = random.Random(5)
+    assert got == [[checks._take(rng, pool) for pool in pools] for _ in range(6)]
+    ref = random.Random(5)
+    assert got == [[_fisher_yates(ref, pool) if len(pool) > checks.TAKE else pool
+                    for pool in pools] for _ in range(6)]
+    assert rng.getstate() == ref.getstate()  # not one draw more
+    assert pools == copies  # the pools are left alone
+
+
+def test_take_rounds_hand_out_the_pools_without_rng():
+    pools = [list(range(n)) for n in SAMPLER_POOL_SIZES]
+    got = checks._take_rounds(None, pools, 4)
+    assert len(got) == 4
+    assert all(batch is pool for batches in got for batch, pool in zip(batches, pools))
+    assert checks._take_rounds(random.Random(1), pools, 0) == []
+
+
 def test_trace_formulas_need_no_random_sample(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("random.Random.sample called")
@@ -261,6 +298,34 @@ CONJ_FORMS = [
     "conj_form_upper",
     "conj_form_companion",
 ]
+
+
+# SHA-256 of the repr of every (form, C, params) tuple handed to the six
+# trace forms and the four conjugation forms, in call order, with each
+# list-valued parameter as a tuple; recorded when every batch was drawn by its
+# own _take call, so the bulk sampler must make the same draws in the same order
+DRAW_LOG_DIGESTS = {
+    11: "53a66ee5ca37469e596123e44bc4add58db23aa77898cb7691691f725a6bef9e",
+    16: "5aa7a7ac179187d06d951e076bdc04f7d6624da14f5c65089814249d627b99a4",
+}
+
+
+@pytest.mark.parametrize("q", sorted(DRAW_LOG_DIGESTS))
+def test_formula_draw_log_pinned(q, monkeypatch):
+    log = hashlib.sha256()
+
+    def recording(name, orig):
+        def form(F, C, *args):
+            params = tuple(tuple(x) if isinstance(x, list) else x for x in args)
+            log.update(repr((name, tuple(C), params)).encode())
+            return orig(F, C, *args)
+        return form
+
+    for name in TRACE_FORMS + CONJ_FORMS:
+        monkeypatch.setattr(checks, name, recording(name, getattr(checks, name)))
+    F = oracles.field_for(q)
+    assert check_trace_formulas(F).passed and checks.check_conjugation_formulas(F).passed
+    assert log.hexdigest() == DRAW_LOG_DIGESTS[q]
 
 
 def _shift_scalar(orig):

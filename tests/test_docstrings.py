@@ -6,8 +6,10 @@ used by library code, and every field table a function binds to a local
 name is read in it, so neither a reference, an import, a helper nor a
 table binding outlives the code it serves (helpers only tests need live
 in tests/oracles.py); that tests/oracles.py imports no private name of
-sl2q.products, so no oracle leans on the code it checks; and every failure
-part of the checks is named by a test, so no failure path goes untested."""
+sl2q.products, so no oracle leans on the code it checks; that the checks
+read their parameter generator only through the sampler, so drawing a
+loop's batches ahead keeps the draws; and every failure part of the checks
+is named by a test, so no failure path goes untested."""
 
 import ast
 import re
@@ -102,6 +104,43 @@ def test_oracles_import_nothing_private_from_products():
              for alias in node.names]
     assert names, "oracles.py imports nothing from sl2q.products; the lint is stale"
     assert not [name for name in names if name.startswith("_")]
+
+
+SAMPLERS = {"_take", "_take_rounds"}
+
+
+def test_parameter_rng_is_read_only_through_the_sampler():
+    # trace_formulas draws all of a loop's batches before it compares them,
+    # which makes the draws of a batch-by-batch loop only while nothing else
+    # reads the generator: so every read of the parameter generator that a
+    # check binds from _formula_samples is the first argument of a sampler
+    # call, or the operand of an identity test (`is None` draws nothing)
+    tree = ast.parse((Path(sl2q.__file__).parent / "checks.py").read_text())
+    found, reads, stray = set(), 0, []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        rngs = {node.targets[0].elts[1].id for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "_formula_samples"}
+        if not rngs:
+            continue
+        found.add(fn.name)
+        allowed = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in SAMPLERS:
+                allowed.add(id(node.args[0]))
+            elif isinstance(node, ast.Compare) and all(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                allowed.update(id(x) for x in (node.left, *node.comparators))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in rngs and isinstance(node.ctx, ast.Load):
+                reads += 1
+                if id(node) not in allowed:
+                    stray.append(f"{fn.name}: line {node.lineno}")
+    assert {"check_conjugation_formulas", "check_trace_formulas"} <= found, "the lint is stale"
+    assert reads
+    assert not stray
 
 
 # the arithmetic tables of a Field (_add, _mul, _sq, ...), not its cache
