@@ -34,12 +34,17 @@ parameter; nothing else reads the parameter generator (a lint test holds
 the checks to that) and a failing batch returns before it is read again,
 so the draws are those of a loop drawing C by C.
 The witness families of the coverage and char_bounds checks are
-conjugated once per first factor and traced against each second factor
-(``_family_traces``); distinct traces are distinct classes, so a family's
-traces bound a pair's class count from below.  split_trace_coverage checks
-once per D class that every conjugate of its two families is affine in the
-family index, so it traces only the members 0 and 1 against each second
-factor: two traces fix a pair's q, in O(q*q) per q rather than O(q**3).
+conjugated once per first factor and read one way, by ``_family_fit``:
+every conjugate must equal the polynomial of degree <= d in the family
+index through the members 0 .. d, affine (d = 1) for split_trace_coverage's
+two families and quadratic (d = 2) for the W x W family of both
+char_bounds checks.  The trace is linear in the entries, so a pair's q
+traces are then a polynomial of degree <= d in the index as well, and two
+such polynomials that agree at d + 1 codes are equal: each pair traces only
+the members 0 .. d against its second factor (``_family_traces``), in
+O(q*q) per q rather than O(q**3).  Distinct traces are distinct classes,
+so a family's traces, counted off the claimed polynomial, bound a pair's
+class count from below.
 Only min_class_bounds, the U x W pairs of both char_bounds checks and
 odd_char_bounds' U x U pairs scan pairs; odd_char_bounds' W x W pairs get
 their two repeated-eigenvalue witnesses from two direct products each, so
@@ -375,6 +380,29 @@ def _family_traces(F: Field, Ts: list, B: tuple) -> list:
     mul, add = F._mul, F._add
     b00, b01, b10, b11 = (mul[x] for x in B)
     return [add[add[b00[t00]][b10[t01]]][add[b01[t10]][b11[t11]]] for t00, t01, t10, t11 in Ts]
+
+
+def _family_fit(F: Field, Ts: list, degree: int) -> dict | None:
+    """None if every member Ts[i] of a conjugate family equals, entry by
+    entry, the polynomial of degree <= `degree` in the code i through the
+    members at the codes 0 .. degree (all of them, when there are fewer);
+    else the first failing ``i``, the polynomial's matrix there
+    (``expected``) and the member (``direct``).  The polynomial is read in
+    Newton form, from the divided differences of each entry at those codes,
+    and evaluated by Horner's rule."""
+    mul, add, sub, inv = F._mul, F._add, F._sub, F._inv
+    n, cols = min(degree + 1, len(Ts)), []
+    for c in map(list, zip(*Ts[:n])):
+        for k in range(1, n):
+            for j in range(n - 1, k - 1, -1):
+                c[j] = mul[sub[c[j]][c[j - 1]]][inv[sub[j][j - k]]]
+        col = [c[-1]] * len(Ts)
+        for k in range(n - 2, -1, -1):  # Horner: c[k] + (i - k)*col
+            at = add[c[k]]
+            col = [at[mul[sub[i][k]][x]] for i, x in enumerate(col)]
+        cols.append(col)
+    i = _agreeing(Ts, fit := list(zip(*cols)))
+    return {"i": i, "expected": list(fit[i]), "direct": list(Ts[i])} if i < len(Ts) else None
 
 
 def _form_values(F: Field, gs) -> set:
@@ -903,11 +931,9 @@ def check_split_trace_coverage(F: Field, *, seed: int = 0) -> CheckResult:
         a4 = (r, 0, 0, s)
         upper, other = _conjugates(F, upper_family, a4), _conjugates(F, other_family, a4)
         for family, Ts in (("[[i,i-1],[1,1]]", other), ("[[1,i],[0,1]]", upper)):
-            rows = [(add[t0], mul[sub[t1][t0]]) for t0, t1 in zip(*Ts[:2])]
-            line = [tuple(at[m[i]] for at, m in rows) for i in range(q)]
-            if (i := _agreeing(Ts, line)) < q:
+            if bad := _family_fit(F, Ts, 1):
                 return _fail(name, q, details, part="family_affine", split=str(ea.label),
-                             family=family, i=i, expected=list(line[i]), direct=list(Ts[i]))
+                             family=family, **bad)
         for eb in noncentral:
             lb = eb.label
             b4 = (eb.rep.a, eb.rep.b, eb.rep.c, eb.rep.d)
@@ -933,13 +959,28 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     families, and the class-count bound of at least q-1 for every pair of
     them.
 
-    The witness conjugator families are [[1,0],[i,1]] (traces i*i, all of
-    GF(q)), diag(1/i, i) (traces i*i + w, everything except w), and
-    [[i+1,i],[i,i+1]] (traces v*w*(i*i + 1), all of GF(q)).  Each direct
-    product A**C * B lies in the product of the classes, and distinct
-    traces are distinct classes, so the q (U x U, W x W) or q - 1 (U x W)
-    family traces bound the class count.  Only the U x W pairs are
+    The witness conjugator families are [[1,0],[i,1]] (traces i*i),
+    diag(1/i, i) (traces i*i + w, i != 0) and [[i+1,i],[i,i+1]] (traces
+    v*w*(i*i + 1)).  Each direct product A**C * B lies in the product of the
+    classes, and distinct traces are distinct classes, so the family traces
+    bound the class count.  The U x U family is traced member by member,
+    and its q traces i*i must be all of GF(q) (part ``upper_upper_traces``):
+    so squaring is a bijection of this field, and the q - 1 traces i*i + w,
+    i != 0, of each U x W pair are distinct.  Only the U x W pairs are
     scanned, to show that the trace w is missing, which no family can.
+
+    W x W: the conjugates of A = [[0,1],[-1,w]] by [[i+1,i],[i,i+1]] have
+    entries of degree <= 2 in i, each a sum of products of an entry of
+    C**-1 and one of C; the whole family is checked against the quadratic
+    through its members 0, 1 and 2 once per W(w) (part
+    ``family_quadratic``).  The trace against B = [[0,1],[-1,v]] is linear
+    in the entries, so the pair's q traces are a polynomial of degree <= 2
+    in i, as is v*w*(i*i + 1), and two such polynomials that agree at the
+    three codes 0, 1 and 2 are equal: each pair traces only those members
+    (part ``companion_companion_family``).  A W(w) has w != 0, since
+    x*x + 1 = (x + 1)**2 is reducible here, so v*w != 0; with squaring a
+    bijection, i*i + 1 and so v*w*(i*i + 1) run over all of GF(q), q
+    classes.
     """
     name = "even_char_bounds"
     q = F.q
@@ -970,9 +1011,6 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if (n := _agreeing(got, want)) < q - 1:
             return _fail(name, q, details, part="upper_companion_family",
                          w=w, i=n + 1, expected=want[n], direct=got[n])
-        if len(set(got)) != q - 1:
-            return _fail(name, q, details, part="upper_companion_family_size",
-                         w=w, size=len(set(got)))
         ts = {e.trace for e in _entries(F, _scan_keys(F, ClassLabel("U", 1), lw))}
         if ts != full - {w}:
             return _fail(name, q, details, part="upper_companion_trace_exclusion",
@@ -983,17 +1021,15 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     for j, l1 in enumerate(w_labels):
         w = l1.x
         conjugates = _conjugates(F, companion_family, (0, 1, 1, w))
+        if bad := _family_fit(F, conjugates, 2):
+            return _fail(name, q, details, part="family_quadratic", w=w, **bad)
         for l2 in w_labels[j:]:
             v = l2.x
-            vw = mul[v][w]
-            want = [mul[vw][add[x][1]] for x in squares]
-            got = _family_traces(F, conjugates, (0, 1, 1, v))
-            if (i := _agreeing(got, want)) < q:
+            want = [mul[mul[v][w]][add[x][1]] for x in squares[:3]]
+            got = _family_traces(F, conjugates[:3], (0, 1, 1, v))
+            if (i := _agreeing(got, want)) < len(want):
                 return _fail(name, q, details, part="companion_companion_family",
                              w=w, v=v, i=i, direct=got[i])
-            if set(got) != full:
-                return _fail(name, q, details, part="companion_companion_traces",
-                             w=w, v=v, traces=sorted(set(got)))
             details["pairs"] += 1
 
     return CheckResult(name, q, True, None, details)
@@ -1020,9 +1056,18 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
 
     U x W: at least q-1 classes.
 
-    W x W: A = [[0,1],[-1,w]] conjugated by [[1,i],[0,1]] times
-    B = [[0,1],[-1,v]] has trace -i*i + i*(w - v) + w*v - 2, (q+1)/2
-    values.  Two direct products add the repeated-eigenvalue classes.  Let
+    W x W: A = [[0,1],[-1,w]] conjugated by [[1,i],[0,1]] has entries of
+    degree <= 2 in i, and the whole family is checked against the quadratic
+    through its members 0, 1 and 2 once per W(w) (part
+    ``family_quadratic``).  Its trace against B = [[0,1],[-1,v]] is linear
+    in the entries, so a polynomial of degree <= 2 in i, and it must equal
+    f(i) = -i*i + i*(w - v) + w*v - 2 at the codes 0, 1 and 2 (part
+    ``companion_companion_family``), hence at every i.  Completing the
+    square, f(i) = vertex - (i - (w - v)/2)**2 with vertex = w*v - 2 +
+    (w - v)**2/4, so f takes the values vertex - x for x among the squares
+    and 0: (q+1)/2 values, the number of squares and 0, which is counted
+    once per field (part ``companion_companion_traces``).  Two direct
+    products add the repeated-eigenvalue classes.  Let
     s0 = -1, or 1 when v + w = 0, so e = s0*w - v is nonzero except for
     the self-pair of the trace-0 class (possible when q = 3 mod 4).  With
     N = [[-y,1],[-y*y,y]] (trace 0, N*N = 0) and Q(y) = 1 - v*y + y*y,
@@ -1033,15 +1078,16 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     is irreducible; so x*x - v*x*y + y*y is anisotropic, takes every
     nonzero value, and takes a non-square at some (1, y), while Q(0) = 1:
     the products at y = 0 and at that y give U(s0,+) and U(s0,-).
-    For the exempt self-pair e = 0 and X = I, the class Z(1) at trace 2,
-    which the family -i*i - 2 never hits (-1 is a non-square there); that
-    pair is counted in ``zero_trace_self_pairs_exempt``.  Each product is
-    checked directly (its determinant, the class of X*B**-1 and its own
+    For the exempt self-pair e = 0 and X = I, the class Z(1) at trace 2;
+    that pair is counted in ``zero_trace_self_pairs_exempt``.  Each product
+    is checked directly (its determinant, the class of X*B**-1 and its own
     class), and the count is the distinct family traces other than the
-    witnesses' trace 2*s0 plus the witness classes, at least (q+3)/2.  That
-    bound is asserted with the witnesses, as it cannot fail once they and
-    the (q+1)/2 family traces hold: (q+1)/2 - 1 + 2 classes, or for the
-    exempt pair (q+1)/2 + 1, since -i*i - 2 never hits its trace 2.
+    witnesses' trace 2*s0, (q+1)/2 less 1 exactly when vertex - 2*s0 is a
+    square or 0 (f(i) = 2*s0 solves for (i - (w - v)/2)**2), plus the
+    witness classes: at least (q+3)/2.  That bound is asserted with the
+    witnesses, as it cannot fail once they hold: (q+1)/2 - 1 + 2 classes,
+    or for the exempt pair (w = v = 0, s0 = 1) (q+1)/2 + 1, since there
+    vertex - 2 = -4 is a non-square, so f never hits the trace 2.
     """
     name = "odd_char_bounds"
     q = F.q
@@ -1076,6 +1122,9 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         details["uw_pairs"] += 1
 
     two, neg1 = add[1][1], neg[1]
+    quarter = inv[mul[two][two]]
+    if len(squares := {mul[i][i] for i in range(q)}) != (q + 1) // 2:
+        return _fail(name, q, details, part="companion_companion_traces", squares=sorted(squares))
     upper_family = [(1, i, 0, 1) for i in range(q)]
     # per W(v), the least y with Q(y) = 1 - v*y + y*y a non-square
     ys = {l.x: next(y for y in range(q) if not sq[add[sub[1][mul[l.x][y]]][mul[y][y]]])
@@ -1083,19 +1132,20 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     for j, l1 in enumerate(w_labels):
         w = l1.x
         conjugates = _conjugates(F, upper_family, (0, 1, neg1, w))
+        if bad := _family_fit(F, conjugates, 2):
+            return _fail(name, q, details, part="family_quadratic", w=w, **bad)
         for l2 in w_labels[j:]:
             pair = [str(l1), str(l2)]
             v = l2.x
             base, mk = add[sub[mul[w][v]][two]], mul[sub[w][v]]
-            want = [base[sub[mk[i]][mul[i][i]]] for i in range(q)]
-            got = _family_traces(F, conjugates, (0, 1, neg1, v))
-            if (i := _agreeing(got, want)) < q:
+            want = [base[sub[mk[i]][mul[i][i]]] for i in range(3)]
+            got = _family_traces(F, conjugates[:3], (0, 1, neg1, v))
+            if (i := _agreeing(got, want)) < len(want):
                 return _fail(name, q, details, part="companion_companion_family", pair=pair,
                              i=i, expected=want[i], direct=got[i])
-            if len(ts := set(got)) < (q + 1) // 2:
-                return _fail(name, q, details, part="companion_companion_traces", pair=pair,
-                             traces=sorted(ts))
             s0 = neg1 if add[v][w] != 0 else 1
+            # f(i) = vertex - (i - (w - v)/2)**2 is 2*s0 iff vertex - 2*s0 is a square or 0
+            hit = sub[base[mul[mk[sub[w][v]]][quarter]]][add[s0][s0]] in squares
             e = sub[mul[s0][w]][v]
             xs = []
             for y in (0, ys[v]):  # X = s0*I + k*N with k = s0*e/Q(y)
@@ -1107,7 +1157,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
             keys = _class_keys(F, xs, (1, 0, 0, 1))
             if (any(sub[mul[a][d]][mul[b][c]] != 1 for a, b, c, d in xs)
                     or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)
-                    or len(ts - {add[s0][s0]}) + len(keys) < (q + 3) // 2):
+                    or (q + 1) // 2 - hit + len(keys) < (q + 3) // 2):
                 return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
                              witnesses=[str(l) for l in wit], products=[list(x) for x in xs],
                              found=_label_texts(F, keys))

@@ -292,6 +292,22 @@ def split_family_traces(F: Field, r: int, B: tuple, upper: bool) -> list[int]:
     return out
 
 
+def companion_family_traces(F: Field, w: int, v: int) -> list[int]:
+    """trace(C**-1 * A * C * B) for A = [[0,1],[-1,w]], B = [[0,1],[-1,v]]
+    and the q members C of the W x W witness family of the char_bounds
+    checks, [[i+1,i],[i,i+1]] for even q and [[1,i],[0,1]] for odd q, in
+    order of i; each member by two naive products, where the checks read
+    every trace off the members i = 0, 1 and 2."""
+    mul, add, neg = F._mul, F._add, F._neg
+    a4, b4 = (0, 1, neg[1], w), (0, 1, neg[1], v)
+    out = []
+    for i in range(F.q):
+        c4 = (add[i][1], i, i, add[i][1]) if F.p == 2 else (1, i, 0, 1)
+        p = _mul4(mul, add, _conj4(mul, add, neg, c4, a4), b4)
+        out.append(add[p[0]][p[3]])
+    return out
+
+
 def square_mix_exceptions(F: Field) -> list[tuple[int, int, list[int]]]:
     """Pairs of nonzero (a, b), in increasing code order, for which
     {a*x^2 + b*y^2 : x, y != 0} does not hold both a square and a

@@ -663,7 +663,9 @@ def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monk
 # of C**-1 * A * C, for the conjugators C and factors A that `hit` picks)
 # must fail at the first family member it spoils, with the exact payload;
 # split_trace_coverage draws each family's line through its members 0 and
-# 1, so a spoiled member 0 or 1 fails at member 2
+# 1, so a spoiled member 0 or 1 fails at member 2, and the char_bounds
+# checks fit their W x W family's quadratic through its members 0, 1 and 2,
+# so a spoiled member 2 fails at member 3
 HITS = {
     "off_diagonal_2": lambda C, A: 2 in (C[1], C[2]),
     "upper_0": lambda C, A: C[2] == 0 and C[1] == 0,
@@ -673,6 +675,7 @@ HITS = {
     "other_1": lambda C, A: C[2] == 1 and C[0] == 1,
     "diagonal_2": lambda C, A: C[1] == C[2] == 0 and C[0] == 2,
     "companion_factor": lambda C, A: A[0] == 0 and 2 in (C[1], C[2]),
+    "companion_5": lambda C, A: A[0] == 0 and C[1] == 5,
 }
 
 
@@ -714,19 +717,37 @@ HITS = {
                  {"part": "upper_companion_family", "w": 3, "i": 12, "expected": 5, "direct": 4},
                  id="even_char_bounds-16-2-diagonal_2-payload9"),
     pytest.param("even_char_bounds", 8, 2, "companion_factor",
-                 {"part": "companion_companion_family", "w": 1, "v": 1, "i": 2, "direct": 4},
+                 {"part": "family_quadratic", "w": 1, "i": 3, "expected": [5, 7, 6, 4],
+                  "direct": [5, 7, 7, 4]},
                  id="even_char_bounds-8-2-companion_factor-payload10"),
     pytest.param("even_char_bounds", 16, 2, "companion_factor",
-                 {"part": "companion_companion_family", "w": 3, "v": 3, "i": 2, "direct": 9},
+                 {"part": "family_quadratic", "w": 3, "i": 3, "expected": [15, 11, 10, 12],
+                  "direct": [15, 11, 11, 12]},
                  id="even_char_bounds-16-2-companion_factor-payload11"),
     pytest.param("odd_char_bounds", 9, 2, "companion_factor",
-                 {"part": "companion_companion_family", "pair": ["W(4)", "W(4)"], "i": 2,
-                  "expected": 6, "direct": 7},
+                 {"part": "family_quadratic", "w": 4, "i": 3, "expected": [3, 7, 3, 1],
+                  "direct": [3, 7, 2, 1]},
                  id="odd_char_bounds-9-2-companion_factor-payload12"),
     pytest.param("odd_char_bounds", 25, 2, "companion_factor",
-                 {"part": "companion_companion_family", "pair": ["W(7)", "W(7)"], "i": 2,
-                  "expected": 17, "direct": 18},
+                 {"part": "family_quadratic", "w": 7, "i": 3, "expected": [3, 14, 2, 9],
+                  "direct": [3, 14, 4, 9]},
                  id="odd_char_bounds-25-2-companion_factor-payload13"),
+    pytest.param("even_char_bounds", 8, 1, "companion_5",
+                 {"part": "family_quadratic", "w": 1, "i": 5, "expected": [6, 2, 2, 7],
+                  "direct": [6, 3, 2, 7]},
+                 id="even_char_bounds-8-1-companion_5"),
+    pytest.param("odd_char_bounds", 9, 1, "companion_5",
+                 {"part": "family_quadratic", "w": 4, "i": 5, "expected": [5, 3, 2, 2],
+                  "direct": [5, 4, 2, 2]},
+                 id="odd_char_bounds-9-1-companion_5"),
+    pytest.param("even_char_bounds", 16, 3, "companion_5",
+                 {"part": "family_quadratic", "w": 3, "i": 5, "expected": [1, 15, 15, 2],
+                  "direct": [1, 15, 15, 3]},
+                 id="even_char_bounds-16-3-companion_5"),
+    pytest.param("odd_char_bounds", 25, 0, "companion_5",
+                 {"part": "family_quadratic", "w": 7, "i": 5, "expected": [5, 16, 4, 2],
+                  "direct": [6, 16, 4, 2]},
+                 id="odd_char_bounds-25-0-companion_5"),
     pytest.param("split_trace_coverage", 9, 1, "upper_1",
                  {"part": "family_affine", "split": "D(3)", "family": "[[1,i],[0,1]]", "i": 2,
                   "expected": [3, 5, 0, 6], "direct": [3, 3, 0, 6]},
@@ -755,6 +776,42 @@ def test_witness_family_fault_injection(check, q, k, hit, payload, monkeypatch):
     r = ALL_CHECKS[check](oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == payload
+
+
+@pytest.mark.parametrize("check,q,j,payload", [
+    pytest.param("even_char_bounds", 8, 0,
+                 {"w": 1, "v": 1, "i": 0, "direct": 0}, id="even_char_bounds-8-0"),
+    pytest.param("even_char_bounds", 8, 1,
+                 {"w": 1, "v": 1, "i": 1, "direct": 1}, id="even_char_bounds-8-1"),
+    pytest.param("even_char_bounds", 16, 2,
+                 {"w": 3, "v": 3, "i": 2, "direct": 9}, id="even_char_bounds-16-2"),
+    pytest.param("odd_char_bounds", 9, 0,
+                 {"pair": ["W(4)", "W(4)"], "i": 0, "expected": 7, "direct": 8},
+                 id="odd_char_bounds-9-0"),
+    pytest.param("odd_char_bounds", 9, 2,
+                 {"pair": ["W(4)", "W(4)"], "i": 2, "expected": 6, "direct": 7},
+                 id="odd_char_bounds-9-2"),
+    pytest.param("odd_char_bounds", 25, 1,
+                 {"pair": ["W(7)", "W(7)"], "i": 1, "expected": 15, "direct": 16},
+                 id="odd_char_bounds-25-1"),
+])
+def test_companion_node_trace_fault_injection(check, q, j, payload, monkeypatch):
+    # the trace of W x W family member j (a node: 0, 1 or 2; member 0 is A
+    # itself) moved by 1 against every second factor: the first pair fails
+    # at i = j, since the family's quadratic fit holds
+    F = oracles.field_for(q)
+    real = checks._family_traces
+
+    def evil(F, Ts, B):
+        out = real(F, Ts, B)
+        if Ts[0][:3] == (0, 1, F._neg[1]):
+            out[j] = F._add[out[j]][1]
+        return out
+
+    monkeypatch.setattr(checks, "_family_traces", evil)
+    r = ALL_CHECKS[check](F)
+    assert not r.passed
+    assert r.counterexample == {"part": "companion_companion_family", **payload}
 
 
 # second factors by kind, from their class table representatives
@@ -824,6 +881,46 @@ def test_split_lines_match_member_traces(q, monkeypatch):
         B = (eb.rep.a, eb.rep.b, eb.rep.c, eb.rep.d)
         assert line == oracles.split_family_traces(F, x, B, eb.label.kind == "W"), (x, eb.label)
         assert sorted(line) == list(range(q))
+
+
+# Tier-1 runs q <= 49, `-m slow` the q up to 128
+@pytest.mark.parametrize("q", [q if q <= 49 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in prime_powers_up_to(128) if q >= 4])
+def test_companion_pairs_match_member_traces(q, monkeypatch):
+    # both char_bounds checks trace the members 0, 1 and 2 of the W x W
+    # family per pair (member 0 is A itself); the q traces, computed member
+    # by member, must be the claimed quadratic, and their distinct count the
+    # one the check's bound reads: q for even q; (q + 1)/2 for odd q, of
+    # which the witnesses' trace 2*s0 is one exactly when vertex - 2*s0 is
+    # a square or 0, with vertex = w*v - 2 + (w - v)**2/4
+    F = oracles.field_for(q)
+    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
+    real, traced = checks._family_traces, []
+
+    def recording(F, Ts, B):
+        if Ts[0][:3] == (0, 1, neg[1]):
+            traced.append((Ts[0][3], B[3], len(Ts)))
+        return real(F, Ts, B)
+
+    monkeypatch.setattr(checks, "_family_traces", recording)
+    check = check_even_char_bounds if q % 2 == 0 else check_odd_char_bounds
+    assert check(F).passed
+    ws = [l.x for l in checks.class_table(F).labels() if l.kind == "W"]
+    pairs = list(itertools.combinations_with_replacement(ws, 2))
+    assert traced == [(w, v, 3) for w, v in pairs]
+    two = add[1][1]
+    for w, v in pairs:
+        traces = oracles.companion_family_traces(F, w, v)
+        if q % 2 == 0:
+            assert traces == [mul[mul[v][w]][add[mul[i][i]][1]] for i in range(q)], (w, v)
+            assert len(set(traces)) == q
+            continue
+        base = sub[mul[w][v]][two]
+        assert traces == [add[base][sub[mul[i][sub[w][v]]][mul[i][i]]] for i in range(q)], (w, v)
+        s0 = neg[1] if add[v][w] else 1
+        vertex = add[base][mul[mul[sub[w][v]][sub[w][v]]][inv[add[two][two]]]]
+        assert len(set(traces)) == (q + 1) // 2
+        assert len(set(traces) - {add[s0][s0]}) == (q + 1) // 2 - sq[sub[vertex][add[s0][s0]]]
 
 
 @pytest.mark.parametrize("q", [8, 16, 7, 9])

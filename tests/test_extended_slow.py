@@ -38,7 +38,10 @@ def test_full_suite_to_49():
 # the same digests at seed 0 at large q: the value-set checks' taken from
 # the brute-force enumerations that checks._form_values replaced,
 # odd_char_bounds' from its W x W scans and split_trace_coverage's from its
-# q traces per pair, before the closed-form witnesses and the two-member lines
+# q traces per pair, before the closed-form witnesses and the two-member
+# lines; both char_bounds checks' at the largest fields, and split's there,
+# from their q traces per W x W pair and their inline affine line, before
+# the one family reader and the three-member quadratics
 LARGE_Q_DIGESTS = {
     (257, "value_set_counts"): "af44f252892654c757b5b0b7dbaa2743cf50f1bfc9e1f3c79c124ac39cbb89c2",
     (509, "value_set_counts"): "5a9b81732b6449ee1bc8bc58a1b1736e46d21b24b5f9131bed13f5f5c11b13a7",
@@ -48,6 +51,9 @@ LARGE_Q_DIGESTS = {
     (509, "odd_char_bounds"): "98d02a7f6d1a44c1e2eb2d4895b289bf6d460b196bbe0cb7cf56d8df3a2b7b33",
     (257, "split_trace_coverage"): "7629101f0ca2f9ae93a8004cb723a307ee57194074fd85934ac63c0c71f19cb5",
     (509, "split_trace_coverage"): "0e45f5b23b5d6d7bf261976ab06ebdf914caea97b780cdc078941e1c0d9ef149",
+    (1019, "odd_char_bounds"): "60957aa02a5cd57e3ad7fe6e2d11db2def3ac49a546a2d3e1c423af288a8a86a",
+    (1024, "even_char_bounds"): "5e50d23c41cd60ff9abb2ba5a29179040d1213fb94e890dd1710635dcc8c9975",
+    (1019, "split_trace_coverage"): "414cce6bee951739918771d0f21eb5705dd89a791afbc9d01f7664f5ff5f7cdb",
 }
 
 
