@@ -13,9 +13,7 @@ with ``_take_rounds``, a partial Fisher-Yates shuffle on ``getrandbits``
 that makes ``Random.sample``'s draws for pools of at most 85 values (so for
 every q <= 83) and depends on no interpreter version's ``sample()``.  One
 call draws every batch of a conjugator loop, in the order of one ``_take``
-per batch: at q = 25 its 44,550 batches take 0.064 s, against 0.046 s for
-a bare loop of their ~705k ``getrandbits`` calls (best of 7, one core,
-Python 3.11).
+per batch.
 
 Each ``trace_form_*`` takes its innermost parameter as a list (for
 ``trace_form_diag_diag``, the (u, v) pairs) and returns the list of
@@ -45,10 +43,10 @@ the members 0 .. d against its second factor (``_family_traces``), in
 O(q*q) per q rather than O(q**3).  Distinct traces are distinct classes,
 so a family's traces, counted off the claimed polynomial, bound a pair's
 class count from below.
-Only min_class_bounds, the U x W pairs of both char_bounds checks and
-odd_char_bounds' U x U pairs scan pairs; odd_char_bounds' W x W pairs get
-their two repeated-eigenvalue witnesses from two direct products each, so
-min_class_bounds is the one scan of those pairs.
+min_class_bounds scans every unordered pair of classes once, in table
+order; besides it only the U x W pairs of both char_bounds checks and
+odd_char_bounds' U x U pairs are scanned.  odd_char_bounds' W x W pairs
+get their two repeated-eigenvalue witnesses from two direct products each.
 
 This module owns the row scan (``_scan_keys``), the independent oracle of
 every closed form in products.py, which itself enumerates nothing.  The
@@ -1081,13 +1079,13 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     For the exempt self-pair e = 0 and X = I, the class Z(1) at trace 2;
     that pair is counted in ``zero_trace_self_pairs_exempt``.  Each product
     is checked directly (its determinant, the class of X*B**-1 and its own
-    class), and the count is the distinct family traces other than the
-    witnesses' trace 2*s0, (q+1)/2 less 1 exactly when vertex - 2*s0 is a
-    square or 0 (f(i) = 2*s0 solves for (i - (w - v)/2)**2), plus the
-    witness classes: at least (q+3)/2.  That bound is asserted with the
-    witnesses, as it cannot fail once they hold: (q+1)/2 - 1 + 2 classes,
-    or for the exempt pair (w = v = 0, s0 = 1) (q+1)/2 + 1, since there
-    vertex - 2 = -4 is a non-square, so f never hits the trace 2.
+    class), and then the bound of (q+3)/2 classes needs no count of its
+    own: the (q+1)/2 family traces less at most the witnesses' trace 2*s0,
+    plus the two witness classes at it.  The exempt pair (w = v = 0,
+    s0 = 1) has the one witness class Z(1), but its traces f(i) =
+    -2 - i*i never equal 2, as -4 is a non-square where W(0) exists
+    (x*x + 1 irreducible makes -1 one): (q+1)/2 + 1 classes.  That fact is
+    checked with the count of squares, once per field.
     """
     name = "odd_char_bounds"
     q = F.q
@@ -1122,8 +1120,11 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         details["uw_pairs"] += 1
 
     two, neg1 = add[1][1], neg[1]
-    quarter = inv[mul[two][two]]
-    if len(squares := {mul[i][i] for i in range(q)}) != (q + 1) // 2:
+    # (q + 1)/2 squares, 0 among them; and -4 a non-square where W(0) is,
+    # so that its self-pair's traces -2 - i*i miss the witness trace 2
+    squares = {mul[i][i] for i in range(q)}
+    if (len(squares) != (q + 1) // 2
+            or (ClassLabel("W", 0) in w_labels and neg[add[two][two]] in squares)):
         return _fail(name, q, details, part="companion_companion_traces", squares=sorted(squares))
     upper_family = [(1, i, 0, 1) for i in range(q)]
     # per W(v), the least y with Q(y) = 1 - v*y + y*y a non-square
@@ -1144,8 +1145,6 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                 return _fail(name, q, details, part="companion_companion_family", pair=pair,
                              i=i, expected=want[i], direct=got[i])
             s0 = neg1 if add[v][w] != 0 else 1
-            # f(i) = vertex - (i - (w - v)/2)**2 is 2*s0 iff vertex - 2*s0 is a square or 0
-            hit = sub[base[mul[mk[sub[w][v]]][quarter]]][add[s0][s0]] in squares
             e = sub[mul[s0][w]][v]
             xs = []
             for y in (0, ys[v]):  # X = s0*I + k*N with k = s0*e/Q(y)
@@ -1156,8 +1155,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
             details["zero_trace_self_pairs_exempt"] += not e
             keys = _class_keys(F, xs, (1, 0, 0, 1))
             if (any(sub[mul[a][d]][mul[b][c]] != 1 for a, b, c, d in xs)
-                    or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)
-                    or (q + 1) // 2 - hit + len(keys) < (q + 3) // 2):
+                    or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)):
                 return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
                              witnesses=[str(l) for l in wit], products=[list(x) for x in xs],
                              found=_label_texts(F, keys))
@@ -1177,18 +1175,19 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     square classes of eigenvalue-1 upper triangulars when q = 1 mod 4 and
     by the square one against itself otherwise; and exactly 2 for q = 3.
 
-    Every pair's closed form is read through products._product_keys, the
-    dispatcher that product_report serves, in both operand orders, and
-    compared with the pair's one scan (the product is symmetric); equal
-    sets have equal counts.  A difference fails the part named
-    for the kernel that serves the pair: ``central_pair``
-    (products._central_keys, a central factor), ``semisimple_formula``
-    (products._semisimple_keys, two D or W classes), ``unipotent_formula``
-    (products._unipotent_keys, a U class against one) or
-    ``upper_upper_formula`` (products._upper_upper_keys, two U classes).
+    One walk visits every unordered pair of classes in table order, as
+    ``sweep`` visits the noncentral ones, and scans each once.  The pair's closed form is read
+    through products._product_keys, the dispatcher that product_report
+    serves, in both operand orders, and compared with that scan (the
+    product is symmetric); equal sets have equal counts.  A difference
+    fails the part named for the kernel that serves the pair's kinds:
+    ``central_pair`` (products._central_keys, a central factor),
+    ``semisimple_formula`` (products._semisimple_keys, two D or W classes),
+    ``unipotent_formula`` (products._unipotent_keys, a U class against one)
+    or ``upper_upper_formula`` (products._upper_upper_keys, two U classes).
     The minimum counts only the pairs with a U factor that can attain it
-    (its docstring proves which); the least scanned count over every
-    unordered noncentral pair, with its first pair in table order, must
+    (its docstring proves which); the least scanned count over the
+    noncentral pairs of the walk, with the first pair that has it, must
     equal its value and witness, or the part ``minimum_census`` fails.
     """
     name = "min_class_bounds"
@@ -1196,36 +1195,25 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     table = class_table(F)
     details: dict = {}
 
-    # the served closed form of every pair, in both orders, against the scan
-    # of that pair, named by the kernel that _product_keys picks for its kinds
-    labels = table.labels()
-    central = [l for l in labels if l.kind == "Z"]
-    semisimple = [l for l in labels if l.kind in ("D", "W")]
-    unipotent = [l for l in labels if l.kind == "U"]
-    formula_pairs = itertools.chain(
-        (("central_pair", lz, l) for lz in central for l in labels),
-        (("semisimple_formula", la, lb)
-         for la, lb in itertools.combinations_with_replacement(semisimple, 2)),
-        (("unipotent_formula", la, lb) for la in unipotent for lb in semisimple),
-        (("upper_upper_formula", la, lb)
-         for la, lb in itertools.combinations_with_replacement(unipotent, 2)))
-    # the census: the least verified count of a noncentral pair, with the
-    # table positions of its first pair in table order
-    position = {l: i for i, l in enumerate(labels)}
-    census = (float("inf"),)
-    for part, la, lb in formula_pairs:
+    # every unordered pair in table order, scanned once: the served closed
+    # form in both orders against that scan, and the census, the least
+    # verified count of a noncentral pair with its first pair
+    census = (float("inf"), None)
+    for la, lb in itertools.combinations_with_replacement(table.labels(), 2):
         scan = _scan_keys(F, la, lb)
+        kinds = {la.kind, lb.kind}
         for pair in ((la, lb), (lb, la)):
             formula = _product_keys(F, *pair)
             if formula != scan:
+                # named by the kernel that _product_keys picks for the kinds
+                part = ("central_pair" if "Z" in kinds else "upper_upper_formula"
+                        if kinds == {"U"} else "unipotent_formula" if "U" in kinds
+                        else "semisimple_formula")
                 return _fail(name, q, details, part=part, pair=[str(l) for l in pair],
                              formula_only=_label_texts(F, formula - scan),
                              scan_only=_label_texts(F, scan - formula), classes=len(scan))
-        if part != "central_pair":
-            n, i, j = len(scan), position[la], position[lb]
-            key = (n, i, j) if i < j else (n, j, i)
-            if key < census:
-                census = key
+        if "Z" not in kinds and len(scan) < census[0]:
+            census = len(scan), (la, lb)
 
     min_val, witness = min_product_classes(F)
     details["min_classes"] = min_val
@@ -1248,11 +1236,10 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if n != expected:
             return _fail(name, q, details, part="equality_witness",
                          pair=details["equality_pair"], classes=n, expected=expected)
-    least, i, j = census
-    if (min_val, witness) != (least, (labels[i], labels[j])):
+    if (min_val, witness) != census:
         return _fail(name, q, details, part="minimum_census", minimum=min_val,
-                     witness=details["witness"], census=least,
-                     census_witness=[str(labels[i]), str(labels[j])])
+                     witness=details["witness"], census=census[0],
+                     census_witness=[str(l) for l in census[1]])
     return CheckResult(name, q, True, None, details)
 
 

@@ -5,7 +5,9 @@ flip the corresponding check with a counterexample)."""
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,72 @@ def test_form_values_match_brute_force(q, monkeypatch):
     assert next(calls, None) is None
 
 
+EVEN_VALUE_SET_PARTS = ["affine_square_image"]
+ODD_VALUE_SET_PARTS = ["quadratic_image", "square_nonsquare_mix", "two_variable_image", "norm_form"]
+
+
+@pytest.mark.parametrize("q,payload", [
+    pytest.param(4, {"part": "affine_square_image", "params": {"a": 0, "c": 3}, "size": 1,
+                     "expected": 4}, id="4"),
+    pytest.param(32, {"part": "affine_square_image", "params": {"a": 0, "c": 14}, "size": 1,
+                      "expected": 32}, id="32"),
+    pytest.param(7, {"part": "quadratic_image", "params": {"a": 0, "b": 6, "c": 6}, "size": 7,
+                     "expected": 4}, id="7"),
+    pytest.param(17, {"part": "quadratic_image", "params": {"a": 0, "b": 9, "c": 3}, "size": 17,
+                      "expected": 9}, id="17"),
+])
+def test_zero_leading_coefficient_fault_injection(q, payload, monkeypatch):
+    # the last tuple of the check's first grid, the affine (even q) or the
+    # quadratic (odd q) one, drawn with a = 0, against both claims' a != 0:
+    # its image is one value or, with b != 0, all q; exhaustive at q = 4
+    # and 7, sampled at 17 and 32
+    real, drawn = checks._grid, []
+
+    def evil(rng, exhaustive, n, *pools):
+        grid = real(rng, exhaustive, n, *pools)
+        if not drawn:
+            grid[-1] = (0, *grid[-1][1:])
+        drawn.append(grid)
+        return grid
+
+    monkeypatch.setattr(checks, "_grid", evil)
+    r = check_value_set_counts(oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == payload
+    parts = EVEN_VALUE_SET_PARTS if q % 2 == 0 else ODD_VALUE_SET_PARTS
+    assert r.details["part_status"] == {p: p != payload["part"] for p in parts}
+
+
+@pytest.mark.parametrize("q,points,payload", [
+    pytest.param(7, 8, {"part": "two_variable_image", "params": {"u": 1, "s": 0, "r": 0},
+                        "size": 5, "expected_at_least": 6}, id="7-two_variable"),
+    pytest.param(17, 18, {"part": "two_variable_image", "params": {"u": 9, "s": 10, "r": 12},
+                          "size": 15, "expected_at_least": 16}, id="17-two_variable"),
+    pytest.param(7, 7, {"part": "norm_form", "failing_w": {"plus": 0, "minus": 0}},
+                 id="7-norm_form"),
+    pytest.param(9, 9, {"part": "norm_form", "failing_w": {"plus": 4, "minus": 4}},
+                 id="9-norm_form"),
+    pytest.param(17, 17, {"part": "norm_form", "failing_w": {"plus": 1, "minus": 1}},
+                 id="17-norm_form"),
+])
+def test_short_form_value_set_fault_injection(q, points, payload, monkeypatch):
+    # the value sets read off `points` points (q + 1 for the two-variable
+    # form, q for the norm forms; the mix form has q - 1) cut to their
+    # q - 2 least values: the two-variable image then falls one short of
+    # its bound of q - 1, and no norm form takes all q - 1 nonzero values
+    real = checks._form_values
+
+    def evil(F, gs):
+        vals = real(F, gs)
+        return set(sorted(vals)[:F.q - 2]) if len(gs) == points else vals
+
+    monkeypatch.setattr(checks, "_form_values", evil)
+    r = check_value_set_counts(oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == payload
+    assert r.details["part_status"] == {p: p != payload["part"] for p in ODD_VALUE_SET_PARTS}
+
+
 def test_odd_bounds_anomaly_counters():
     # q=5: three U-pair witness sets contain no non-square (both parameters
     # non-square); q=7 and q=11 have the exempt trace-0 self-pair
@@ -152,6 +220,32 @@ def test_min_bounds_details():
     assert r3.details["min_classes"] == 2 and "equality_pair" not in r3.details
     r8 = check_min_class_bounds(oracles.field_for(8))
     assert r8.details["equality_pair"] == ["U(1,+)", "W(1)"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 9])
+def test_min_bounds_scan_each_pair_once(q, monkeypatch):
+    # one walk over the unordered pairs of classes: each scanned once, and
+    # its served closed form read in both operand orders
+    scan, keys = checks._scan_keys, checks._product_keys
+    scanned, read = [], []
+
+    def recording_scan(F, la, lb):
+        scanned.append((la, lb))
+        return scan(F, la, lb)
+
+    def recording_keys(F, la, lb):
+        read.append((la, lb))
+        return keys(F, la, lb)
+
+    monkeypatch.setattr(checks, "_scan_keys", recording_scan)
+    monkeypatch.setattr(checks, "_product_keys", recording_keys)
+    F = oracles.field_for(q)
+    assert check_min_class_bounds(F).passed
+    labels = checks.class_table(F).labels()
+    pairs = list(itertools.combinations_with_replacement(labels, 2))
+    assert len(scanned) == len(pairs) == len(labels) * (len(labels) + 1) // 2
+    assert {frozenset(p) for p in scanned} == {frozenset(p) for p in pairs}
+    assert sorted(read) == sorted(pairs + [(lb, la) for la, lb in pairs])
 
 
 def test_checks_deterministic():
@@ -462,9 +556,9 @@ def test_sign_flip_fault_injection(monkeypatch):
 
 
 @pytest.mark.parametrize("q,kinds,pair,expected,found", [
-    pytest.param(7, "ZDUW", ["Z(6)", "Z(1)"], ["Z(6)"], ["Z(1)"],
+    pytest.param(7, "ZDUW", ["Z(6)", "Z(6)"], ["Z(1)"], ["Z(6)"],
                  id="7-ZDUW-pair0-expected0-found0"),
-    pytest.param(9, "ZDUW", ["Z(2)", "Z(1)"], ["Z(2)"], ["Z(1)"],
+    pytest.param(9, "ZDUW", ["Z(2)", "Z(2)"], ["Z(1)"], ["Z(2)"],
                  id="9-ZDUW-pair1-expected1-found1"),
     pytest.param(7, "U", ["Z(6)", "U(1,+)"], ["U(6,-)"], ["U(1,+)"],
                  id="7-U-pair2-expected2-found2"),
@@ -473,9 +567,9 @@ def test_sign_flip_fault_injection(monkeypatch):
 ])
 def test_central_pair_fault_injection(q, kinds, pair, expected, found, monkeypatch):
     # Z(-1) x C scanned as Z(1) x C for C of the given kinds: each central
-    # product must be the class r*C of products._central_keys (expected);
-    # -1 is a non-square at q = 7, which flips a U class's sign, and a
-    # square at 9
+    # product must be the class r*C of products._central_keys (expected),
+    # first at Z(-1) x Z(-1) when Z is among the kinds; -1 is a non-square
+    # at q = 7, which flips a U class's sign, and a square at 9
     real = checks._scan_keys
 
     def evil(F, la, lb):
@@ -619,7 +713,7 @@ def test_upper_upper_formula_fault_injection(q, fault, formula_only, scan_only, 
 # kinds of that pair as min_class_bounds reports it
 ROW_KERNELS = {
     ("D", "D"): ("_diagonal_rows", "semisimple_formula"),
-    ("U", "D"): ("_upper_rows", "unipotent_formula"),
+    ("D", "U"): ("_upper_rows", "unipotent_formula"),
     ("W", "W"): ("_companion_rows", "semisimple_formula"),
 }
 
@@ -629,10 +723,10 @@ ROW_KERNELS = {
     pytest.param(9, 0, ["D(3)", "D(3)"], ["D(3)"], 13, id="9-0-pair1-missing1-13"),
     pytest.param(16, 1, ["D(2)", "D(2)"], ["D(10)"], 17, id="16-1-pair2-missing2-17"),
     pytest.param(25, 0, ["D(2)", "D(2)"], ["D(2)"], 29, id="25-0-pair3-missing3-29"),
-    pytest.param(8, 1, ["U(1,+)", "D(2)"], ["W(1)"], 8, id="8-1-pair4-missing4-8"),
-    pytest.param(9, 0, ["U(1,+)", "D(3)"], ["D(3)"], 9, id="9-0-pair5-missing5-9"),
-    pytest.param(16, 1, ["U(1,+)", "D(2)"], ["D(10)"], 16, id="16-1-pair6-missing6-16"),
-    pytest.param(25, 0, ["U(1,+)", "D(2)"], ["D(2)"], 25, id="25-0-pair7-missing7-25"),
+    pytest.param(8, 1, ["D(2)", "U(1,+)"], ["W(1)"], 8, id="8-1-pair4-missing4-8"),
+    pytest.param(9, 0, ["D(3)", "U(1,+)"], ["D(3)"], 9, id="9-0-pair5-missing5-9"),
+    pytest.param(16, 1, ["D(2)", "U(1,+)"], ["D(10)"], 16, id="16-1-pair6-missing6-16"),
+    pytest.param(25, 0, ["D(2)", "U(1,+)"], ["D(2)"], 25, id="25-0-pair7-missing7-25"),
     pytest.param(8, 1, ["W(1)", "W(1)"], ["W(1)"], 8, id="8-1-pair8-missing8-8"),
     pytest.param(9, 0, ["W(4)", "W(4)"], ["D(3)"], 10, id="9-0-pair9-missing9-10"),
     pytest.param(16, 1, ["W(3)", "W(3)"], ["D(10)"], 16, id="16-1-pair10-missing10-16"),
@@ -890,7 +984,7 @@ def test_companion_pairs_match_member_traces(q, monkeypatch):
     # both char_bounds checks trace the members 0, 1 and 2 of the W x W
     # family per pair (member 0 is A itself); the q traces, computed member
     # by member, must be the claimed quadratic, and their distinct count the
-    # one the check's bound reads: q for even q; (q + 1)/2 for odd q, of
+    # one each check's bound rests on: q for even q; (q + 1)/2 for odd q, of
     # which the witnesses' trace 2*s0 is one exactly when vertex - 2*s0 is
     # a square or 0, with vertex = w*v - 2 + (w - v)**2/4
     F = oracles.field_for(q)
@@ -1113,3 +1207,56 @@ def test_min_census_fault_injection(q, minimum, witness, monkeypatch):
     assert r.counterexample == {"part": "minimum_census", "minimum": minimum,
                                 "witness": ["U(1,+)", str(last_w)], "census": minimum,
                                 "census_witness": witness}
+
+
+# SHA-256 of each check's to_json() without elapsed_ms, keyed "q:seed": every
+# q <= 64 at seeds 0 and 1, and q = 127 and 128 at seed 0; Tier-1 runs the
+# keys with q <= 16, `-m slow` the rest
+CHECK_DIGESTS = json.loads((Path(__file__).parent / "check_digests.json").read_text())
+
+# the same digests at seed 0 at large q, all under `-m slow`: the value-set
+# checks' taken from the brute-force enumerations that checks._form_values
+# replaced, odd_char_bounds' from its W x W scans and split_trace_coverage's
+# from its q traces per pair, before the closed-form witnesses and the
+# two-member lines; both char_bounds checks' at the largest fields, and
+# split's there, from their q traces per W x W pair and their inline affine
+# line, before the one family reader and the three-member quadratics
+LARGE_Q_DIGESTS = {
+    (257, "value_set_counts"): "af44f252892654c757b5b0b7dbaa2743cf50f1bfc9e1f3c79c124ac39cbb89c2",
+    (509, "value_set_counts"): "5a9b81732b6449ee1bc8bc58a1b1736e46d21b24b5f9131bed13f5f5c11b13a7",
+    (729, "value_set_counts"): "3c9173463390d0fc5ea7f27a531beceba55924d9fe594534e67b1df572c40c21",
+    (1019, "value_set_counts"): "e135775bb8e4a88fe4641767c6eaa1cd57730411d4bc585862595e71677afc3a",
+    (257, "odd_char_bounds"): "2f6a1be280f20d81b8263d8d4eb09e93f0d3101f0be5df592718c5ded1e6efb1",
+    (509, "odd_char_bounds"): "98d02a7f6d1a44c1e2eb2d4895b289bf6d460b196bbe0cb7cf56d8df3a2b7b33",
+    (257, "split_trace_coverage"): "7629101f0ca2f9ae93a8004cb723a307ee57194074fd85934ac63c0c71f19cb5",
+    (509, "split_trace_coverage"): "0e45f5b23b5d6d7bf261976ab06ebdf914caea97b780cdc078941e1c0d9ef149",
+    (1019, "odd_char_bounds"): "60957aa02a5cd57e3ad7fe6e2d11db2def3ac49a546a2d3e1c423af288a8a86a",
+    (1024, "even_char_bounds"): "5e50d23c41cd60ff9abb2ba5a29179040d1213fb94e890dd1710635dcc8c9975",
+    (1019, "split_trace_coverage"): "414cce6bee951739918771d0f21eb5705dd89a791afbc9d01f7664f5ff5f7cdb",
+}
+
+
+def result_digest(r) -> str:
+    # SHA-256 of the result's to_json() without elapsed_ms
+    d = r.to_json()
+    d.pop("elapsed_ms")
+    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", [
+    key if int(key.split(":")[0]) <= 16 else pytest.param(key, marks=pytest.mark.slow)
+    for key in CHECK_DIGESTS])
+def test_check_results_unchanged(key):
+    # samples, comparison counts, details and verdicts of every check, so a
+    # faster kernel must reproduce every result to the byte
+    q, seed = map(int, key.split(":"))
+    got = {r.check: result_digest(r) for r in run_checks(oracles.field_for(q), seed=seed)}
+    assert got == CHECK_DIGESTS[key]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,check", LARGE_Q_DIGESTS)
+def test_large_q_check_results_unchanged(q, check):
+    [r] = run_checks(oracles.field_for(q), [check])
+    assert result_digest(r) == LARGE_Q_DIGESTS[q, check]

@@ -8,14 +8,16 @@ table binding outlives the code it serves (helpers only tests need live
 in tests/oracles.py); that tests/oracles.py imports no private name of
 sl2q.products, so no oracle leans on the code it checks; that the checks
 read their parameter generator only through the sampler, so drawing a
-loop's batches ahead keeps the draws; and every failure part of the checks
-is named by a test, so no failure path goes untested."""
+loop's batches ahead keeps the draws; and every failure part of each check
+is named by a test that runs that check, so no failure path goes
+untested."""
 
 import ast
 import re
 from pathlib import Path
 
 import sl2q
+from sl2q.checks import ALL_CHECKS
 from sl2q.field import Field
 
 FUNC_REF = re.compile(r":func:`~?([\w.]+)`")
@@ -180,23 +182,110 @@ def test_every_field_table_binding_is_read():
     assert not unread
 
 
-# failure parts that no test can reach: each fails only when the field
-# tables are wrong, since the part before it has pinned what it counts
+# failure parts that no test can reach, by check: each fails only when the
+# field tables are wrong
 UNREACHABLE_PARTS = {
-    "companion_companion_traces": "odd: checked once per field, and an odd field has "
-                                  "(q + 1)/2 squares, 0 among them",
+    ("even_char_bounds", "upper_upper_traces"):
+        "squaring is a bijection of GF(2^m), so the q traces i*i that "
+        "upper_upper_family has pinned are all of GF(q)",
+    ("odd_char_bounds", "companion_companion_traces"):
+        "checked once per field: an odd field has (q + 1)/2 squares, 0 among "
+        "them, and -4 is a non-square where W(0) exists, as x*x + 1 is then "
+        "irreducible and -1 a non-square",
 }
 # a part as a test names it: {"part": "name", ...} or ["part"] == "name"
 PART_REF = re.compile(r'"part"(?::|\]\s*==)\s*"(\w+)"')
 
 
-def test_every_failure_part_is_named_by_a_test():
+def literal_strings(node: ast.expr) -> set[str]:
+    # the strings an expression of literals and conditional expressions takes
+    if isinstance(node, ast.IfExp):
+        return literal_strings(node.body) | literal_strings(node.orelse)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def failure_parts() -> set[tuple[str, str]]:
+    # (check, part) for every part a check can fail: a `part=` argument, a
+    # literal or a name bound to literals, or the first argument of a
+    # nested function whose first parameter is `part` (value_set_counts'
+    # flag)
     tree = ast.parse((Path(sl2q.__file__).parent / "checks.py").read_text())
-    parts = {node.value.value for node in ast.walk(tree)
-             if isinstance(node, ast.keyword) and node.arg == "part"
-             and isinstance(node.value, ast.Constant)}
-    assert parts, "no part literal found; the lint is stale"
-    named = {name for path in Path(__file__).parent.glob("test_*.py") if path != Path(__file__)
-             for name in PART_REF.findall(path.read_text())}
+    out, unresolved = set(), []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")):
+            continue
+        check = fn.name.removeprefix("check_")
+        bound: dict[str, set[str]] = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, set()).update(literal_strings(node.value))
+        flags = {node.name for node in ast.walk(fn)
+                 if isinstance(node, ast.FunctionDef) and node.args.args
+                 and node.args.args[0].arg == "part"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.keyword) and node.arg == "part":
+                arg = node.value
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in flags
+                  and node.args):
+                arg = node.args[0]
+            else:
+                continue
+            names = bound.get(arg.id, set()) if isinstance(arg, ast.Name) else literal_strings(arg)
+            if not names:
+                unresolved.append(f"{fn.name}: line {node.lineno}")
+            out.update((check, name) for name in names)
+    assert not unresolved, "a part the lint cannot read"
+    return out
+
+
+def checks_run(node: ast.AST) -> set[str]:
+    # the checks a test or a parameter set runs: by a check_<name> function
+    # it names, or by a check's name as a string (ALL_CHECKS[check])
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            name = n.id if isinstance(n, ast.Name) else n.attr
+            if name.startswith("check_") and name.removeprefix("check_") in ALL_CHECKS:
+                out.add(name.removeprefix("check_"))
+        elif isinstance(n, ast.Constant) and n.value in ALL_CHECKS:
+            out.add(n.value)
+    return out
+
+
+def parts_named_by_tests() -> set[tuple[str, str]]:
+    # (check, part) for each part that a test asserts while it runs that
+    # check: its body alone, or its body with one parameter set of a
+    # literal parametrize list
+    named = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        if path == Path(__file__):
+            continue
+        source = path.read_text()
+        for fn in ast.parse(source).body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("test_")):
+                continue
+            body = (checks_run(ast.Module(fn.body, [])),
+                    set(PART_REF.findall(ast.get_source_segment(source, fn))))
+            params = [p for d in fn.decorator_list
+                      if isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "parametrize"
+                      and len(d.args) > 1 and isinstance(d.args[1], (ast.List, ast.Tuple))
+                      for p in d.args[1].elts]
+            units = [(body[0] | checks_run(p),
+                      body[1] | set(PART_REF.findall(ast.get_source_segment(source, p))))
+                     for p in params] or [body]
+            named.update((check, part) for checks, parts in units
+                         for check in checks for part in parts)
+    return named
+
+
+def test_every_failure_part_is_named_by_a_test():
+    parts = failure_parts()
+    assert {check for check, _ in parts} >= {"value_set_counts", "min_class_bounds"}, \
+        "the lint is stale"
+    named = parts_named_by_tests()
     assert set(UNREACHABLE_PARTS) <= parts - named, "an exception is stale"
     assert parts - named - set(UNREACHABLE_PARTS) == set()
