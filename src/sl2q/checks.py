@@ -11,38 +11,24 @@ exhaustive for even q <= 16 and odd q <= ``ODD_VALUE_SET_EXHAUSTIVE_LIMIT``
 The formula checks draw ``TAKE`` (10) values per family and conjugator
 with ``_take_rounds``, a partial Fisher-Yates shuffle on ``getrandbits``
 that makes ``Random.sample``'s draws for pools of at most 85 values (so for
-every q <= 83) and depends on no interpreter version's ``sample()``.  One
-call draws every batch of a conjugator loop, in the order of one ``_take``
-per batch.
+every q <= 83); one call draws every batch of a conjugator loop, in the
+order of one ``_take`` per batch.  Nothing else reads the parameter
+generator (a lint test holds the checks to that), so the draws are those
+of a loop drawing C by C.  Each ``trace_form_*`` maps a list of its
+innermost parameter to the list of traces, which ``trace_formulas``
+compares with the direct traces of the conjugates (``_conjugates``, one
+pass per family) in one list comparison per batch: a q = 25 run makes its
+445,500 comparisons in about 44,500 batches.  The ``conj_form_*`` stay
+scalar, with their parameters drawn once per family.
 
-Each ``trace_form_*`` takes its innermost parameter as a list (for
-``trace_form_diag_diag``, the (u, v) pairs) and returns the list of
-traces, with the terms in C and the outer parameters computed once per
-call; ``trace_formulas`` computes the direct traces over the same list
-from the rows of the conjugated matrix.  A batch that agrees costs one list
-comparison; only one that does not is searched for its first differing
-index and turned into a counterexample.  So a q = 25 run makes its 445,500
-comparisons in about 44,500 batches.  The ``conj_form_*`` stay scalar:
-their parameters are drawn once per family, not once per conjugator.
-
-The direct side conjugates in one pass per family: ``_conjugates`` maps
-the whole conjugator list to (C**-1 * A) * C with the sixteen products
-written out.  trace_formulas draws a loop's batches right after its outer
-parameter; nothing else reads the parameter generator (a lint test holds
-the checks to that) and a failing batch returns before it is read again,
-so the draws are those of a loop drawing C by C.
 The witness families of the coverage and char_bounds checks are
 conjugated once per first factor and read one way, by ``_family_fit``:
 every conjugate must equal the polynomial of degree <= d in the family
-index through the members 0 .. d, affine (d = 1) for split_trace_coverage's
-two families and quadratic (d = 2) for the W x W family of both
-char_bounds checks.  The trace is linear in the entries, so a pair's q
-traces are then a polynomial of degree <= d in the index as well, and two
-such polynomials that agree at d + 1 codes are equal: each pair traces only
-the members 0 .. d against its second factor (``_family_traces``), in
-O(q*q) per q rather than O(q**3).  Distinct traces are distinct classes,
-so a family's traces, counted off the claimed polynomial, bound a pair's
-class count from below.
+index through the members 0 .. d (d = 1 for split_trace_coverage, 2 for
+the W x W family of both char_bounds checks).  The trace is linear in the
+entries, so each pair traces only the members 0 .. d against its second
+factor (``_family_traces``), in O(q*q) per q rather than O(q**3), and
+distinct traces, being distinct classes, bound its class count.
 min_class_bounds scans every unordered pair of classes once, in table
 order; besides it only the U x W pairs of both char_bounds checks and
 odd_char_bounds' U x U pairs are scanned.  odd_char_bounds' W x W pairs
@@ -55,25 +41,29 @@ dispatcher that ``product_report`` (and so ``eta`` and ``sweep``) serves,
 so a fault in what the library prints is a fault the checks see.  The
 product of two classes commutes, since X*Y = Y*(Y**-1*X*Y), so a scan
 orders each pair once: a U factor goes second unless both are U, and of a
-D and a W factor the D one goes second.  The first factor's class is then
-scanned from its label, row by row.  Its members solve a + d = t and
-ad - bc = 1 (for a U class, in one square class); conjugating by the
-centralizer of B fixes B, so a cut that meets every orbit of that
-centralizer suffices, and each cut falls into rows that share their trace
-against B:
+D and a W factor the D one goes second.  The first factor's class is cut
+to members that meet every orbit of the centralizer of the second's
+representative B, and the cut falls into rows that share their trace
+against B.  That trace is affine in the row index, with a slope that each
+row kernel's docstring proves nonzero and min_class_bounds checks once per
+field (part ``row_slopes``): r - 1/r against diag(r, 1/r), for D x D and
+W x D, rows a; u against [[s,u],[0,s]], for D x U, W x U and U x U, rows c
+(only here is the first factor a U class, whose cut keeps one square
+class); (w*w - 4)/2, or w for even q, against [[0,1],[-1,w]], for W x W,
+rows M = m0*I + m1*B in the field {xI + yB}.  A central factor gives one
+row, its representative.  So the rows take every trace once, and
+``_line_rows`` reads each line off its rows 0 and 1 and solves for the
+rows of trace +-2 alone.
 
-* B = diag(r, 1/r), for D x D and W x D: one row per a, of trace
-  a*r + d/r, with 1 to 3 members (about q when bc = 0);
-* B = [[s,u],[0,s]], for D x U, W x U and U x U: tr(X*B) = s*t + u*c
-  depends on c alone, one row per c; only here is the first factor a U
-  class, whose members the cut keeps by square class;
-* B = [[0,1],[-1,w]], for W x W: one row per M of trace t in the field
-  {xI + yB}, of trace w*m0 + (w*w - 2)*m1, with at most two members;
-* a central factor: one row, its representative.
-
-A row of trace other than +-2 gives its class's key, that trace, and only
-the members of rows of trace +-2 are built and keyed one by one.  A scan
-costs O(q) table lookups per pair.  Per field it caches only a table of
+A scan is a class mask, as a product is, built
+by its own route: the other rows give every trace but +-2
+(``ClassTable.semisimple_mask``, less the trace that a W class misses
+against U; a U first factor's rows add their traces' bits one by one),
+where the closed forms reach that mask by Macbeath's theorem and quadratic
+forms instead; and at the traces +-2, where the kinds differ, the members
+of those rows are built and labelled by ``_class_keys``, while no closed
+form reads a member.  A scan costs O(1) lookups and a few members per
+D or W pair, O(q) per U x U pair.  Per field it caches only a table of
 square roots, besides the class table.
 
 Every value set of a binary quadratic form (the square/non-square mix, the
@@ -105,7 +95,7 @@ from typing import Callable
 from .classes import ClassLabel, _class_keys, _roots_of_one, class_table, irreducible_traces
 from .field import Field
 from .matrices import enumerate_sl2
-from .products import _entries, _product_keys, label_trace, min_product_classes, product_report
+from .products import _entries, _product_keys, min_product_classes, product_report
 
 FORMULA_EXHAUSTIVE_LIMIT = 9
 ODD_VALUE_SET_EXHAUSTIVE_LIMIT = 13
@@ -424,9 +414,9 @@ def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
     return CheckResult(name, q, False, payload, details)
 
 
-def _label_texts(F: Field, keys) -> list[str]:
-    # the labels of a set of keys as sorted text, for a failure payload
-    return sorted(str(e.label) for e in _entries(F, keys))
+def _label_texts(F: Field, mask: int) -> list[str]:
+    # the labels of a class mask as sorted text, for a failure payload
+    return sorted(str(e.label) for e in _entries(F, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -434,90 +424,78 @@ def _label_texts(F: Field, keys) -> list[str]:
 # independent oracle of the closed forms in products.py
 # ---------------------------------------------------------------------------
 
-def _positions(xs: list, x) -> list[int]:
-    # every index of x in xs, found by list.index at C speed
-    out, i = [], -1
-    try:
-        while True:
-            i = xs.index(x, i + 1)
-            out.append(i)
-    except ValueError:
-        return out
+def _line_rows(F: Field, tau0: int, tau1: int, edges) -> list[int]:
+    """The row i of each trace e in ``edges`` on the row line through the
+    traces tau0 and tau1 of the rows 0 and 1: i = (e - tau0)/(tau1 - tau0),
+    the one such row when the slope is nonzero (part ``row_slopes``)."""
+    mul, sub = F._mul, F._sub
+    k = mul[F._inv[sub[tau1][tau0]]]
+    return [k[sub[e][tau0]] for e in edges]
 
 
-def _diagonal_rows(F: Field, t: int, r: int, edges) -> tuple[list, list]:
+def _diagonal_rows(F: Field, t: int, r: int, edges) -> tuple[int, list]:
     """Rows of the D or W class of trace t against B = diag(r, 1/r).
 
-    Conjugating by diag(x, 1/x) fixes B and scales b by x*x, so the members
-    with b in {0, 1, nu} ({0, 1} for even q) meet every orbit of its
-    centralizer.  They fall into rows a = 0 .. q-1: d = t - a, and
-    bc = ad - 1 =: k gives (a, 1, k, d), (a, nu, k/nu, d) and, when k = 0,
-    every (a, 0, c, d).  tr(X*B) = a*r + d/r is the same along a row.
+    Conjugating by diag(x, 1/x) fixes B and scales b by x*x and c by
+    1/(x*x), so the members with b in {1, nu}, or b = 0 and c in {0, 1, nu}
+    ({0, 1} for even q), meet every orbit of its centralizer.  They fall
+    into rows a = 0 .. q-1: d = t - a, and bc = ad - 1 =: k gives
+    (a, 1, k, d), (a, nu, k/nu, d) and, when k = 0, (a, 0, c, d).  The row
+    trace tr(X*B) = a*r + (t - a)/r = a*(r - 1/r) + t/r is a line in a of
+    slope r - 1/r != 0, as r*r != 1: the rows take every trace once.
 
-    Returns the trace of each row and the members of the rows whose trace
-    is in ``edges``.
+    Returns the classes of every row trace but +-2, every D and W class,
+    and the members of the rows whose trace is in ``edges``.
     """
-    q = F.q
     mul, add, sub, inv = F._mul, F._add, F._sub, F._inv
-    mr, mri, st = mul[r], mul[inv[r]], sub[t]
-    taus = [add[mr[a]][mri[st[a]]] for a in range(q)]
+    ri = mul[inv[r]]
     nu = F.least_nonsquare
+    cs = (0, 1) if nu is None else (0, 1, nu)
     members: list[tuple] = []
-    for e in edges:
-        for a in _positions(taus, e):
-            d = st[a]
-            k = sub[mul[a][d]][1]
-            if not k:
-                members += [(a, 0, c, d) for c in range(q)]
-            members.append((a, 1, k, d))
-            if nu is not None:
-                members.append((a, nu, mul[k][inv[nu]], d))
-    return taus, members
+    for a in _line_rows(F, ri[t], add[r][ri[sub[t][1]]], edges):
+        d = sub[t][a]
+        k = sub[mul[a][d]][1]
+        if not k:
+            members += [(a, 0, c, d) for c in cs]
+        members.append((a, 1, k, d))
+        if nu is not None:
+            members.append((a, nu, mul[k][inv[nu]], d))
+    return class_table(F).semisimple_mask, members
 
 
-def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> tuple[list, list]:
+def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> tuple[int, list]:
     """Rows of the class of trace t against B = [[s,u],[0,s]].
 
     Conjugating by [[1,x],[0,1]] fixes B and c, and shifts a by x*c, so the
     members with c = 0 (a an eigenvalue of the class, every b) or with
     a = 0 and c != 0 (b = -1/c) meet every orbit of its centralizer.
-    tr(X*B) = s*t + u*c depends on c alone: each c != 0 is a row of one
-    member, and c = 0 is one row of trace s*t, in which b runs over every
-    element.
+    tr(X*B) = s*t + u*c is a line in c of slope u != 0: each c != 0 is a
+    row of one member, and these take every trace but s*t once; c = 0 is
+    one row of trace s*t, in which b runs over every element, unless the
+    class is W and has no member with c = 0.
 
-    Returns the row traces and the members of a U class ``want`` (all
-    members when None) in the rows whose trace is in ``edges``: the square
-    class of -c, or of b when c = 0, is ``want``.
+    Returns the classes of the row traces other than +-2 and the members
+    in the rows whose trace is in ``edges``; for a U class ``want`` (None
+    otherwise) only those whose square class of -c, or of b when c = 0, is
+    ``want``: half of the rows c, whose traces are read one by one.
     """
     q = F.q
     mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
-    cs = [c for c in range(1, q) if want is None or sq[neg[c]] == want]
-    st, mu = mul[s][t], mul[u]
-    ast = add[st]
-    taus = [ast[mu[c]] for c in cs]
-    members = [(0, neg[inv[cs[i]]], cs[i], t) for e in edges for i in _positions(taus, e)]
-    entry = class_table(F).by_trace[t]
-    if entry.label.kind != "W":
-        taus.append(st)
-        if st in edges:
-            r = entry.rep.a  # an eigenvalue: a D or Z representative is diagonal
-            members += [(a, b, 0, sub[t][a]) for a in sorted({r, inv[r]})
-                        for b in range(q) if want is None or (b and sq[b] == want)]
-    return taus, members
-
-
-def _torus_rows(F: Field, t: int, w: int) -> list[tuple]:
-    """The M = m0*I + m1*B of trace t in K = {xI + yB}, B = [[0,1],[-1,w]]
-    (x**2 - w*x + 1 irreducible): the rows of the non-split torus cut, see
-    :func:`_torus_members`."""
-    q = F.q
-    mul, sub, inv = F._mul, F._sub, F._inv
-    mw = mul[w]
-    if q % 2:
-        half = inv[F._add[1][1]]
-        return [(mul[sub[t][mw[m1]]][half], m1) for m1 in range(q)]
-    m1 = mul[t][inv[w]]
-    return [(m0, m1) for m0 in range(q)]
+    table = class_table(F)
+    st = mul[s][t]
+    members = [(0, neg[inv[c]], c, t) for c in _line_rows(F, st, add[st][u], edges)
+               if c and (want is None or sq[neg[c]] == want)]
+    entry = table.by_trace[t]
+    if want is None:  # every trace, but s*t for a W class
+        rows = table.semisimple_mask & ~(table.trace_bits[st] if entry.label.kind == "W" else 0)
+    else:  # distinct traces have distinct bits, and the traces +-2 have none
+        ast, mu, bits = add[st], mul[u], table.trace_bits
+        rows = sum({bits[ast[mu[c]]] for c in range(1, q) if sq[neg[c]] == want})
+    if st in edges:
+        r = entry.rep.a  # an eigenvalue: a D or Z representative is diagonal
+        members += [(a, b, 0, sub[t][a]) for a in sorted({r, inv[r]})
+                    for b in range(q) if want is None or (b and sq[b] == want)]
+    return rows, members
 
 
 def _square_roots(F: Field) -> list[int]:
@@ -531,10 +509,10 @@ def _square_roots(F: Field) -> list[int]:
 
 
 def _torus_members(F: Field, w: int, rows: list[tuple]) -> list[tuple]:
-    """Determinant-one matrices of the given rows of :func:`_torus_rows`:
-    at least one in every orbit of the centralizer of B = [[0,1],[-1,w]]
-    (x**2 - w*x + 1 irreducible) on the class of trace t, when the rows are
-    all of those of trace t.
+    """Determinant-one matrices of the given rows M = m0*I + m1*B of the
+    non-split torus cut: at least one in every orbit of the centralizer of
+    B = [[0,1],[-1,w]] (x**2 - w*x + 1 irreducible) on the class of trace
+    t, when the rows are all the M = (m0, m1) of trace t.
 
     K = {xI + yB} is a field of order q**2 whose norm is the determinant,
     N(x + yB) = x**2 + w*x*y + y**2, and s = [[1,0],[w,-1]] inverts B by
@@ -598,29 +576,31 @@ def _torus_members(F: Field, w: int, rows: list[tuple]) -> list[tuple]:
     return out
 
 
-def _companion_rows(F: Field, t: int, w: int, edges) -> tuple[list, list]:
-    """Rows of the W class of trace t against B = [[0,1],[-1,w]]: the rows M
-    of :func:`_torus_rows`, one trace w*m0 + (w*w - 2)*m1 each.
+def _companion_rows(F: Field, t: int, w: int, edges) -> tuple[int, list]:
+    """Rows of the W class of trace t against B = [[0,1],[-1,w]]: the M =
+    m0*I + m1*B of trace 2*m0 + w*m1 = t, of row trace w*m0 + (w*w - 2)*m1
+    (:func:`_torus_members`).  For odd q, row m1 has m0 = (t - w*m1)/2 and
+    the trace w*t/2 + m1*(w*w - 4)/2; for even q, m1 = t/w (w != 0, as
+    x*x + 1 is reducible) and row m0 has the trace w*m0 + w*t.  Either is a
+    line of nonzero slope, as w*w - 4 is the discriminant of the
+    irreducible x**2 - w*x + 1: the rows take every trace once.
 
-    Returns the row traces and the members of the rows whose trace is in
-    ``edges``.
+    Returns the classes of every row trace but +-2, every D and W class,
+    and the members of the rows whose trace is in ``edges``.
     """
-    mul, add, sub = F._mul, F._add, F._sub
-    mw = mul[w]
-    rows = _torus_rows(F, t, w)
-    mk = mul[sub[mw[w]][add[1][1]]]
-    taus = [add[mw[m0]][mk[m1]] for m0, m1 in rows]
-    return taus, _torus_members(F, w, [rows[i] for e in edges for i in _positions(taus, e)])
+    mul, add, sub, inv = F._mul, F._add, F._sub, F._inv
+    mw, mk, half, odd = mul[w], mul[sub[mul[w][w]][add[1][1]]], inv[add[1][1]], F.q % 2
+
+    def row(i: int) -> tuple:
+        return (mul[sub[t][mw[i]]][half], i) if odd else (i, mul[t][inv[w]])
+
+    tau0, tau1 = (add[mw[m0]][mk[m1]] for m0, m1 in map(row, (0, 1)))
+    rows = [row(i) for i in _line_rows(F, tau0, tau1, edges)]
+    return class_table(F).semisimple_mask, _torus_members(F, w, rows)
 
 
-def _edge_traces(F: Field) -> list[int]:
-    """The traces 2s, s*s == 1: the only traces that hold more than one
-    class (Z(s) and the U(s, +-)), so the only ones that key no class."""
-    return [F._add[s][s] for s in _roots_of_one(F)]
-
-
-def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of la's and lb's classes, with the
+def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
+    """Class mask of the product of la's and lb's classes, with the
     operands ordered and the first one's class scanned by rows against the
     canonical representative B of the second, as the module docstring sets
     out; the checks and the tests recompute every closed form with it.  Only
@@ -630,19 +610,22 @@ def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     """
     if (la.kind == "U" and lb.kind != "U") or (la.kind, lb.kind) == ("D", "W"):
         la, lb = lb, la
-    b4 = class_table(F).rep(lb)[:4]  # the entries a, b, c, d
-    edges = _edge_traces(F)
-    t = label_trace(F, la)
+    table = class_table(F)
+    b4 = table.rep(lb)[:4]  # the entries a, b, c, d
+    # the traces 2s, s*s == 1: the only ones of more than one class, Z(s)
+    # and the U(s, +-), so the only ones that give no class by themselves
+    edges = [F._add[s][s] for s in _roots_of_one(F)]
+    t = table.entry(la).trace
     if la.kind == "Z" or lb.kind == "Z":
-        taus, members = [], [class_table(F).rep(la)[:4]]
+        rows, members = 0, [table.rep(la)[:4]]
     elif lb.kind == "D":
-        taus, members = _diagonal_rows(F, t, b4[0], edges)
+        rows, members = _diagonal_rows(F, t, b4[0], edges)
     elif lb.kind == "U":
         want = la.square if la.kind == "U" else None
-        taus, members = _upper_rows(F, t, b4[0], b4[1], want, edges)
+        rows, members = _upper_rows(F, t, b4[0], b4[1], want, edges)
     else:
-        taus, members = _companion_rows(F, t, lb.x, edges)
-    return frozenset(set(taus).difference(edges)).union(_class_keys(F, members, b4))
+        rows, members = _companion_rows(F, t, lb.x, edges)
+    return rows | _class_keys(F, members, b4)
 
 
 # ---------------------------------------------------------------------------
@@ -1093,6 +1076,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         raise ValueError("odd-characteristic check requires odd q > 3")
     mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
     table = class_table(F)
+    bits = table.label_bits
     u_labels = [l for l in table.labels() if l.kind == "U"]
     w_labels = [l for l in table.labels() if l.kind == "W"]
     details = {"uu_pairs": 0, "uw_pairs": 0, "ww_pairs": 0,
@@ -1102,9 +1086,10 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         pair = [str(l1), str(l2)]
         keys, scan = _product_keys(F, l1, l2), _scan_keys(F, l1, l2)
         rt = mul[l1.x][l2.x]
-        details["witness_sets_without_nonsquare"] += ClassLabel("U", rt, False) not in keys
-        wit = {k for k in keys if not isinstance(k, int) and k[1] == rt}  # Z(rt), U(rt, +-)
-        if keys != scan or len(wit) < 2:
+        u_minus = bits["U", rt, False]
+        details["witness_sets_without_nonsquare"] += not keys & u_minus
+        wit = keys & (bits["Z", rt, True] | bits["U", rt, True] | u_minus)
+        if keys != scan or wit.bit_count() < 2:
             return _fail(name, q, details, part="upper_upper_witnesses", pair=pair,
                          witnesses=_label_texts(F, wit), found=_label_texts(F, scan))
         if len(ts := {e.trace for e in _entries(F, keys)}) < (q + 1) // 2:
@@ -1113,7 +1098,7 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         details["uu_pairs"] += 1
 
     for l1, l2 in itertools.product(u_labels, w_labels):
-        n = len(_scan_keys(F, l1, l2))
+        n = _scan_keys(F, l1, l2).bit_count()
         if n < q - 1:
             return _fail(name, q, details, part="upper_companion_bound",
                          pair=[str(l1), str(l2)], classes=n)
@@ -1155,7 +1140,8 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
             details["zero_trace_self_pairs_exempt"] += not e
             keys = _class_keys(F, xs, (1, 0, 0, 1))
             if (any(sub[mul[a][d]][mul[b][c]] != 1 for a, b, c, d in xs)
-                    or _class_keys(F, xs, (v, neg1, 1, 0)) != {w} or keys != set(wit)):
+                    or _class_keys(F, xs, (v, neg1, 1, 0)) != table.trace_bits[w]
+                    or keys != sum(map(bits.__getitem__, wit))):
                 return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
                              witnesses=[str(l) for l in wit], products=[list(x) for x in xs],
                              found=_label_texts(F, keys))
@@ -1176,15 +1162,17 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     by the square one against itself otherwise; and exactly 2 for q = 3.
 
     One walk visits every unordered pair of classes in table order, as
-    ``sweep`` visits the noncentral ones, and scans each once.  The pair's closed form is read
-    through products._product_keys, the dispatcher that product_report
-    serves, in both operand orders, and compared with that scan (the
-    product is symmetric); equal sets have equal counts.  A difference
+    ``sweep`` visits the noncentral ones, and scans each once.  The pair's
+    closed form is read through products._product_keys, the dispatcher
+    that product_report serves, in both operand orders, and compared with
+    that scan (the product is symmetric); equal masks have equal counts.  A difference
     fails the part named for the kernel that serves the pair's kinds:
     ``central_pair`` (products._central_keys, a central factor),
     ``semisimple_formula`` (products._semisimple_keys, two D or W classes),
     ``unipotent_formula`` (products._unipotent_keys, a U class against one)
     or ``upper_upper_formula`` (products._upper_upper_keys, two U classes).
+    First the slope of every row line of the scan, which solves each line
+    for its rows of trace +-2 alone, is checked nonzero (part ``row_slopes``).
     The minimum counts only the pairs with a U factor that can attain it
     (its docstring proves which); the least scanned count over the
     noncentral pairs of the walk, with the first pair that has it, must
@@ -1192,8 +1180,18 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     """
     name = "min_class_bounds"
     q = F.q
+    mul, sub, inv = F._mul, F._sub, F._inv
     table = class_table(F)
     details: dict = {}
+
+    # the slope of the scan's row lines against each second factor (none for Z)
+    two = F._add[1][1]
+    for e in table.entries:
+        x = e.label.x
+        slope = {"Z": 1, "D": sub[x][inv[x]], "U": e.rep.b,
+                 "W": mul[sub[mul[x][x]][mul[two][two]]][inv[two]] if q % 2 else x}[e.label.kind]
+        if not slope:
+            return _fail(name, q, details, part="row_slopes", factor=str(e.label))
 
     # every unordered pair in table order, scanned once: the served closed
     # form in both orders against that scan, and the census, the least
@@ -1210,10 +1208,11 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                         if kinds == {"U"} else "unipotent_formula" if "U" in kinds
                         else "semisimple_formula")
                 return _fail(name, q, details, part=part, pair=[str(l) for l in pair],
-                             formula_only=_label_texts(F, formula - scan),
-                             scan_only=_label_texts(F, scan - formula), classes=len(scan))
-        if "Z" not in kinds and len(scan) < census[0]:
-            census = len(scan), (la, lb)
+                             formula_only=_label_texts(F, formula & ~scan),
+                             scan_only=_label_texts(F, scan & ~formula),
+                             classes=scan.bit_count())
+        if "Z" not in kinds and (n := scan.bit_count()) < census[0]:
+            census = n, (la, lb)
 
     min_val, witness = min_product_classes(F)
     details["min_classes"] = min_val

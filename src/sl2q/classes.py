@@ -87,10 +87,11 @@ class ClassTable:
     then D, U, W families, each by ascending code, U(s,+) before U(s,-).
     This is the one class order; reports list their labels in it.
 
-    The per-position tuples ``entry_keys``, ``entry_labels`` and
-    ``entry_traces`` and the set ``semisimple_traces`` are built on first
-    use, by the first product read off the table: building the table and
-    counting products (``min_product_classes``) makes none of them."""
+    Each class's bit is 1 << its position, so a set of classes is an int
+    (see products.py).  The bit lookups are built on first use, and the
+    read-back columns ``entry_labels`` and ``entry_traces`` by the first
+    product read back: building the table and counting products
+    (``min_product_classes``) reads nothing back."""
 
     q: int
     entries: tuple[ClassEntry, ...]
@@ -116,11 +117,20 @@ class ClassTable:
         return out
 
     @cached_property
-    def entry_keys(self) -> tuple:
-        """Each entry's class key, in table order: its trace for a D or W
-        class, its label for a Z or U class (see products.py).  No two
-        entries share a key."""
-        return tuple(e.label if e.label.kind in "ZU" else e.trace for e in self.entries)
+    def label_bits(self) -> dict[ClassLabel, int]:
+        # each label's bit; a (kind, code, flag) tuple equals its label
+        return {e.label: 1 << i for i, e in enumerate(self.entries)}
+
+    @cached_property
+    def trace_bits(self) -> list[int]:
+        """Index t holds the bit of the D or W class of trace t, and 0 at the
+        traces 2s (s*s == 1), which no one class owns."""
+        return [0 if e.label.kind == "Z" else self.label_bits[e.label] for e in self.by_trace]
+
+    @cached_property
+    def semisimple_mask(self) -> int:
+        # the D and W classes, those of every trace but the 2s, s*s == 1
+        return sum(self.trace_bits)
 
     @cached_property
     def entry_labels(self) -> tuple[ClassLabel, ...]:
@@ -129,12 +139,6 @@ class ClassTable:
     @cached_property
     def entry_traces(self) -> tuple[int, ...]:
         return tuple(e.trace for e in self.entries)
-
-    @cached_property
-    def semisimple_traces(self) -> frozenset[int]:
-        """Every trace but the 2s with s*s == 1: the keys of the D and W
-        classes."""
-        return frozenset(e.trace for e in self.entries if e.label.kind in "DW")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -171,21 +175,22 @@ class ClassTable:
         }
 
 
-def _class_keys(F: Field, members: list[tuple], b4: tuple) -> set:
-    """Class keys of every X*B, X over ``members``, without building Mat2
+def _class_keys(F: Field, members: list[tuple], b4: tuple) -> int:
+    """Class mask of every X*B, X over ``members``, without building Mat2
     objects; the one home of the labelling branch.
 
-    A trace other than +-2 fixes its class (D or W) and is its key; a Z or
-    U class is keyed by its label tuple, equal to its ClassLabel.  A
-    repeated-root trace splits on the off-diagonal entries: scalars are
+    A trace other than +-2 fixes its class (D or W), whose bit the table
+    looks up by that trace; a Z or U class's bit is looked up by its label.
+    A repeated-root trace splits on the off-diagonal entries: scalars are
     the center, and otherwise the square class is read from -m21, or from
     m12 when m21 == 0.  Every conjugate of [[s,u],[0,s]] has m12 = u*d*d
     and m21 = -u*c*c, so both entries carry u's square class.
     """
     mul, add, neg, sq = F._mul, F._add, F._neg, F._sq
-    by_trace = class_table(F).by_trace
+    table = class_table(F)
+    by_trace, trace_bits, bits = table.by_trace, table.trace_bits, table.label_bits
     ba, bb, bc, bd = b4
-    out: set = set()
+    out = 0
     for xa, xb, xc, xd in members:
         pa = add[mul[xa][ba]][mul[xb][bc]]
         pb = add[mul[xa][bb]][mul[xb][bd]]
@@ -194,13 +199,13 @@ def _class_keys(F: Field, members: list[tuple], b4: tuple) -> set:
         t = add[pa][pd]
         label = by_trace[t].label
         if label.kind != "Z":
-            out.add(t)
+            out |= trace_bits[t]
         elif pc:
-            out.add(("U", label.x, sq[neg[pc]]))
+            out |= bits["U", label.x, sq[neg[pc]]]
         elif pb:
-            out.add(("U", label.x, sq[pb]))
+            out |= bits["U", label.x, sq[pb]]
         else:
-            out.add(("Z", pa, True))
+            out |= bits["Z", pa, True]
     return out
 
 
@@ -264,10 +269,9 @@ def classify(F: Field, M: Mat2) -> ClassLabel:
     """Canonical label of M's conjugacy class; requires det(M) == 1.
 
     The branch on trace kind is :func:`_class_keys`, applied to M times
-    the identity; a trace key names its D or W class in the table's
-    per-trace index.
+    the identity: its one bit is the table position of M's class.
     """
     if det(F, M) != 1:
         raise ValueError("classify requires determinant 1")
-    (key,) = _class_keys(F, [(M.a, M.b, M.c, M.d)], (1, 0, 0, 1))
-    return class_table(F).by_trace[key].label if isinstance(key, int) else ClassLabel(*key)
+    mask = _class_keys(F, [(M.a, M.b, M.c, M.d)], (1, 0, 0, 1))
+    return class_table(F).entries[mask.bit_length() - 1].label

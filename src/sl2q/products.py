@@ -11,18 +11,20 @@ enumeration for small q).  Every product is computed from the class labels
 with both factors at their canonical representatives, as it is
 class-invariant.
 
-A product is a frozenset of class keys.  A trace other than +-2 fixes its
-class, so it keys every D and W class; a Z or U class is keyed by its label
-tuple, equal to its ClassLabel.  A set's length is its class count, and
-:func:`_mask` is the one place a set is read back into classes: one pass of
-the set's ``__contains__`` over the table's per-position keys
-(``ClassTable.entry_keys``) gives a mask in table order, through which
-``itertools.compress`` reads the labels and traces of the classes hit
-(``ClassTable.entry_labels``, ``entry_traces``).  Every trace but +-2 is one
-frozenset per table (``ClassTable.semisimple_traces``), and the D, W and U
-closed forms return a union or difference of it.  Those columns are built
-on the first product of a table, and each label's text (``ClassLabel``) on
-its first str().
+A product is an int, a mask with one bit per class: bit i is set when
+the class at position i of the class table is in the product, so the
+class count is ``bit_count()`` and two products compare in O(1) words.
+The kernels look every bit up in the table: a D or W class by its trace
+(``ClassTable.trace_bits``), a Z or U class by its label
+(``ClassTable.label_bits``), and every trace but +-2 is one mask per
+table (``ClassTable.semisimple_mask``), which the D, W and U closed forms
+extend or cut.  A mask is read back in one place, :func:`_selectors`: its
+binary text, one byte per table position, selects through
+``itertools.compress`` the labels and traces of the classes hit
+(``ClassTable.entry_labels``, ``entry_traces``).  A bit at or past the
+table's length names no class and raises ``ValueError``, so a report's
+count and its labels always agree.  Each label's text (``ClassLabel``) is
+made on its first str().
 
 No class is enumerated: each pair kind has one closed form, read off the
 labels and traces with its proof in its docstring, and
@@ -38,15 +40,13 @@ The docstrings of :func:`_semisimple_keys` and :func:`_unipotent_keys`
 also count the classes of every noncentral pair with a D or W factor.
 Those counts show that only a pair with a U factor can attain the
 minimum over noncentral pairs (:func:`min_product_classes` proves it),
-so the minimum builds at most 10 U x U sets of O(q), counted by their
-size, and takes each U x W count, q - 1, from the proof, in O(q) per
-field: 0.08 ms at q = 64, 0.2 to 0.3 ms at q = 256, 5 to 6 ms at
-q = 1019 and 1.1 ms at q = 1024 (best of 20 calls, one core, Python
-3.11).  Per field only the
-class table is cached, with the columns above.  The checks in checks.py
-read every closed form through :func:`_product_keys`, as the library
-serves it, and recompute it with a row scan of one factor's class, on
-purpose, so that they check the closed forms rather than trust them.
+so the minimum builds at most 10 U x U masks of O(q), counted by their
+bits, and takes each U x W count, q - 1, from the proof, in O(q) per
+field.  Per field only the class table is cached, with its lookups and
+columns.  The checks in checks.py read every closed form through
+:func:`_product_keys`, as the library serves it, and recompute it with a
+row scan of one factor's class, on purpose, so that they check the closed
+forms rather than trust them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import compress
-from operator import or_
 
 from .classes import ClassEntry, ClassLabel, ClassTable, _roots_of_one, class_table, classify
 from .field import Field
@@ -64,6 +63,8 @@ CSV_HEADER = "q,p,m,a,b,eta,n_traces,elapsed_ms"
 
 # the rank of a kind as the first operand of a closed form: Z, then U, then D or W
 _FIRST = {"Z": 0, "U": 1}
+# a mask's binary digits as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def csv_line(*fields) -> str:
@@ -106,8 +107,8 @@ class ProductReport:
                         self.num_classes, len(self.traces), f"{self.elapsed_ms:.3f}")
 
 
-def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of two noncentral D or W classes, read
+def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
+    """Class mask of the product of two noncentral D or W classes, read
     off their traces in O(q): every trace other than +-2 (every D and W
     class), Z(r) exactly when t_b = r*t_a, and every U(r, +-) unless
     t_b = r*t_a and both are of kind W (r*r == 1).
@@ -143,19 +144,18 @@ def _semisimple_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     """
     table = class_table(F)
     ta, tb = table.entry(la).trace, table.entry(lb).trace
-    squares = (True,) if F.q % 2 == 0 else (True, False)
-    out = []
+    bits, out = table.label_bits, table.semisimple_mask
     for r in _roots_of_one(F):
         inverse = tb == F._mul[r][ta]  # C_b = r*C_a**-1
         if inverse:
-            out.append(ClassLabel("Z", r))
-        if not (inverse and la.kind == "W"):
-            out += (ClassLabel("U", r, s) for s in squares)
-    return table.semisimple_traces.union(out)
+            out |= bits["Z", r, True]
+        if not (inverse and la.kind == "W"):  # U(r, -) exists for odd q only
+            out |= bits["U", r, True] | bits.get(("U", r, False), 0)
+    return out
 
 
-def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of a U class U(r, sigma), taken first, and
+def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
+    """Class mask of the product of a U class U(r, sigma), taken first, and
     a noncentral D or W class of trace t_b, read off the labels in O(q):
     every trace other than +-2, all but r*t_b when the other class is of
     kind W; no Z class; and for each s with s*s == 1 the one class
@@ -199,15 +199,16 @@ def _unipotent_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     table = class_table(F)
     r, tb = la.x, table.entry(lb).trace
     mul, sub, sq, two = F._mul, F._sub, F._sq, F._add[1][1]
-    out = table.semisimple_traces
+    bits, out = table.label_bits, table.semisimple_mask
     if lb.kind == "W":
-        out = out - {mul[r][tb]}
-    return out.union(ClassLabel("U", s, la.square == sq[sub[tb][mul[two][mul[r][s]]]])
-                     for s in _roots_of_one(F))
+        out &= ~table.trace_bits[mul[r][tb]]
+    for s in _roots_of_one(F):
+        out |= bits["U", s, la.square == sq[sub[tb][mul[two][mul[r][s]]]]]
+    return out
 
 
-def _central_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of a central class Z(r), taken first, and a
+def _central_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
+    """Class mask of the product of a central class Z(r), taken first, and a
     class C, read off the labels in O(1): the one class r*C (and C*Z(r) is
     the same class, as :func:`_product_keys` relies on).
 
@@ -217,15 +218,15 @@ def _central_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     U(s, sigma) goes to U(rs, sigma) when r is a square and to
     U(rs, -sigma) otherwise.
     """
-    r, mul = la.x, F._mul
+    table, r, mul = class_table(F), la.x, F._mul
     if lb.kind in ("D", "W"):
-        return frozenset({mul[r][label_trace(F, lb)]})
+        return table.trace_bits[mul[r][table.entry(lb).trace]]
     # a Z label's flag is always +
-    return frozenset({ClassLabel(lb.kind, mul[r][lb.x], lb.kind == "Z" or lb.square == F._sq[r])})
+    return table.label_bits[lb.kind, mul[r][lb.x], lb.kind == "Z" or lb.square == F._sq[r]]
 
 
-def _upper_upper_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
-    """Class keys of the product of two U classes, read off their labels in
+def _upper_upper_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
+    """Class mask of the product of two U classes, read off their labels in
     O(q).  With representatives [[r,u],[0,r]] of la = U(r, sigma) and
     Y = [[s,w],[0,s]] of lb, the product holds:
 
@@ -260,16 +261,19 @@ def _upper_upper_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
     mul, add, sub, neg, sq = F._mul, F._add, F._sub, F._neg, F._sq
     rs = mul[r][s]
     two_rs, uw, rw, su = add[rs][rs], mul[u][w], mul[r][w], mul[s][u]
+    bits = table.label_bits
     squares = [x for x in range(1, F.q) if sq[x]]
-    out: set = {sub[two_rs][mul[uw][x]] for x in squares}
-    if neg[two_rs] in out:  # the trace -2rs keys no class: it is U(-rs, .)
-        out ^= {neg[two_rs], ClassLabel("U", neg[rs], sq[s] == sq[u])}
-    vs = {add[rw][mul[su][x]] for x in squares}
-    out.update(ClassLabel("U", rs, sq[v]) if v else ClassLabel("Z", rs) for v in vs)
-    return frozenset(out)
+    traces = {sub[two_rs][mul[uw][x]] for x in squares}
+    # distinct traces have distinct bits, and the trace -2rs has none
+    out = sum(map(table.trace_bits.__getitem__, traces))
+    if neg[two_rs] in traces:  # so it is the class U(-rs, .)
+        out |= bits["U", neg[rs], sq[s] == sq[u]]
+    for v in {add[rw][mul[su][x]] for x in squares}:
+        out |= bits["U", rs, sq[v]] if v else bits["Z", rs, True]
+    return out
 
 
-def _product_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> frozenset:
+def _product_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
     # the one closed form for the pair's kinds, with the operands ordered
     # once: a Z factor first, else a U factor, as each kernel takes them
     if _FIRST.get(lb.kind, 2) < _FIRST.get(la.kind, 2):
@@ -288,8 +292,8 @@ def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
     if det(F, A) != 1 or det(F, B) != 1:
         raise ValueError("class products are defined for determinant-one matrices")
     table = class_table(F)
-    keys = _product_keys(F, classify(F, A), classify(F, B))
-    return frozenset(compress(table.entry_labels, _mask(table, keys)))
+    mask = _product_keys(F, classify(F, A), classify(F, B))
+    return frozenset(compress(table.entry_labels, _selectors(table, mask)))
 
 
 def label_trace(F: Field, label: ClassLabel) -> int:
@@ -297,28 +301,20 @@ def label_trace(F: Field, label: ClassLabel) -> int:
     return class_table(F).entry(label).trace
 
 
-def _mask(table: ClassTable, keys) -> list[bool]:
-    """For each table entry in order, whether its trace or its label is in
-    ``keys``.
-
-    Entries have distinct keys (``ClassTable.entry_keys``), so when as many
-    entries as keys match their own key, every key is an entry key: then no
-    key is a trace +-2 (which only Z and U entries have) or a D or W label,
-    and the one pass over the entry keys is the whole answer.  Otherwise a
-    key names no class by itself (a set spoiled with a trace +-2, a D or W
-    label or a stray value), and every trace and label is looked up.
-    """
-    mask = list(map(keys.__contains__, table.entry_keys))
-    if mask.count(True) != len(keys):
-        mask = list(map(or_, map(keys.__contains__, table.entry_traces),
-                        map(keys.__contains__, table.entry_labels)))
-    return mask
+def _selectors(table: ClassTable, mask: int) -> bytes:
+    # one byte per table position, 1 where `mask` has its bit, else 0; a
+    # bit at or past the table's length names no class, so it raises
+    n = len(table)
+    if mask >> n:
+        raise ValueError(f"a class mask over GF({table.q}) has a bit at or past "
+                         f"position {n}, its number of classes")
+    return format(mask, f"0{n}b").encode().translate(_DIGIT_BYTES)[::-1]
 
 
-def _entries(F: Field, keys) -> list[ClassEntry]:
-    # the classes of a set of keys in table order
+def _entries(F: Field, mask: int) -> list[ClassEntry]:
+    # the classes of a mask in table order
     table = class_table(F)
-    return list(compress(table.entries, _mask(table, keys)))
+    return list(compress(table.entries, _selectors(table, mask)))
 
 
 def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> ProductReport:
@@ -330,13 +326,13 @@ def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> Produc
     for label in (label_a, label_b):
         table.entry(label)  # raises for a label with no class over GF(q)
     t0 = time.perf_counter()
-    keys = _product_keys(F, label_a, label_b)
+    mask = _product_keys(F, label_a, label_b)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    mask = _mask(table, keys)
-    labels = tuple(compress(table.entry_labels, mask))
-    traces = tuple(sorted(set(compress(table.entry_traces, mask))))
+    selectors = _selectors(table, mask)
+    labels = tuple(compress(table.entry_labels, selectors))
+    traces = tuple(sorted(set(compress(table.entry_traces, selectors))))
     return ProductReport(F.q, F.p, F.m, F.modulus, label_a, label_b,
-                         len(labels), labels, traces, elapsed)
+                         mask.bit_count(), labels, traces, elapsed)
 
 
 def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
@@ -358,11 +354,11 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     Every q >= 2 has a U(1, +) class and at least one W class, so the
     minimum is at most q - 1, and no pair without a U factor, nor a U x D
     pair, reaches it.  So for each U class U_i in table order the loop
-    counts U_i against every U_j, j >= i, by the size of its set, and then
+    counts U_i against every U_j, j >= i, by the bits of its mask, and then
     against the first W class, as q - 1: the surviving pairs in the table
     order of the all-pairs loop.  Every later U_i x W pair counts the same
     q - 1, so none can be a first witness under the strict ``<``.  That is
-    at most 10 U x U sets of O(q) (1 for even q), and no D or W closed
+    at most 10 U x U masks of O(q) (1 for even q), and no D or W closed
     form is built.
     """
     entries = class_table(F).entries
@@ -371,7 +367,7 @@ def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:
     best = None
     for i, la in enumerate(unipotent):
         for lb in (*unipotent[i:], first_w):
-            n = F.q - 1 if lb.kind == "W" else len(_product_keys(F, la, lb))
+            n = F.q - 1 if lb.kind == "W" else _product_keys(F, la, lb).bit_count()
             if best is None or n < best[0]:
                 best = n, (la, lb)
     return best

@@ -9,14 +9,20 @@ member by member.  None of them share logic with the code paths they
 check, with one exception: ``_class_members`` builds, member by member,
 the cuts whose rows the row scan of sl2q.checks walks (the oracle the
 checks hold the closed forms of sl2q.products to), and takes the
-non-split torus members from that scan.  It cuts a U class against every
-kind of second factor, while the scan puts a U factor second and so walks
-a cut filtered by square class only against a U factor.  Those cuts are
+non-split torus members of every row (``_torus_rows``; the scan solves
+for the rows of trace +-2 alone) from that scan.  It cuts a U class
+against every kind of second factor, while the scan puts a U factor
+second and so walks a cut filtered by square class only against a U
+factor.  Those cuts are
 checked against whole orbits (test_class_cuts_meet_every_centralizer_orbit).
 ``pair_count`` counts a pair's classes by the counts that the docstrings
-of the D and W closed forms prove, in O(1), and a U x U pair by the size
+of the D and W closed forms prove, in O(1), and a U x U pair by the bits
 of its scan; ``min_over_all_pairs`` counts every noncentral pair by it,
-not by the library's own sets.
+not by the library's own masks.
+Products and scans are class masks, one bit per table position;
+``mask_keys`` turns a mask into the frozenset of its class keys (the trace
+of a D or W class, the label of a Z or U class) and back, so the oracles
+and the tests that build or spoil a product work on key sets.
 ``field_for`` is the library's own field lookup, re-exported so every test
 reaches a field by q the same way; test_field.py checks it against literal
 values.
@@ -29,11 +35,27 @@ import itertools
 from sl2q.classes import ClassLabel, class_table
 from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
 from sl2q.matrices import Mat2, enumerate_sl2
-from sl2q.checks import _scan_keys, _torus_members, _torus_rows
+from sl2q.checks import _scan_keys, _torus_members
 from sl2q.products import label_trace
 
 
 _KIND_ORDER = {"Z": 0, "D": 1, "U": 2, "W": 3}
+
+
+def mask_keys(F: Field, x):
+    """The frozenset of class keys of the class mask ``x``, or the mask of
+    the set of keys ``x``.  Bit i of a mask is the class at position i of
+    the table; a key is the trace of a D or W class and the label of a Z or
+    U class.  A bit or a key that names no class raises ValueError."""
+    entries = class_table(F).entries
+    keys = [e.trace if e.label.kind in "DW" else e.label for e in entries]
+    if isinstance(x, int):
+        if x < 0 or x >> len(keys):
+            raise ValueError(f"mask {x} has a bit that names no class")
+        return frozenset(k for i, k in enumerate(keys) if x >> i & 1)
+    if not set(x) <= set(keys):
+        raise ValueError(f"keys {set(x) - set(keys)} name no class")
+    return sum(1 << i for i, k in enumerate(keys) if k in x)
 
 
 def label_sort_key(label: ClassLabel) -> tuple[int, int, int]:
@@ -253,7 +275,7 @@ def pair_count(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
     if "Z" in kinds:
         return 1
     if kinds == "UU":
-        return len(_scan_keys(F, la, lb))
+        return _scan_keys(F, la, lb).bit_count()
     if "U" in kinds:
         return q - ("W" in kinds)
     k = 2 if q % 2 else 1
@@ -383,6 +405,19 @@ def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tup
         sq, neg, want = F._sq, F._neg, label.square
         out = [x for x in out if (x[1] or x[2]) and sq[neg[x[2]] if x[2] else x[1]] == want]
     return out
+
+
+def _torus_rows(F: Field, t: int, w: int) -> list[tuple]:
+    # every row (m0, m1) of the non-split torus cut of the class of trace t
+    # against B = [[0,1],[-1,w]]: the M = m0*I + m1*B of trace
+    # 2*m0 + w*m1 = t (checks._torus_members)
+    q = F.q
+    mul, sub, inv = F._mul, F._sub, F._inv
+    if q % 2:
+        half = inv[F._add[1][1]]
+        return [(mul[sub[t][mul[w][m1]]][half], m1) for m1 in range(q)]
+    m1 = mul[t][inv[w]]
+    return [(m0, m1) for m0 in range(q)]
 
 
 def _trace_members(F: Field, t: int, cut: str) -> list[tuple]:

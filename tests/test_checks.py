@@ -591,7 +591,7 @@ def test_semisimple_formula_fault_injection(q, monkeypatch):
     real = products._semisimple_keys
 
     def evil(F, la, lb):
-        return real(F, la, lb) | {ClassLabel("U", 1, True)}
+        return real(F, la, lb) | oracles.mask_keys(F, {ClassLabel("U", 1, True)})
 
     monkeypatch.setattr(products, "_semisimple_keys", evil)
     F = oracles.field_for(q)
@@ -611,8 +611,8 @@ def test_unipotent_formula_fault_injection(q, monkeypatch):
     real = products._unipotent_keys
 
     def evil(F, la, lb):  # a W class's key is its trace
-        return real(F, la, lb) | {e.trace for e in checks.class_table(F).entries
-                                  if e.label.kind == "W"}
+        ws = {e.trace for e in checks.class_table(F).entries if e.label.kind == "W"}
+        return real(F, la, lb) | oracles.mask_keys(F, ws)
 
     monkeypatch.setattr(products, "_unipotent_keys", evil)
     F = oracles.field_for(q)
@@ -634,8 +634,8 @@ def test_served_unipotent_fault_fails_min_class_bounds(monkeypatch):
     real = products._unipotent_keys
 
     def evil(F, la, lb):  # the U class comes first
-        keys = real(F, la, lb)
-        return keys | {F._mul[la.x][lb.x]} if lb.kind == "W" else keys
+        mask = real(F, la, lb)
+        return mask | oracles.mask_keys(F, {F._mul[la.x][lb.x]}) if lb.kind == "W" else mask
 
     monkeypatch.setattr(products, "_unipotent_keys", evil)
     F = oracles.field_for(7)
@@ -700,8 +700,8 @@ def test_upper_upper_formula_fault_injection(q, fault, formula_only, scan_only, 
     # first U x U pair, U(1,+) with itself, before the minimum, which reads
     # the same kernel, is compared
     real, spoil = products._upper_upper_keys, UPPER_UPPER_FAULTS[fault]
-    monkeypatch.setattr(products, "_upper_upper_keys",
-                        lambda F, la, lb: spoil(F, la, lb, real(F, la, lb)))
+    monkeypatch.setattr(products, "_upper_upper_keys", lambda F, la, lb: oracles.mask_keys(
+        F, spoil(F, la, lb, oracles.mask_keys(F, real(F, la, lb)))))
     r = check_min_class_bounds(oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == {"part": "upper_upper_formula", "pair": ["U(1,+)", "U(1,+)"],
@@ -733,8 +733,8 @@ ROW_KERNELS = {
     pytest.param(25, 0, ["W(7)", "W(7)"], ["D(2)"], 26, id="25-0-pair11-missing11-26"),
 ])
 def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monkeypatch):
-    # a row kernel loses every row of one trace other than +-2 (0 is the
-    # edge trace for even q, so those drop 1): min_class_bounds, which
+    # a row kernel loses the class of one row trace other than +-2 (0 is
+    # the edge trace for even q, so those drop 1): min_class_bounds, which
     # compares every pair with a D or W factor with its closed form, must
     # fail at the first pair that kernel scans, with that trace's class as
     # formula_only; count is the closed form's class count, one more than
@@ -743,14 +743,36 @@ def test_dropped_scan_row_fault_injection(q, dropped, pair, missing, count, monk
     real = getattr(checks, kernel)
 
     def evil(F, t, *args):
-        taus, members = real(F, t, *args)
-        return [tau for tau in taus if tau != dropped], members
+        rows, members = real(F, t, *args)
+        return rows & ~oracles.mask_keys(F, {dropped}), members
 
     monkeypatch.setattr(checks, kernel, evil)
     r = check_min_class_bounds(oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == {"part": part, "pair": pair,
                                 "formula_only": missing, "scan_only": [], "classes": count - 1}
+
+
+@pytest.mark.parametrize("q,pair,formula_only,classes", [
+    pytest.param(7, ["D(2)", "D(2)"], ["U(1,+)", "U(1,-)", "U(6,+)", "U(6,-)", "Z(1)"], 5, id="7"),
+    pytest.param(8, ["D(2)", "D(2)"], ["U(1,+)", "Z(1)"], 7, id="8"),
+    pytest.param(9, ["D(3)", "D(3)"], ["U(1,+)", "U(1,-)", "U(2,+)", "U(2,-)", "Z(1)", "Z(2)"], 7,
+                 id="9"),
+    pytest.param(25, ["D(2)", "D(2)"], ["U(1,+)", "U(1,-)", "U(4,+)", "U(4,-)", "Z(1)", "Z(4)"],
+                 23, id="25"),
+])
+def test_spoiled_row_node_fault_injection(q, pair, formula_only, classes, monkeypatch):
+    # every row line's node 1 (the row trace at index 1) moved by 1: the
+    # rows solved for the traces +-2 are then other rows, so the first D x D
+    # scan loses the Z and U classes that the closed form has
+    real = checks._line_rows
+    monkeypatch.setattr(checks, "_line_rows",
+                        lambda F, tau0, tau1, edges: real(F, tau0, F._add[tau1][1], edges))
+    r = check_min_class_bounds(oracles.field_for(q))
+    assert not r.passed
+    assert r.counterexample == {"part": "semisimple_formula", "pair": pair,
+                                "formula_only": formula_only, "scan_only": [],
+                                "classes": classes}
 
 
 # the witness-family checks: a conjugate with one entry moved by 1 (entry k
@@ -1057,7 +1079,8 @@ SCAN_FAULTS = {
                           True),
     "drop_traces": ("UU", lambda F, lb, keys: frozenset(k for k in keys if not isinstance(k, int)),
                     True),
-    "q_minus_2_classes": ("UW", lambda F, lb, keys: frozenset(range(F.q - 2)), False),
+    "q_minus_2_classes": ("UW", lambda F, lb, keys: oracles.mask_keys(F, (1 << F.q - 2) - 1),
+                          False),
     "add_w": ("UW", lambda F, lb, keys: keys | {lb.x}, False),
 }
 
@@ -1104,14 +1127,17 @@ def test_char_bounds_scan_fault_injection(check, q, fault, payload, monkeypatch)
     kinds, spoil, kernel_too = SCAN_FAULTS[fault]
     real, real_kernel = checks._scan_keys, products._upper_upper_keys
 
+    def spoiled(F, lb, mask):
+        return oracles.mask_keys(F, spoil(F, lb, oracles.mask_keys(F, mask)))
+
     def evil(F, la, lb):
-        keys = real(F, la, lb)
-        return spoil(F, lb, keys) if la.kind + lb.kind == kinds else keys
+        mask = real(F, la, lb)
+        return spoiled(F, lb, mask) if la.kind + lb.kind == kinds else mask
 
     monkeypatch.setattr(checks, "_scan_keys", evil)
     if kernel_too:
         monkeypatch.setattr(products, "_upper_upper_keys",
-                            lambda F, la, lb: spoil(F, lb, real_kernel(F, la, lb)))
+                            lambda F, la, lb: spoiled(F, lb, real_kernel(F, la, lb)))
     r = ALL_CHECKS[check](oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == payload
@@ -1148,8 +1174,8 @@ WITNESS_FAULTS = {
 def test_companion_witness_fault_injection(q, fault, pair, witnesses, products_, found,
                                            monkeypatch):
     real, spoil = checks._class_keys, WITNESS_FAULTS[fault]
-    monkeypatch.setattr(checks, "_class_keys",
-                        lambda F, xs, b4: spoil(F, xs, b4, real(F, xs, b4)))
+    monkeypatch.setattr(checks, "_class_keys", lambda F, xs, b4: oracles.mask_keys(
+        F, spoil(F, xs, b4, oracles.mask_keys(F, real(F, xs, b4)))))
     r = check_odd_char_bounds(oracles.field_for(q))
     assert not r.passed
     assert r.counterexample == {"part": "companion_companion_witnesses", "pair": pair,
@@ -1220,7 +1246,9 @@ CHECK_DIGESTS = json.loads((Path(__file__).parent / "check_digests.json").read_t
 # from its q traces per pair, before the closed-form witnesses and the
 # two-member lines; both char_bounds checks' at the largest fields, and
 # split's there, from their q traces per W x W pair and their inline affine
-# line, before the one family reader and the three-member quadratics
+# line, before the one family reader and the three-member quadratics;
+# min_class_bounds' from its scans of all q row traces per pair, before the
+# rows of trace +-2 were solved off two nodes and products became bitsets
 LARGE_Q_DIGESTS = {
     (257, "value_set_counts"): "af44f252892654c757b5b0b7dbaa2743cf50f1bfc9e1f3c79c124ac39cbb89c2",
     (509, "value_set_counts"): "5a9b81732b6449ee1bc8bc58a1b1736e46d21b24b5f9131bed13f5f5c11b13a7",
@@ -1233,6 +1261,9 @@ LARGE_Q_DIGESTS = {
     (1019, "odd_char_bounds"): "60957aa02a5cd57e3ad7fe6e2d11db2def3ac49a546a2d3e1c423af288a8a86a",
     (1024, "even_char_bounds"): "5e50d23c41cd60ff9abb2ba5a29179040d1213fb94e890dd1710635dcc8c9975",
     (1019, "split_trace_coverage"): "414cce6bee951739918771d0f21eb5705dd89a791afbc9d01f7664f5ff5f7cdb",
+    (257, "min_class_bounds"): "58d35a109d024e656bd7b49b27c638eeaad97616b22aff909bb2874072e5ca2d",
+    (509, "min_class_bounds"): "9dcc89e8399f5c0ba8e3f7b3252c78f266d9c68532f3164d5b74d7452254380b",
+    (512, "min_class_bounds"): "76524b1ce341fa01fd61b0612987b7d7d794bb96fe3ec6fcac16f4aad541f058",
 }
 
 

@@ -52,8 +52,9 @@ def test_table_order_and_traces(q):
     # and each entry's trace is its representative's; the per-trace index
     # holds each D or W entry at its trace and Z(s) at 2s, so the W traces
     # are the irreducible ones.  Its per-position columns are the entries'
-    # keys, labels and traces, no two entries share a key, and each label's
-    # text is the one formatted afresh and parses back to the label
+    # labels and traces, each class's bit is 1 << its position, looked up
+    # by label or, for a D or W class, by trace, and each label's text is
+    # the one formatted afresh and parses back to the label
     F = oracles.field_for(q)
     table = class_table(F)
     assert table.labels() == sorted(table.labels(), key=oracles.label_sort_key)
@@ -63,11 +64,11 @@ def test_table_order_and_traces(q):
         assert ClassLabel.parse(str(e.label)) == e.label
     assert table.entry_labels == tuple(table.labels())
     assert table.entry_traces == tuple(e.trace for e in table.entries)
-    assert table.entry_keys == tuple(e.label if e.label.kind in "ZU" else e.trace
-                                     for e in table.entries)
-    assert len(set(table.entry_keys)) == len(table)
+    assert table.label_bits == {e.label: 1 << i for i, e in enumerate(table.entries)}
     edges = {e.trace for e in table.entries if e.label.kind in "ZU"}
-    assert table.semisimple_traces == set(range(q)) - edges
+    assert table.trace_bits == [0 if t in edges else table.label_bits[table.by_trace[t].label]
+                                for t in range(q)]
+    assert oracles.mask_keys(F, table.semisimple_mask) == set(range(q)) - edges
     by_trace = table.by_trace
     assert len(by_trace) == q
     for e in table.entries:

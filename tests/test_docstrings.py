@@ -188,6 +188,10 @@ UNREACHABLE_PARTS = {
     ("even_char_bounds", "upper_upper_traces"):
         "squaring is a bijection of GF(2^m), so the q traces i*i that "
         "upper_upper_family has pinned are all of GF(q)",
+    ("min_class_bounds", "row_slopes"):
+        "each slope is nonzero by the class it is read off: r - 1/r as r*r != 1 "
+        "for a D class, w*w - 4 (and w for even q) as x*x - w*x + 1 is "
+        "irreducible for a W class, and u != 0 for a U representative",
     ("odd_char_bounds", "companion_companion_traces"):
         "checked once per field: an odd field has (q + 1)/2 squares, 0 among "
         "them, and -4 is a non-square where W(0) exists, as x*x + 1 is then "

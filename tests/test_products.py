@@ -85,24 +85,21 @@ def test_products_match_fixed_factor_oracle(q):
     # every ordered pair, central classes included: the centralizer cuts
     # must lose no class and no trace of the actual products, both through
     # the library (a closed form for every pair kind) and through the scan
-    # that the checks use for every pair.  Both give class keys: the trace of a
-    # class of trace other than +-2, the label of a Z or U class
+    # that the checks use for every pair.  Both give class masks, whose
+    # every bit names a class (mask_keys raises otherwise)
     F = oracles.field_for(q)
     table = class_table(F)
-    edges = {e.trace for e in table.entries if e.label.kind in "ZU"}
-    edge_labels = {e.label for e in table.entries if e.label.kind in "ZU"}
     for ea in table.entries:
         orbit = oracles.bfs_orbit(F, ea.rep)
         for eb in table.entries:
             labels, traces = oracles.fixed_factor_product(F, orbit, eb.rep)
             assert class_product_labels(F, ea.rep, eb.rep) == labels, (ea.label, eb.label)
-            for keys in (_scan_keys(F, ea.label, eb.label), _product_keys(F, ea.label, eb.label)):
-                ints = {k for k in keys if isinstance(k, int)}
-                assert not ints & edges and keys - ints <= edge_labels, (ea.label, eb.label)
-                entries = _entries(F, keys)
-                assert entries == filter_entries(table, keys), (ea.label, eb.label)
-                assert len(entries) == len(keys), (ea.label, eb.label)
-                assert {e.label for e in entries} == labels, (ea.label, eb.label)
+            pair = (ea.label, eb.label)
+            for mask in (_scan_keys(F, *pair), _product_keys(F, *pair)):
+                entries = _entries(F, mask)
+                assert entries == filter_entries(table, oracles.mask_keys(F, mask)), pair
+                assert len(entries) == mask.bit_count(), pair
+                assert {e.label for e in entries} == labels, pair
             report = product_report(F, ea.label, eb.label)
             ordered = tuple(sorted(labels, key=oracles.label_sort_key))
             assert report.labels == ordered, (ea.label, eb.label)
@@ -115,11 +112,11 @@ TIER1_SCAN_QMAX = 49
 
 
 def assert_formula_matches_scan(F, kernel, pairs):
-    # the key set, and the count that the kernels' docstrings prove
+    # the class mask, and the count that the kernels' docstrings prove
     # (oracles.pair_count), on which min_product_classes' shortcut rests.
     # pair_count counts a U x U pair by its scan, so such a pair's count is
     # compared with the fixed-factor oracle over its orbit instead, up to
-    # TIER1_SCAN_QMAX; above that, its key set alone
+    # TIER1_SCAN_QMAX; above that, its mask alone
     table = class_table(F)
     for la, lb in pairs:
         scan = _scan_keys(F, la, lb)
@@ -128,9 +125,9 @@ def assert_formula_matches_scan(F, kernel, pairs):
             if F.q <= TIER1_SCAN_QMAX:
                 orbit = oracles.bfs_orbit(F, table.rep(la))
                 labels, _ = oracles.fixed_factor_product(F, orbit, table.rep(lb))
-                assert len(labels) == len(scan), (F.q, la, lb)
+                assert len(labels) == scan.bit_count(), (F.q, la, lb)
         else:
-            assert oracles.pair_count(F, la, lb) == len(scan), (F.q, la, lb)
+            assert oracles.pair_count(F, la, lb) == scan.bit_count(), (F.q, la, lb)
 
 
 def semisimple_pairs(F):
@@ -269,7 +266,7 @@ def test_min_matches_scan_of_every_pair(q):
     best = None
     for i, la in enumerate(labels):
         for lb in labels[i:]:
-            n = len(_scan_keys(F, la, lb))
+            n = _scan_keys(F, la, lb).bit_count()
             if best is None or n < best[0]:
                 best = (n, (la, lb))
     assert min_product_classes(F) == best
@@ -415,40 +412,47 @@ def test_min_product_classes(q, expected):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25])
 def test_entries_exact_for_spoiled_keys(q, monkeypatch):
-    # a key set spoiled with a trace +-2, a D or W label (its trace in the
-    # set or not) or a stray value selects what the reference filter
-    # selects, through _entries (the checks' failure payloads) and through
-    # the product readers
+    # a product mask with bits in range added or cleared selects exactly
+    # the classes of its bits, through _entries (the checks' failure
+    # payloads) and through the product readers, whose count is then the
+    # number of labels; a bit at or past the class count, or a negative
+    # mask, raises in each of them
     F = oracles.field_for(q)
     table = class_table(F)
-    edges = sorted({e.trace for e in table.entries if e.label.kind in "ZU"})
-    semisimple = [e.label for e in table.entries if e.label.kind in "DW"]
-    strays = [q, q + 7, -1, None, "junk", ClassLabel("D", 5000), ClassLabel("W", q)]
+    n = len(table)
     rng = random.Random(q)
     labels = table.labels()
     for _ in range(12):
         la, lb = rng.choice(labels), rng.choice(labels)
-        keys = _product_keys(F, la, lb)
-        kept = set(rng.sample(sorted(keys, key=str), len(keys) // 2))
-        spoilers = [*edges, rng.choice(semisimple), rng.choice(semisimple), *strays]
-        spoiled = [keys | {x} for x in spoilers] + [kept | set(rng.sample(spoilers, 3)),
-                                                    set(strays), set()]
+        mask = _product_keys(F, la, lb)
+        spoiled = [mask | 1 << rng.randrange(n), mask & rng.getrandbits(n),
+                   rng.getrandbits(n), (1 << n) - 1, 0]
         for bad in spoiled:
-            expected = filter_entries(table, bad)
-            assert _entries(F, bad) == expected, (la, lb, bad - keys)
-            monkeypatch.setattr(products, "_product_keys", lambda *_: frozenset(bad))
+            expected = filter_entries(table, oracles.mask_keys(F, bad))
+            assert _entries(F, bad) == expected, (la, lb, bad ^ mask)
+            monkeypatch.setattr(products, "_product_keys", lambda *_: bad)
             assert class_product_labels(F, table.rep(la), table.rep(lb)) == {
                 e.label for e in expected}
             report = product_report(F, la, lb)
             assert report.labels == tuple(e.label for e in expected)
             assert report.traces == tuple(sorted({e.trace for e in expected}))
+            assert report.num_classes == len(expected)
+            monkeypatch.undo()
+        for stray in (mask | 1 << n, mask | 1 << n + rng.randrange(1, 64), -1, ~mask):
+            with pytest.raises(ValueError, match="past position"):
+                _entries(F, stray)
+            monkeypatch.setattr(products, "_product_keys", lambda *_: stray)
+            with pytest.raises(ValueError, match="past position"):
+                class_product_labels(F, table.rep(la), table.rep(lb))
+            with pytest.raises(ValueError, match="past position"):
+                product_report(F, la, lb)
             monkeypatch.undo()
 
 
 @pytest.mark.parametrize("q", [*prime_powers_up_to(16), 121, 125, 128, 169])
 def test_report_matches_reference(q):
-    # labels, traces and count against the reference filter over the same
-    # keys: every ordered pair up to q = 16, 200 seeded pairs on the larger
+    # labels, traces and count against the reference filter over the
+    # mask's keys: every ordered pair up to q = 16, 200 seeded pairs on the larger
     # fields
     F = oracles.field_for(q)
     table = class_table(F)
@@ -459,7 +463,7 @@ def test_report_matches_reference(q):
         rng = random.Random(q)
         pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(200)]
     for la, lb in pairs:
-        hits = filter_entries(table, _product_keys(F, la, lb))
+        hits = filter_entries(table, oracles.mask_keys(F, _product_keys(F, la, lb)))
         report = product_report(F, la, lb)
         assert report.labels == tuple(e.label for e in hits), (la, lb)
         assert report.traces == tuple(sorted({e.trace for e in hits})), (la, lb)
@@ -469,11 +473,12 @@ def test_report_matches_reference(q):
 @pytest.mark.parametrize("p, m", [(2, 4), (5, 2)])
 def test_class_table_alone_builds_no_report_columns(p, m):
     # building a table and counting products, all that field_tables and
-    # min_sweep do, pay for none of the per-position data a report reads
+    # min_sweep do, pay for none of the label and trace columns that a
+    # report reads back
     F = make_field.__wrapped__(p, m)  # a fresh field, not the cached one
     table = class_table(F)
     min_product_classes(F)
-    report_data = {"entry_keys", "entry_labels", "entry_traces", "semisimple_traces"}
+    report_data = {"entry_labels", "entry_traces"}
     assert not report_data & vars(table).keys()
     nc = table.noncentral_labels()
     product_report(F, nc[0], nc[-1])
