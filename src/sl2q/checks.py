@@ -47,24 +47,25 @@ representative B, and the cut falls into rows that share their trace
 against B.  That trace is affine in the row index, with a slope that each
 row kernel's docstring proves nonzero and min_class_bounds checks once per
 field (part ``row_slopes``): r - 1/r against diag(r, 1/r), for D x D and
-W x D, rows a; u against [[s,u],[0,s]], for D x U, W x U and U x U, rows c
-(only here is the first factor a U class, whose cut keeps one square
-class); (w*w - 4)/2, or w for even q, against [[0,1],[-1,w]], for W x W,
-rows M = m0*I + m1*B in the field {xI + yB}.  A central factor gives one
-row, its representative.  So the rows take every trace once, and
-``_line_rows`` reads each line off its rows 0 and 1 and solves for the
-rows of trace +-2 alone.
+W x D, rows a; u against [[s,u],[0,s]], for D x U and W x U, rows c;
+(w*w - 4)/2, or w for even q, against [[0,1],[-1,w]], for W x W, rows
+M = m0*I + m1*B in the field {xI + yB}.  So the rows take every trace
+once, and ``_line_rows`` reads each line off its rows 0 and 1 and solves
+for the rows of trace +-2 alone.  A central factor gives one member, its
+representative.  A U x U pair reads no rows: its first factor's cut
+against [[s,u],[0,s]] (c = 0, or a = 0) keeps one square class, and every
+member of it is labelled.
 
-A scan is a class mask, as a product is, built
-by its own route: the other rows give every trace but +-2
-(``ClassTable.semisimple_mask``, less the trace that a W class misses
-against U; a U first factor's rows add their traces' bits one by one),
-where the closed forms reach that mask by Macbeath's theorem and quadratic
-forms instead; and at the traces +-2, where the kinds differ, the members
-of those rows are built and labelled by ``_class_keys``, while no closed
-form reads a member.  A scan costs O(1) lookups and a few members per
-D or W pair, O(q) per U x U pair.  Per field it caches only a table of
-square roots, besides the class table.
+A scan is a class mask, as a product is, built by its own route: the
+other rows give every trace but +-2 (``ClassTable.semisimple_mask``, less
+the trace that a W class misses against U), where the closed forms reach
+that mask by Macbeath's theorem and quadratic forms instead; and at the
+traces +-2, where the kinds differ, the members of those rows are built
+and labelled by ``_class_keys``, while no closed form reads a member.
+A scan costs O(1) lookups and a few members per D or W pair, and q - 1
+members (2(q - 1) for even q) per U x U pair, of which a field has at
+most 10.  Per field it caches only a table of square roots, besides the
+class table.
 
 Every value set of a binary quadratic form (the square/non-square mix, the
 two-variable trace image and the norm forms) is read off one point per
@@ -463,8 +464,8 @@ def _diagonal_rows(F: Field, t: int, r: int, edges) -> tuple[int, list]:
     return class_table(F).semisimple_mask, members
 
 
-def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> tuple[int, list]:
-    """Rows of the class of trace t against B = [[s,u],[0,s]].
+def _upper_rows(F: Field, t: int, s: int, u: int, edges) -> tuple[int, list]:
+    """Rows of the D or W class of trace t against B = [[s,u],[0,s]].
 
     Conjugating by [[1,x],[0,1]] fixes B and c, and shifts a by x*c, so the
     members with c = 0 (a an eigenvalue of the class, every b) or with
@@ -472,30 +473,19 @@ def _upper_rows(F: Field, t: int, s: int, u: int, want: bool | None, edges) -> t
     tr(X*B) = s*t + u*c is a line in c of slope u != 0: each c != 0 is a
     row of one member, and these take every trace but s*t once; c = 0 is
     one row of trace s*t, in which b runs over every element, unless the
-    class is W and has no member with c = 0.
+    class is W and has no member with c = 0.  As t is not +-2 and s*s == 1,
+    s*t is not +-2 either, so every row of trace +-2 has c != 0.
 
     Returns the classes of the row traces other than +-2 and the members
-    in the rows whose trace is in ``edges``; for a U class ``want`` (None
-    otherwise) only those whose square class of -c, or of b when c = 0, is
-    ``want``: half of the rows c, whose traces are read one by one.
+    in the rows whose trace is in ``edges``.
     """
-    q = F.q
-    mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
+    mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
     table = class_table(F)
     st = mul[s][t]
-    members = [(0, neg[inv[c]], c, t) for c in _line_rows(F, st, add[st][u], edges)
-               if c and (want is None or sq[neg[c]] == want)]
-    entry = table.by_trace[t]
-    if want is None:  # every trace, but s*t for a W class
-        rows = table.semisimple_mask & ~(table.trace_bits[st] if entry.label.kind == "W" else 0)
-    else:  # distinct traces have distinct bits, and the traces +-2 have none
-        ast, mu, bits = add[st], mul[u], table.trace_bits
-        rows = sum({bits[ast[mu[c]]] for c in range(1, q) if sq[neg[c]] == want})
-    if st in edges:
-        r = entry.rep.a  # an eigenvalue: a D or Z representative is diagonal
-        members += [(a, b, 0, sub[t][a]) for a in sorted({r, inv[r]})
-                    for b in range(q) if want is None or (b and sq[b] == want)]
-    return rows, members
+    members = [(0, neg[inv[c]], c, t) for c in _line_rows(F, st, add[st][u], edges)]
+    # every trace, but s*t for a W class
+    w_miss = table.trace_bits[st] if table.by_trace[t].label.kind == "W" else 0
+    return table.semisimple_mask & ~w_miss, members
 
 
 def _square_roots(F: Field) -> list[int]:
@@ -605,8 +595,10 @@ def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
     canonical representative B of the second, as the module docstring sets
     out; the checks and the tests recompute every closed form with it.  Only
     the members of rows of trace +-2 are keyed one by one, by
-    :func:`_class_keys`; a central factor gives one member, the
-    representative of the first factor's class.
+    :func:`_class_keys`, but a U x U pair keys its first factor's whole
+    cut against [[s,u],[0,s]]: the members (0, -1/c, c, t) and (r, b, 0, r)
+    whose -c, or b, is in the class's square class.  A central factor gives
+    one member, the representative of the first factor's class.
     """
     if (la.kind == "U" and lb.kind != "U") or (la.kind, lb.kind) == ("D", "W"):
         la, lb = lb, la
@@ -618,11 +610,14 @@ def _scan_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
     t = table.entry(la).trace
     if la.kind == "Z" or lb.kind == "Z":
         rows, members = 0, [table.rep(la)[:4]]
+    elif la.kind == "U":  # so lb is U too
+        r, sq, neg, inv, want = la.x, F._sq, F._neg, F._inv, la.square
+        rows, members = 0, [(r, b, 0, r) for b in range(1, F.q) if sq[b] == want]
+        members += [(0, neg[inv[c]], c, t) for c in range(1, F.q) if sq[neg[c]] == want]
     elif lb.kind == "D":
         rows, members = _diagonal_rows(F, t, b4[0], edges)
     elif lb.kind == "U":
-        want = la.square if la.kind == "U" else None
-        rows, members = _upper_rows(F, t, b4[0], b4[1], want, edges)
+        rows, members = _upper_rows(F, t, b4[0], b4[1], edges)
     else:
         rows, members = _companion_rows(F, t, lb.x, edges)
     return rows | _class_keys(F, members, b4)

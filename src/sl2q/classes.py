@@ -103,10 +103,6 @@ class ClassTable:
                              f"{sl2_order(self.q)} of SL(2, {self.q})")
 
     @cached_property
-    def _by_label(self) -> dict[ClassLabel, ClassEntry]:
-        return {e.label: e for e in self.entries}
-
-    @cached_property
     def by_trace(self) -> list[ClassEntry]:
         """Index t holds the one D or W entry of trace t, or Z(s)'s entry at
         the trace 2s (s*s == 1) that Z(s) shares with the U(s, +-)."""
@@ -144,8 +140,8 @@ class ClassTable:
         return len(self.entries)
 
     def entry(self, label: ClassLabel) -> ClassEntry:
-        try:
-            return self._by_label[label]
+        try:  # the one set bit of the class is its position, as in classify
+            return self.entries[self.label_bits[label].bit_length() - 1]
         except KeyError:
             raise ValueError(f"no conjugacy class {label} over GF({self.q})") from None
 
@@ -209,9 +205,10 @@ def _class_keys(F: Field, members: list[tuple], b4: tuple) -> int:
     return out
 
 
-def _roots_of_one(F: Field) -> list[int]:
-    """Ascending r with r*r == 1: just 1 for even q, else 1 and -1."""
-    return [1] if F.q % 2 == 0 else sorted({1, F._neg[1]})
+def _roots_of_one(F: Field) -> tuple[int, ...]:
+    """Ascending r with r*r == 1: just 1 for even q, else 1 and -1, whose
+    code p - 1 exceeds 1 for odd p."""
+    return (1,) if F.q % 2 == 0 else (1, F._neg[1])
 
 
 def irreducible_traces(F: Field) -> list[int]:

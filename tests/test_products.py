@@ -226,10 +226,10 @@ def test_central_formula_matches_scan(q):
 
 @pytest.mark.parametrize("q", [8, 9])
 def test_scan_orders_each_pair_once(q, monkeypatch):
-    # every ordered noncentral pair reaches one row kernel, with its
-    # operands ordered at the top of the scan: the torus cut serves W x W
-    # alone, the D cut never gets a U first factor (trace +-2), and the U
-    # cut filters by square class only for U x U
+    # every ordered noncentral pair but U x U reaches one row kernel, with
+    # its operands ordered at the top of the scan: the torus cut serves
+    # W x W alone, and the D and U cuts never get a U first factor (trace
+    # +-2); a U x U pair labels its whole cut and reaches no row kernel
     calls = []
     for name in ("_diagonal_rows", "_upper_rows", "_companion_rows"):
         def recording(F, t, *args, name=name, real=getattr(checks, name)):
@@ -245,16 +245,38 @@ def test_scan_orders_each_pair_once(q, monkeypatch):
         for lb in labels:
             calls.clear()
             _scan_keys(F, la, lb)
-            [(name, t, args)] = calls
             kinds = {la.kind, lb.kind}
+            if kinds == {"U"}:
+                assert calls == [], (la, lb)
+                continue
+            [(name, t, _)] = calls
+            assert t not in edges, (la, lb)
             if name == "_companion_rows":
                 assert kinds == {"W"}, (la, lb)
-            if name == "_diagonal_rows":
-                assert t not in edges, (la, lb)
-            if name == "_upper_rows":  # args: s, u, want, edges
-                assert (args[2] is not None) == (kinds == {"U"}), (la, lb)
             seen.add(name)
     assert seen == {"_diagonal_rows", "_upper_rows", "_companion_rows"}
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 25, 27])
+def test_upper_upper_scan_labels_whole_cut(q, monkeypatch):
+    # a U x U scan labels every member of its first factor's cut against
+    # the second, q - 1 of them for odd q and 2(q - 1) for even q, not
+    # only the rows of trace +-2
+    labelled = []
+
+    def spy(F, members, b4, real=checks._class_keys):
+        labelled.extend(members)
+        return real(F, members, b4)
+
+    monkeypatch.setattr(checks, "_class_keys", spy)
+    F = oracles.field_for(q)
+    uppers = [l for l in class_table(F).labels() if l.kind == "U"]
+    for la in uppers:
+        for lb in uppers:
+            labelled.clear()
+            _scan_keys(F, la, lb)
+            assert len(labelled) == (q - 1 if q % 2 else 2 * (q - 1)), (la, lb)
+            assert set(labelled) == set(oracles._class_members(F, la, lb)), (la, lb)
 
 
 @pytest.mark.parametrize("q", prime_powers_up_to(49))
