@@ -93,10 +93,10 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
-from .classes import ClassLabel, _class_keys, _roots_of_one, class_table, irreducible_traces
+from .classes import ClassLabel, _class_keys, _roots_of_one, class_table
 from .field import Field
 from .matrices import enumerate_sl2
-from .products import _entries, _product_keys, min_product_classes, product_report
+from .products import _product_keys, min_product_classes, product_report
 
 FORMULA_EXHAUSTIVE_LIMIT = 9
 ODD_VALUE_SET_EXHAUSTIVE_LIMIT = 13
@@ -417,7 +417,8 @@ def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
 
 def _label_texts(F: Field, mask: int) -> list[str]:
     # the labels of a class mask as sorted text, for a failure payload
-    return sorted(str(e.label) for e in _entries(F, mask))
+    table = class_table(F)
+    return sorted(map(str, itertools.compress(table.entry_labels, table.select(mask))))
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +964,8 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     if q % 2:
         raise ValueError("even-characteristic check requires even q")
     mul, add, inv = F._mul, F._add, F._inv
-    w_labels = [l for l in class_table(F).labels() if l.kind == "W"]
+    table = class_table(F)
+    w_labels = [l for l in table.labels() if l.kind == "W"]
     details = {"irreducible_classes": len(w_labels), "pairs": 0}
     full = frozenset(range(q))
     u4 = (1, 1, 0, 1)
@@ -987,7 +989,8 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if (n := _agreeing(got, want)) < q - 1:
             return _fail(name, q, details, part="upper_companion_family",
                          w=w, i=n + 1, expected=want[n], direct=got[n])
-        ts = {e.trace for e in _entries(F, _scan_keys(F, ClassLabel("U", 1), lw))}
+        scan = _scan_keys(F, ClassLabel("U", 1), lw)
+        ts = set(itertools.compress(table.entry_traces, table.select(scan)))
         if ts != full - {w}:
             return _fail(name, q, details, part="upper_companion_trace_exclusion",
                          w=w, traces=sorted(ts))
@@ -1078,18 +1081,19 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
                "witness_sets_without_nonsquare": 0, "zero_trace_self_pairs_exempt": 0}
 
     for l1, l2 in itertools.combinations_with_replacement(u_labels, 2):
-        pair = [str(l1), str(l2)]
         keys, scan = _product_keys(F, l1, l2), _scan_keys(F, l1, l2)
         rt = mul[l1.x][l2.x]
         u_minus = bits["U", rt, False]
         details["witness_sets_without_nonsquare"] += not keys & u_minus
         wit = keys & (bits["Z", rt, True] | bits["U", rt, True] | u_minus)
         if keys != scan or wit.bit_count() < 2:
-            return _fail(name, q, details, part="upper_upper_witnesses", pair=pair,
-                         witnesses=_label_texts(F, wit), found=_label_texts(F, scan))
-        if len(ts := {e.trace for e in _entries(F, keys)}) < (q + 1) // 2:
-            return _fail(name, q, details, part="upper_upper_traces", pair=pair,
-                         traces=sorted(ts))
+            return _fail(name, q, details, part="upper_upper_witnesses",
+                         pair=[str(l1), str(l2)], witnesses=_label_texts(F, wit),
+                         found=_label_texts(F, scan))
+        ts = set(itertools.compress(table.entry_traces, table.select(keys)))
+        if len(ts) < (q + 1) // 2:
+            return _fail(name, q, details, part="upper_upper_traces",
+                         pair=[str(l1), str(l2)], traces=sorted(ts))
         details["uu_pairs"] += 1
 
     for l1, l2 in itertools.product(u_labels, w_labels):
@@ -1116,14 +1120,13 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         if bad := _family_fit(F, conjugates, 2):
             return _fail(name, q, details, part="family_quadratic", w=w, **bad)
         for l2 in w_labels[j:]:
-            pair = [str(l1), str(l2)]
             v = l2.x
             base, mk = add[sub[mul[w][v]][two]], mul[sub[w][v]]
             want = [base[sub[mk[i]][mul[i][i]]] for i in range(3)]
             got = _family_traces(F, conjugates[:3], (0, 1, neg1, v))
             if (i := _agreeing(got, want)) < len(want):
-                return _fail(name, q, details, part="companion_companion_family", pair=pair,
-                             i=i, expected=want[i], direct=got[i])
+                return _fail(name, q, details, part="companion_companion_family",
+                             pair=[str(l1), str(l2)], i=i, expected=want[i], direct=got[i])
             s0 = neg1 if add[v][w] != 0 else 1
             e = sub[mul[s0][w]][v]
             xs = []
@@ -1137,7 +1140,8 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
             if (any(sub[mul[a][d]][mul[b][c]] != 1 for a, b, c, d in xs)
                     or _class_keys(F, xs, (v, neg1, 1, 0)) != table.trace_bits[w]
                     or keys != sum(map(bits.__getitem__, wit))):
-                return _fail(name, q, details, part="companion_companion_witnesses", pair=pair,
+                return _fail(name, q, details, part="companion_companion_witnesses",
+                             pair=[str(l1), str(l2)],
                              witnesses=[str(l) for l in wit], products=[list(x) for x in xs],
                              found=_label_texts(F, keys))
             details["ww_pairs"] += 1
@@ -1214,7 +1218,8 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     details["witness"] = [str(witness[0]), str(witness[1])]
 
     if q % 2 == 0:
-        expected, pair = q - 1, (ClassLabel("U", 1), ClassLabel("W", irreducible_traces(F)[0]))
+        first_w = next(l for l in table.labels() if l.kind == "W")
+        expected, pair = q - 1, (ClassLabel("U", 1), first_w)
     elif q == 3:
         expected, pair = 2, None
     else:

@@ -31,6 +31,8 @@ from .matrices import Mat2, det, sl2_order
 
 _LABEL_RE = re.compile(r"^([ZDUW])\((\d+)(?:,([+-]))?\)$")
 _KINDS = ("Z", "D", "U", "W")
+# a mask's binary digits as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 # str() of each label made so far of one of the four kinds, an int code below
 # MAX_FIELD_SIZE and a bool flag, keyed by the label: so never more than
@@ -87,11 +89,14 @@ class ClassTable:
     then D, U, W families, each by ascending code, U(s,+) before U(s,-).
     This is the one class order; reports list their labels in it.
 
-    Each class's bit is 1 << its position, so a set of classes is an int
-    (see products.py).  The bit lookups are built on first use, and the
-    read-back columns ``entry_labels`` and ``entry_traces`` by the first
-    product read back: building the table and counting products
-    (``min_product_classes``) reads nothing back."""
+    A set of classes is an int, its class mask: bit i is the class at
+    position i (see products.py).  ``label_bits``, ``trace_bits`` and
+    ``semisimple_mask`` write masks; ``select``, ``entry`` and
+    :func:`classify` read them, and a stray bit, one at or past the
+    table's length, raises ``ValueError`` in ``select``.  The bit lookups
+    are built on first use, and the read-back columns ``entry_labels`` and
+    ``entry_traces`` by the first mask read back: building the table and
+    counting products (``min_product_classes``) reads nothing back."""
 
     q: int
     entries: tuple[ClassEntry, ...]
@@ -138,6 +143,17 @@ class ClassTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def select(self, mask: int) -> bytes:
+        """One byte per table position, 1 where ``mask`` has its bit, else
+        0: the selectors that ``itertools.compress`` takes over a column.
+        A bit at or past the table's length names no class, so it raises
+        (a negative mask has infinitely many)."""
+        n = len(self)
+        if mask >> n:
+            raise ValueError(f"a class mask over GF({self.q}) has a bit at or past "
+                             f"position {n}, its number of classes")
+        return format(mask, f"0{n}b").encode().translate(_DIGIT_BYTES)[::-1]
 
     def entry(self, label: ClassLabel) -> ClassEntry:
         try:  # the one set bit of the class is its position, as in classify
@@ -209,14 +225,6 @@ def _roots_of_one(F: Field) -> tuple[int, ...]:
     """Ascending r with r*r == 1: just 1 for even q, else 1 and -1, whose
     code p - 1 exceeds 1 for odd p."""
     return (1,) if F.q % 2 == 0 else (1, F._neg[1])
-
-
-def irreducible_traces(F: Field) -> list[int]:
-    """Ascending w with x**2 - w*x + 1 irreducible over GF(q).
-
-    There are (q-1)/2 of them for odd q and q/2 for even q.
-    """
-    return [e.trace for e in class_table(F).entries if e.label.kind == "W"]
 
 
 def class_table(F: Field) -> ClassTable:

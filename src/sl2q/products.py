@@ -18,8 +18,8 @@ The kernels look every bit up in the table: a D or W class by its trace
 (``ClassTable.trace_bits``), a Z or U class by its label
 (``ClassTable.label_bits``), and every trace but +-2 is one mask per
 table (``ClassTable.semisimple_mask``), which the D, W and U closed forms
-extend or cut.  A mask is read back in one place, :func:`_selectors`: its
-binary text, one byte per table position, selects through
+extend or cut.  A mask is read back in one place, ``ClassTable.select``:
+its binary text, one byte per table position, selects through
 ``itertools.compress`` the labels and traces of the classes hit
 (``ClassTable.entry_labels``, ``entry_traces``).  A bit at or past the
 table's length names no class and raises ``ValueError``, so a report's
@@ -55,16 +55,14 @@ import time
 from dataclasses import dataclass
 from itertools import compress
 
-from .classes import ClassEntry, ClassLabel, ClassTable, _roots_of_one, class_table, classify
+from .classes import ClassLabel, _roots_of_one, class_table, classify
 from .field import Field
-from .matrices import Mat2, _same_field, det
+from .matrices import Mat2
 
 CSV_HEADER = "q,p,m,a,b,eta,n_traces,elapsed_ms"
 
 # the rank of a kind as the first operand of a closed form: Z, then U, then D or W
 _FIRST = {"Z": 0, "U": 1}
-# a mask's binary digits as the bytes 0 and 1
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def csv_line(*fields) -> str:
@@ -287,34 +285,9 @@ def _product_keys(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
 
 def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
     """Labels of every conjugacy class appearing in the product of A's and
-    B's classes."""
-    _same_field(F, A, B)
-    if det(F, A) != 1 or det(F, B) != 1:
-        raise ValueError("class products are defined for determinant-one matrices")
-    table = class_table(F)
-    mask = _product_keys(F, classify(F, A), classify(F, B))
-    return frozenset(compress(table.entry_labels, _selectors(table, mask)))
-
-
-def label_trace(F: Field, label: ClassLabel) -> int:
-    """The trace shared by every matrix in the labelled class."""
-    return class_table(F).entry(label).trace
-
-
-def _selectors(table: ClassTable, mask: int) -> bytes:
-    # one byte per table position, 1 where `mask` has its bit, else 0; a
-    # bit at or past the table's length names no class, so it raises
-    n = len(table)
-    if mask >> n:
-        raise ValueError(f"a class mask over GF({table.q}) has a bit at or past "
-                         f"position {n}, its number of classes")
-    return format(mask, f"0{n}b").encode().translate(_DIGIT_BYTES)[::-1]
-
-
-def _entries(F: Field, mask: int) -> list[ClassEntry]:
-    # the classes of a mask in table order
-    table = class_table(F)
-    return list(compress(table.entries, _selectors(table, mask)))
+    B's classes; :func:`classify` rejects a matrix of another field or of
+    determinant other than 1."""
+    return frozenset(product_report(F, classify(F, A), classify(F, B)).labels)
 
 
 def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> ProductReport:
@@ -328,7 +301,7 @@ def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> Produc
     t0 = time.perf_counter()
     mask = _product_keys(F, label_a, label_b)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    selectors = _selectors(table, mask)
+    selectors = table.select(mask)
     labels = tuple(compress(table.entry_labels, selectors))
     traces = tuple(sorted(set(compress(table.entry_traces, selectors))))
     return ProductReport(F.q, F.p, F.m, F.modulus, label_a, label_b,

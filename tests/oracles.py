@@ -36,7 +36,6 @@ from sl2q.classes import ClassLabel, class_table
 from sl2q.field import Field, field_for, find_modulus  # noqa: F401  (field_for re-exported)
 from sl2q.matrices import Mat2, enumerate_sl2
 from sl2q.checks import _scan_keys, _torus_members
-from sl2q.products import label_trace
 
 
 _KIND_ORDER = {"Z": 0, "D": 1, "U": 2, "W": 3}
@@ -279,7 +278,8 @@ def pair_count(F: Field, la: ClassLabel, lb: ClassLabel) -> int:
     if "U" in kinds:
         return q - ("W" in kinds)
     k = 2 if q % 2 else 1
-    ta, tb = label_trace(F, la), label_trace(F, lb)
+    table = class_table(F)
+    ta, tb = table.entry(la).trace, table.entry(lb).trace
     inverse = (tb == ta) + (k == 2 and tb == F._neg[ta])
     return q - k + k * k + inverse * (1 if la.kind == "D" else 1 - k)
 
@@ -396,7 +396,7 @@ def _class_members(F: Field, label: ClassLabel, against: ClassLabel) -> list[tup
       by [[1,x],[0,1]] fixes c and shifts a by x*c;
     * W ([[0,1],[-1,w]]): every row of the scan's non-split torus cut.
     """
-    t = label_trace(F, label)
+    t = class_table(F).entry(label).trace
     if against.kind == "W":
         out = _torus_members(F, against.x, _torus_rows(F, t, against.x))
     else:

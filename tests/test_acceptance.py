@@ -20,9 +20,9 @@ from sl2q.checks import (
     check_trace_formulas,
     check_value_set_counts,
 )
-from sl2q.classes import ClassLabel, class_table, classify, irreducible_traces
+from sl2q.classes import ClassLabel, class_table, classify
 from sl2q.matrices import enumerate_sl2, mat, sl2_order
-from sl2q.products import class_product_labels, label_trace, min_product_classes
+from sl2q.products import class_product_labels, min_product_classes
 
 ALL_TESTED_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]
 
@@ -161,9 +161,9 @@ def test_criterion_8_trace_coverage_and_exclusion():
         F = oracles.field_for(q)
         table = class_table(F)
         upper = table.rep(ClassLabel("U", 1))
-        for w in irreducible_traces(F):
+        for w in (e.trace for e in table.entries if e.label.kind == "W"):
             labels = class_product_labels(F, upper, table.rep(ClassLabel("W", w)))
-            traces = frozenset(label_trace(F, l) for l in labels)
+            traces = frozenset(table.entry(l).trace for l in labels)
             if w in traces or traces != frozenset(range(q)) - {w}:
                 failures.append((q, w, sorted(traces)))
     _report(8, "trace coverage and trace exclusion", failures)

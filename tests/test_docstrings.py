@@ -5,12 +5,13 @@ imports exactly its __all__), and every private top-level function is
 used by library code, and every field table a function binds to a local
 name is read in it, so neither a reference, an import, a helper nor a
 table binding outlives the code it serves (helpers only tests need live
-in tests/oracles.py); that tests/oracles.py imports no private name of
-sl2q.products, so no oracle leans on the code it checks; that the checks
-read their parameter generator only through the sampler, so drawing a
-loop's batches ahead keeps the draws; and every failure part of each check
-is named by a test that runs that check, so no failure path goes
-untested."""
+in tests/oracles.py); that every public name is used outside the tests;
+that tests/oracles.py imports no private name of the library but the two
+of the scan that its docstring names, so no oracle leans on the code it
+checks; that the checks read their parameter generator only through the
+sampler, so drawing a loop's batches ahead keeps the draws; and every
+failure part of each check is named by a test that runs that check, so no
+failure path goes untested."""
 
 import ast
 import re
@@ -99,13 +100,41 @@ def test_every_private_function_is_used():
     assert not dead
 
 
-def test_oracles_import_nothing_private_from_products():
+def test_every_public_name_is_used_outside_the_tests():
+    # a name in sl2q.__all__ is live when library code outside __init__.py
+    # and its own definition reads it, or a file under perfbench/ does
+    package = Path(sl2q.__file__).parent
+    bench = sorted((package.parents[1] / "perfbench").rglob("*.py"))
+    assert bench, "no perfbench file found; the lint is stale"
+    paths = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    trees = [ast.parse(path.read_text()) for path in paths + bench]
+    own = {id(node): fn.name for tree in trees for fn in tree.body
+           if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(fn)}
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if own.get(id(node)) != name:
+                read.add(name)
+    assert not [name for name in sl2q.__all__ if name not in read]
+
+
+# the two scan helpers the oracles docstring names as the one shared code
+ORACLE_PRIVATE_IMPORTS = {("sl2q.checks", "_scan_keys"), ("sl2q.checks", "_torus_members")}
+
+
+def test_oracles_import_no_private_name_but_the_scan():
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
-    names = [alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "sl2q.products"
-             for alias in node.names]
-    assert names, "oracles.py imports nothing from sl2q.products; the lint is stale"
-    assert not [name for name in names if name.startswith("_")]
+    names = {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module.startswith("sl2q")
+             for alias in node.names}
+    private = {pair for pair in names if pair[1].startswith("_")}
+    assert private == ORACLE_PRIVATE_IMPORTS
 
 
 SAMPLERS = {"_take", "_take_rounds"}

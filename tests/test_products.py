@@ -19,15 +19,13 @@ from sl2q import checks, products
 from sl2q.checks import _scan_keys
 from sl2q.classes import ClassLabel, class_table, classify
 from sl2q.field import make_field, prime_factors, prime_powers_up_to
-from sl2q.matrices import Mat2, enumerate_sl2, mat
+from sl2q.matrices import Mat2, det, enumerate_sl2, mat
 from sl2q.products import (
-    _entries,
     _product_keys,
     _semisimple_keys,
     _unipotent_keys,
     _upper_upper_keys,
     class_product_labels,
-    label_trace,
     min_product_classes,
     product_report,
 )
@@ -40,6 +38,11 @@ def filter_entries(table, keys):
     # the reference selection: every entry whose trace or label is a key,
     # in table order
     return [e for e in table.entries if e.trace in keys or e.label in keys]
+
+
+def selected(table, mask):
+    # the entries of a class mask, read through the table's mask reader
+    return list(itertools.compress(table.entries, table.select(mask)))
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -96,7 +99,7 @@ def test_products_match_fixed_factor_oracle(q):
             assert class_product_labels(F, ea.rep, eb.rep) == labels, (ea.label, eb.label)
             pair = (ea.label, eb.label)
             for mask in (_scan_keys(F, *pair), _product_keys(F, *pair)):
-                entries = _entries(F, mask)
+                entries = selected(table, mask)
                 assert entries == filter_entries(table, oracles.mask_keys(F, mask)), pair
                 assert len(entries) == mask.bit_count(), pair
                 assert {e.label for e in entries} == labels, pair
@@ -161,8 +164,9 @@ def test_semisimple_formula_matches_scan_sampled(q):
     # 2,000 seeded pairs: three quarters drawn at random, a quarter with
     # t_b = r*t_a, where the Z(r) and U(r, +-) rules turn
     F = oracles.field_for(q)
-    labels = [l for l in class_table(F).noncentral_labels() if l.kind in "DW"]
-    by_trace = {products.label_trace(F, l): l for l in labels}
+    table = class_table(F)
+    labels = [l for l in table.noncentral_labels() if l.kind in "DW"]
+    by_trace = {table.entry(l).trace: l for l in labels}
     roots = [r for r in range(1, q) if F._mul[r][r] == 1]
     rng = random.Random(q)
     pairs = []
@@ -171,7 +175,7 @@ def test_semisimple_formula_matches_scan_sampled(q):
         if k % 4:
             lb = rng.choice(labels)
         else:
-            lb = by_trace[F._mul[rng.choice(roots)][products.label_trace(F, la)]]
+            lb = by_trace[F._mul[rng.choice(roots)][table.entry(la).trace]]
         pairs.append((la, lb))
     assert_formula_matches_scan(F, _semisimple_keys, pairs)
 
@@ -238,8 +242,9 @@ def test_scan_orders_each_pair_once(q, monkeypatch):
 
         monkeypatch.setattr(checks, name, recording)
     F = oracles.field_for(q)
-    labels = class_table(F).noncentral_labels()
-    edges = {label_trace(F, l) for l in labels if l.kind == "U"}
+    table = class_table(F)
+    labels = table.noncentral_labels()
+    edges = {table.entry(l).trace for l in labels if l.kind == "U"}
     seen = set()
     for la in labels:
         for lb in labels:
@@ -337,7 +342,25 @@ def test_products_match_double_enumeration(q):
                 for t in oracles.double_product_tuples(F, ea.rep, eb.rep)
             }
             assert class_product_labels(F, ea.rep, eb.rep) == oracle
-            assert {e.label for e in _entries(F, _scan_keys(F, ea.label, eb.label))} == oracle
+            assert {e.label for e in selected(table, _scan_keys(F, ea.label, eb.label))} == oracle
+
+
+@pytest.mark.parametrize("p, entries, match, readers", [
+    (7, (1, 1, 0, 1), "field mismatch", [det, classify]),
+    (5, (1, 1, 1, 1), "determinant", [classify]),
+])
+def test_matrix_operands_checked(p, entries, match, readers):
+    # a GF(7) matrix used with GF(5), and a GF(5) matrix of determinant 0:
+    # class_product_labels takes its operand checks from classify, for
+    # either operand
+    F = make_field(5, 1)
+    bad, good = mat(make_field(p, 1), *entries), mat(F, 1, 1, 0, 1)
+    for read in readers:
+        with pytest.raises(ValueError, match=match):
+            read(F, bad)
+    for A, B in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=match):
+            class_product_labels(F, A, B)
 
 
 def test_central_factor_collapses():
@@ -435,8 +458,8 @@ def test_min_product_classes(q, expected):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25])
 def test_entries_exact_for_spoiled_keys(q, monkeypatch):
     # a product mask with bits in range added or cleared selects exactly
-    # the classes of its bits, through _entries (the checks' failure
-    # payloads) and through the product readers, whose count is then the
+    # the classes of its bits, through ClassTable.select (the checks'
+    # failure payloads) and through the product readers, whose count is then the
     # number of labels; a bit at or past the class count, or a negative
     # mask, raises in each of them
     F = oracles.field_for(q)
@@ -451,7 +474,7 @@ def test_entries_exact_for_spoiled_keys(q, monkeypatch):
                    rng.getrandbits(n), (1 << n) - 1, 0]
         for bad in spoiled:
             expected = filter_entries(table, oracles.mask_keys(F, bad))
-            assert _entries(F, bad) == expected, (la, lb, bad ^ mask)
+            assert selected(table, bad) == expected, (la, lb, bad ^ mask)
             monkeypatch.setattr(products, "_product_keys", lambda *_: bad)
             assert class_product_labels(F, table.rep(la), table.rep(lb)) == {
                 e.label for e in expected}
@@ -462,7 +485,7 @@ def test_entries_exact_for_spoiled_keys(q, monkeypatch):
             monkeypatch.undo()
         for stray in (mask | 1 << n, mask | 1 << n + rng.randrange(1, 64), -1, ~mask):
             with pytest.raises(ValueError, match="past position"):
-                _entries(F, stray)
+                table.select(stray)
             monkeypatch.setattr(products, "_product_keys", lambda *_: stray)
             with pytest.raises(ValueError, match="past position"):
                 class_product_labels(F, table.rep(la), table.rep(lb))
@@ -591,7 +614,7 @@ def test_report_traces_match_member_traces():
                 r = product_report(F, la, lb)
                 orbit = oracles.bfs_orbit(F, table.rep(la))
                 assert set(r.traces) == oracles.fixed_factor_product(F, orbit, table.rep(lb))[1]
-                assert set(r.traces) == {label_trace(F, l) for l in r.labels}
+                assert set(r.traces) == {table.entry(l).trace for l in r.labels}
 
 
 def test_report_json_round_trip():
