@@ -418,7 +418,7 @@ def _fail(name: str, q: int, details: dict, **payload) -> CheckResult:
 def _label_texts(F: Field, mask: int) -> list[str]:
     # the labels of a class mask as sorted text, for a failure payload
     table = class_table(F)
-    return sorted(map(str, itertools.compress(table.entry_labels, table.select(mask))))
+    return sorted(itertools.compress(table.entry_texts, table.select(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +965,7 @@ def check_even_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
         raise ValueError("even-characteristic check requires even q")
     mul, add, inv = F._mul, F._add, F._inv
     table = class_table(F)
-    w_labels = [l for l in table.labels() if l.kind == "W"]
+    w_labels = [l for l in table.entry_labels if l.kind == "W"]
     details = {"irreducible_classes": len(w_labels), "pairs": 0}
     full = frozenset(range(q))
     u4 = (1, 1, 0, 1)
@@ -1075,8 +1075,8 @@ def check_odd_char_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     mul, add, sub, neg, inv, sq = F._mul, F._add, F._sub, F._neg, F._inv, F._sq
     table = class_table(F)
     bits = table.label_bits
-    u_labels = [l for l in table.labels() if l.kind == "U"]
-    w_labels = [l for l in table.labels() if l.kind == "W"]
+    u_labels = [l for l in table.entry_labels if l.kind == "U"]
+    w_labels = [l for l in table.entry_labels if l.kind == "W"]
     details = {"uu_pairs": 0, "uw_pairs": 0, "ww_pairs": 0,
                "witness_sets_without_nonsquare": 0, "zero_trace_self_pairs_exempt": 0}
 
@@ -1196,7 +1196,7 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     # form in both orders against that scan, and the census, the least
     # verified count of a noncentral pair with its first pair
     census = (float("inf"), None)
-    for la, lb in itertools.combinations_with_replacement(table.labels(), 2):
+    for la, lb in itertools.combinations_with_replacement(table.entry_labels, 2):
         scan = _scan_keys(F, la, lb)
         kinds = {la.kind, lb.kind}
         for pair in ((la, lb), (lb, la)):
@@ -1218,7 +1218,7 @@ def check_min_class_bounds(F: Field, *, seed: int = 0) -> CheckResult:
     details["witness"] = [str(witness[0]), str(witness[1])]
 
     if q % 2 == 0:
-        first_w = next(l for l in table.labels() if l.kind == "W")
+        first_w = next(l for l in table.entry_labels if l.kind == "W")
         expected, pair = q - 1, (ClassLabel("U", 1), first_w)
     elif q == 3:
         expected, pair = 2, None

@@ -94,9 +94,11 @@ class ClassTable:
     ``semisimple_mask`` write masks; ``select``, ``entry`` and
     :func:`classify` read them, and a stray bit, one at or past the
     table's length, raises ``ValueError`` in ``select``.  The bit lookups
-    are built on first use, and the read-back columns ``entry_labels`` and
-    ``entry_traces`` by the first mask read back: building the table and
-    counting products (``min_product_classes``) reads nothing back."""
+    are built on first use, and so is each read-back column,
+    ``entry_labels``, ``entry_traces`` and ``entry_texts`` (each label's
+    str()): building the table and counting products
+    (``min_product_classes``) reads nothing back, and a report reads its
+    traces and texts only when asked."""
 
     q: int
     entries: tuple[ClassEntry, ...]
@@ -141,6 +143,10 @@ class ClassTable:
     def entry_traces(self) -> tuple[int, ...]:
         return tuple(e.trace for e in self.entries)
 
+    @cached_property
+    def entry_texts(self) -> tuple[str, ...]:
+        return tuple(map(str, self.entry_labels))
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -168,10 +174,10 @@ class ClassTable:
         return self.entry(label).size
 
     def labels(self) -> list[ClassLabel]:
-        return [e.label for e in self.entries]
+        return list(self.entry_labels)
 
     def noncentral_labels(self) -> list[ClassLabel]:
-        return [e.label for e in self.entries if e.label.kind != "Z"]
+        return [l for l in self.entry_labels if l.kind != "Z"]
 
     def to_json(self, F: Field) -> dict:
         return {

@@ -186,7 +186,9 @@ def cmd_eta(q: int, a_text: str, b_text: str, fmt: str):
     else:
         click.echo(f"q={q}  {la} x {lb}")
         click.echo(f"eta = {report.num_classes}")
-        click.echo("classes: " + " ".join(str(l) for l in report.labels))
+        table = report.table
+        texts = itertools.compress(table.entry_texts, table.select(report.mask))
+        click.echo("classes: " + " ".join(texts))
         click.echo("traces:  " + " ".join(str(t) for t in report.traces))
 
 

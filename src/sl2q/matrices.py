@@ -24,19 +24,14 @@ class Mat2(NamedTuple):
         return [[self.a, self.b], [self.c, self.d]]
 
 
-def _same_field(F: Field, *ms: Mat2) -> None:
-    for M in ms:
-        if M.q != F.q:
-            raise ValueError(f"field mismatch: matrix over GF({M.q}) used with GF({F.q})")
-
-
 def mat(F: Field, a: int, b: int, c: int, d: int) -> Mat2:
     """Build a matrix over F, validating the entry codes."""
     return Mat2(F.check(a), F.check(b), F.check(c), F.check(d), F.q)
 
 
 def det(F: Field, M: Mat2) -> int:
-    _same_field(F, M)
+    if M.q != F.q:
+        raise ValueError(f"field mismatch: matrix over GF({M.q}) used with GF({F.q})")
     return F._sub[F._mul[M.a][M.d]][F._mul[M.b][M.c]]
 
 

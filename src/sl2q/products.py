@@ -20,11 +20,13 @@ The kernels look every bit up in the table: a D or W class by its trace
 table (``ClassTable.semisimple_mask``), which the D, W and U closed forms
 extend or cut.  A mask is read back in one place, ``ClassTable.select``:
 its binary text, one byte per table position, selects through
-``itertools.compress`` the labels and traces of the classes hit
-(``ClassTable.entry_labels``, ``entry_traces``).  A bit at or past the
-table's length names no class and raises ``ValueError``, so a report's
-count and its labels always agree.  Each label's text (``ClassLabel``) is
-made on its first str().
+``itertools.compress`` from a column of the table.  A report keeps its
+mask and reads its labels eagerly (``ClassTable.entry_labels``), and its
+traces (``entry_traces``) and label texts (``entry_texts``) only when
+asked, each through ``select``; so serving a report's labels sorts no
+traces and formats no label.  A bit at or past the table's length names
+no class and raises ``ValueError``, so a report's count and its labels
+always agree.
 
 No class is enumerated: each pair kind has one closed form, read off the
 labels and traces with its proof in its docstring, and
@@ -52,10 +54,10 @@ forms rather than trust them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
-from .classes import ClassLabel, _roots_of_one, class_table, classify
+from .classes import ClassLabel, ClassTable, _roots_of_one, class_table, classify
 from .field import Field
 from .matrices import Mat2
 
@@ -72,8 +74,9 @@ def csv_line(*fields) -> str:
 
 @dataclass(frozen=True)
 class ProductReport:
-    """One class-product computation: operands, class count, classes seen,
-    traces seen, and wall time."""
+    """One class-product computation: operands, class count, classes seen
+    (in table order), the class mask they are read from, and wall time.
+    The traces seen are read from the mask on demand."""
 
     q: int
     p: int
@@ -83,10 +86,18 @@ class ProductReport:
     label_b: ClassLabel
     num_classes: int
     labels: tuple[ClassLabel, ...]
-    traces: tuple[int, ...]
+    mask: int
     elapsed_ms: float
+    table: ClassTable = field(compare=False, repr=False)
+
+    @property
+    def traces(self) -> tuple[int, ...]:
+        # the distinct traces of the classes hit, ascending
+        table = self.table
+        return tuple(sorted(set(compress(table.entry_traces, table.select(self.mask)))))
 
     def to_json(self) -> dict:
+        table = self.table
         return {
             "q": self.q,
             "p": self.p,
@@ -95,7 +106,7 @@ class ProductReport:
             "a": str(self.label_a),
             "b": str(self.label_b),
             "eta": self.num_classes,
-            "labels": [str(l) for l in self.labels],
+            "labels": list(compress(table.entry_texts, table.select(self.mask))),
             "traces": list(self.traces),
             "elapsed_ms": self.elapsed_ms,
         }
@@ -293,19 +304,17 @@ def class_product_labels(F: Field, A: Mat2, B: Mat2) -> frozenset[ClassLabel]:
 def product_report(F: Field, label_a: ClassLabel, label_b: ClassLabel) -> ProductReport:
     """Compute the class decomposition of the product of two labelled
     classes, using the canonical representatives (the result is
-    class-invariant).  The labels come in class table order, with the
-    table's traces."""
+    class-invariant).  The labels come in class table order; the traces
+    and label texts are read from the mask when asked."""
     table = class_table(F)
     for label in (label_a, label_b):
         table.entry(label)  # raises for a label with no class over GF(q)
     t0 = time.perf_counter()
     mask = _product_keys(F, label_a, label_b)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    selectors = table.select(mask)
-    labels = tuple(compress(table.entry_labels, selectors))
-    traces = tuple(sorted(set(compress(table.entry_traces, selectors))))
+    labels = tuple(compress(table.entry_labels, table.select(mask)))
     return ProductReport(F.q, F.p, F.m, F.modulus, label_a, label_b,
-                         mask.bit_count(), labels, traces, elapsed)
+                         mask.bit_count(), labels, mask, elapsed, table)
 
 
 def min_product_classes(F: Field) -> tuple[int, tuple[ClassLabel, ClassLabel]]:

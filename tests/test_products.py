@@ -4,6 +4,7 @@ against double enumeration, every closed form against the row scan of
 sl2q.checks, and the headline minimum values."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -518,16 +519,45 @@ def test_report_matches_reference(q):
 @pytest.mark.parametrize("p, m", [(2, 4), (5, 2)])
 def test_class_table_alone_builds_no_report_columns(p, m):
     # building a table and counting products, all that field_tables and
-    # min_sweep do, pay for none of the label and trace columns that a
-    # report reads back
+    # min_sweep do, pay for none of the label, trace and text columns that
+    # a report reads back; a report reads its labels at once, and its
+    # traces and texts only when asked
     F = make_field.__wrapped__(p, m)  # a fresh field, not the cached one
     table = class_table(F)
     min_product_classes(F)
-    report_data = {"entry_labels", "entry_traces"}
+    report_data = {"entry_labels", "entry_traces", "entry_texts"}
     assert not report_data & vars(table).keys()
-    nc = table.noncentral_labels()
-    product_report(F, nc[0], nc[-1])
+    w = table.entries[-1].label
+    report = product_report(F, w, w)
+    assert report_data & vars(table).keys() == {"entry_labels"}
+    report.traces
+    assert report_data & vars(table).keys() == {"entry_labels", "entry_traces"}
+    report.to_json()
     assert report_data <= vars(table).keys()
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 16, 25])
+def test_report_reads_traces_and_texts_off_its_mask(q):
+    # every ordered noncentral pair: the traces and texts read from the
+    # mask on demand are those of the labels read at once
+    F = oracles.field_for(q)
+    table = class_table(F)
+    nc = table.noncentral_labels()
+    for la, lb in itertools.product(nc, repeat=2):
+        r = product_report(F, la, lb)
+        assert r.traces == tuple(sorted({table.entry(l).trace for l in r.labels})), (la, lb)
+        assert r.to_json()["labels"] == [str(l) for l in r.labels], (la, lb)
+        assert r.mask.bit_count() == r.num_classes, (la, lb)
+
+
+def test_report_with_stray_mask_bit_refuses_its_traces():
+    F = make_field(5, 1)
+    table = class_table(F)
+    w = table.entries[-1].label
+    r = product_report(F, w, w)
+    stray = dataclasses.replace(r, mask=r.mask | 1 << len(table))
+    with pytest.raises(ValueError, match="past position"):
+        stray.traces
 
 
 def test_products_cache_no_members():
